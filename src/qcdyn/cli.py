@@ -1,8 +1,9 @@
 """Command-line front end: batch subcommands with deterministic file outputs.
 
-Exit codes: 0 success, 1 computation error (domain, resonance, convergence),
-2 usage error.  Complex-valued flags accept "re" or "re,im"; prefix negative
-values with '=' (e.g. --c=-0.8,0.1).  QCDYN_THREADS caps render parallelism
+Exit codes: 0 success, 1 computation error (domain, resonance, convergence)
+or unwritable output, 2 usage error (including non-finite numbers).
+Complex-valued flags accept "re" or "re,im"; prefix negative values with '='
+(e.g. --c=-0.8,0.1).  QCDYN_THREADS caps render parallelism
 without changing any output byte.
 """
 
@@ -36,22 +37,32 @@ _COMPUTE_ERRORS = (
 )
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _complex_flag(text: str) -> complex:
     parts = text.split(",")
     try:
         if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
+            return complex(_finite_float(parts[0]), 0.0)
         if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
+            return complex(_finite_float(parts[0]), _finite_float(parts[1]))
+    except argparse.ArgumentTypeError:
         pass
-    raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected finite 're' or 're,im', got {text!r}")
 
 
 def _add_grid_flags(sp, default_iter):
     sp.add_argument("--center", type=_complex_flag, default=0j, help="grid center re,im")
-    sp.add_argument("--width", type=float, required=True, help="grid width")
-    sp.add_argument("--height", type=float, default=None, help="grid height (default: width*ny/nx)")
+    sp.add_argument("--width", type=_finite_float, required=True, help="grid width")
+    sp.add_argument("--height", type=_finite_float, default=None, help="grid height (default: width*ny/nx)")
     sp.add_argument("--nx", type=int, default=512)
     sp.add_argument("--ny", type=int, default=512)
     sp.add_argument("--max-iter", type=int, default=default_iter)
@@ -80,23 +91,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("julia", help="render a filled Julia set")
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite_float, required=True)
     sp.add_argument("--c", type=_complex_flag, required=True)
     _add_grid_flags(sp, 1000)
     sp.add_argument("-o", "--output", required=True)
 
     sp = sub.add_parser("locus", help="render the connectedness locus")
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite_float, required=True)
     _add_grid_flags(sp, 256)
     sp.add_argument("-o", "--output", required=True)
 
     sp = sub.add_parser("fixed-points", help="locate and classify fixed points")
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite_float, required=True)
     sp.add_argument("--c", type=_complex_flag, required=True)
     sp.add_argument("-o", "--output", default=None, help=".csv or .json table (optional)")
 
     sp = sub.add_parser("curves", help="trace bifurcation curves and their images")
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite_float, required=True)
     sp.add_argument(
         "--which",
         choices=[fp.DELTA, fp.GAMMA_PLUS, fp.GAMMA_MINUS, "all"],
@@ -112,12 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hopf", help="Hopf number at one angle or over a sweep")
     sp.add_argument("--alpha", type=str, required=True, help="value or comma list")
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--theta", type=float, help="single angle")
+    group.add_argument("--theta", type=_finite_float, help="single angle")
     group.add_argument("--theta-grid", type=int, help="uniform offset grid size over (0, 2pi)")
     sp.add_argument("-o", "--output", default=None, help="CSV output (required for sweeps)")
 
     sp = sub.add_parser("orbit", help="critical or periodic orbit")
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite_float, required=True)
     sp.add_argument("--c", type=_complex_flag, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--critical", type=int, metavar="N", help="critical orbit length")
@@ -127,9 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", default=None, help="CSV output")
 
     sp = sub.add_parser("leaf", help="pull a polyline back through inverse branches")
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite_float, required=True)
     sp.add_argument("--c", type=_complex_flag, required=True)
-    sp.add_argument("--radius", type=float, required=True, help="initial circle radius")
+    sp.add_argument("--radius", type=_finite_float, required=True, help="initial circle radius")
     sp.add_argument("--points", type=int, default=256)
     sp.add_argument("--word", type=str, required=True,
                     help="branch word, e.g. 010 or 0,1,0")
@@ -153,9 +164,9 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         parser.error("grid needs at least one pixel per axis")
     if args.command == "hopf":
         try:
-            alphas = [float(tok) for tok in args.alpha.split(",") if tok]
-        except ValueError:
-            parser.error("hopf: --alpha expects a value or comma list")
+            alphas = [_finite_float(tok) for tok in args.alpha.split(",") if tok]
+        except argparse.ArgumentTypeError:
+            parser.error("hopf: --alpha expects a finite value or comma list")
         if not alphas or any(not a > 0.5 for a in alphas):
             parser.error("hopf: every alpha must be > 1/2")
         if args.theta_grid is not None and args.theta_grid < 1:
@@ -332,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     _validate(parser, args)
     try:
         return _DISPATCH[args.command](args)
-    except _COMPUTE_ERRORS as exc:
+    except (*_COMPUTE_ERRORS, OSError) as exc:
         print(f"qcdyn {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -86,6 +86,17 @@ def _orbit_and_jacobian(p: MapParams, z: complex, q: int) -> tuple[complex, np.n
     return w, j
 
 
+def _trial_residual(p: MapParams, z: complex, q: int) -> float:
+    """|f^q(z) - z|, or infinity when the orbit of z overflows on the way."""
+    w = z
+    try:
+        for _ in range(q):
+            w = apply_map(p, w)
+        return abs(w - z)
+    except OverflowError:
+        return math.inf
+
+
 def _matrix_eigenvalues(m: np.ndarray) -> tuple[complex, complex]:
     tr = m[0, 0] + m[1, 1]
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
@@ -99,37 +110,40 @@ def find_periodic_orbit(p: MapParams, q: int, seed: complex) -> PeriodicOrbit:
     Steps are halved while they increase the residual (f^q is stiff near
     multipliers close to 1).  The returned orbit carries its minimal period
     (a divisor of q) and the eigenvalues of the Jacobian product over one
-    minimal cycle.  Raises NoConvergence if the seed does not lead to a root.
+    minimal cycle.  Raises NoConvergence if the seed does not lead to a root,
+    including when the orbit of an iterate overflows; a trial step whose orbit
+    overflows counts as one that increases the residual.
     """
     if q < 1:
         raise DomainError("period must be >= 1")
     z = complex(seed)
     resid = None
-    for _ in range(100):
-        if abs(z) > 1e6 or not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise NoConvergence(f"orbit search diverged from seed {seed}")
-        w, j = _orbit_and_jacobian(p, z, q)
-        fval = w - z
-        resid = abs(fval)
-        if resid < 1e-12:
-            break
-        a = j - np.eye(2)
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        if abs(det) < 1e-300:
-            raise NoConvergence("singular Newton step (multiplier 1?)")
-        bx, by = -fval.real, -fval.imag
-        dx = (bx * a[1, 1] - by * a[0, 1]) / det
-        dy = (by * a[0, 0] - bx * a[1, 0]) / det
-        step = complex(dx, dy)
-        for _ in range(30):
-            trial = z + step
-            wt, _ = _orbit_and_jacobian(p, trial, q)
-            if abs(wt - trial) <= resid or abs(step) < 1e-16:
+    try:
+        for _ in range(100):
+            if abs(z) > 1e6 or not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise NoConvergence(f"orbit search diverged from seed {seed}")
+            w, j = _orbit_and_jacobian(p, z, q)
+            fval = w - z
+            resid = abs(fval)
+            if resid < 1e-12:
                 break
-            step *= 0.5
-        z = z + step
-    else:
-        raise NoConvergence(f"no period-{q} orbit reached from seed {seed}")
+            a = j - np.eye(2)
+            det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+            if abs(det) < 1e-300:
+                raise NoConvergence("singular Newton step (multiplier 1?)")
+            bx, by = -fval.real, -fval.imag
+            dx = (bx * a[1, 1] - by * a[0, 1]) / det
+            dy = (by * a[0, 0] - bx * a[1, 0]) / det
+            step = complex(dx, dy)
+            for _ in range(30):
+                if _trial_residual(p, z + step, q) <= resid or abs(step) < 1e-16:
+                    break
+                step *= 0.5
+            z = z + step
+        else:
+            raise NoConvergence(f"no period-{q} orbit reached from seed {seed}")
+    except OverflowError:
+        raise NoConvergence(f"orbit search diverged from seed {seed}") from None
     if not resid < 1e-12:
         raise NoConvergence(f"no period-{q} orbit reached from seed {seed}")
 

@@ -178,3 +178,103 @@ def classify_reference(p: MapParams, z0: complex, max_iter: int, mode: str):
             if all(abs(window[m + q] - window[m]) < TOL_CYCLE for m in range(m0, m0 + CYCLE_RUNS)):
                 return ("attracted", q, abs(z))
     return ("bounded", 0, abs(z))
+
+
+def classify_block_reference(
+    alpha: float,
+    c: np.ndarray | complex,
+    z0: np.ndarray,
+    max_iter: int,
+    mode: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vectorised escape kernel as render._classify_block first shipped it.
+
+    Kept verbatim (only the constants are imported) so the tuned kernel can be
+    checked for bit identity in status, value and final modulus.
+    """
+    from qcdyn.render import (
+        ATTRACTOR_DETECT,
+        CYCLE_RUNS,
+        CYCLE_WINDOW,
+        MAX_PERIOD,
+        TOL_CYCLE,
+        PointClass,
+    )
+
+    z0 = np.asarray(z0, dtype=np.complex128)
+    n_pts = z0.size
+    z = z0.ravel().copy()
+    carr = np.asarray(c, dtype=np.complex128)
+    if carr.ndim == 0:
+        carr = np.full(z.shape, complex(carr))
+    else:
+        carr = carr.astype(np.complex128).ravel().copy()
+    if alpha == 0.5:
+        radius = np.full(z.shape, np.inf)
+    else:
+        radius = np.maximum(np.abs(carr), 2.0 ** (1.0 / (2.0 * alpha - 1.0)))
+
+    status = np.zeros(n_pts, dtype=np.int8)
+    value = np.zeros(n_pts, dtype=np.int32)
+    finalmod = np.zeros(n_pts, dtype=np.float64)
+
+    detect = mode == ATTRACTOR_DETECT
+    warmup = max(200, max_iter // 4)
+    total = max(max_iter, warmup + CYCLE_WINDOW) if detect else max_iter
+
+    idx = np.arange(n_pts)
+    s = alpha - 1.0
+    window = None
+
+    n = 0
+    while True:
+        mod = np.abs(z)
+        esc = mod > radius
+        if esc.any():
+            hit = idx[esc]
+            if n <= max_iter:
+                status[hit] = PointClass.ESCAPED
+                value[hit] = n
+            # past the escape budget the point merely leaves the disk; it
+            # stays BOUNDED but is dropped from further iteration
+            finalmod[hit] = mod[esc]
+            keep = ~esc
+            idx, z, carr, radius = idx[keep], z[keep], carr[keep], radius[keep]
+            if window is not None:
+                window = window[keep]
+            if idx.size == 0:
+                break
+        if detect and n == warmup:
+            window = np.empty((idx.size, CYCLE_WINDOW), dtype=np.complex128)
+        if detect and warmup <= n < warmup + CYCLE_WINDOW:
+            window[:, n - warmup] = z
+        if n == total:
+            break
+        zero = z == 0
+        zsafe = np.where(zero, 1.0, z)
+        u = np.abs(zsafe) ** s * zsafe  # same evaluation order as apply_map
+        z = u * u + carr
+        np.copyto(z, carr, where=zero)
+        n += 1
+
+    if idx.size:
+        finalmod[idx] = np.abs(z)
+        if detect and window is not None:
+            qfound = np.zeros(idx.size, dtype=np.int32)
+            for q in range(1, MAX_PERIOD + 1):
+                m0 = CYCLE_WINDOW - q - CYCLE_RUNS
+                if m0 < 0:
+                    break
+                delta = window[:, m0 + q : m0 + q + CYCLE_RUNS] - window[:, m0 : m0 + CYCLE_RUNS]
+                close = (np.abs(delta) < TOL_CYCLE).all(axis=1)
+                fresh = close & (qfound == 0)
+                qfound[fresh] = q
+            att = qfound > 0
+            status[idx[att]] = PointClass.ATTRACTED
+            value[idx[att]] = qfound[att]
+
+    return (
+        status.reshape(z0.shape),
+        value.reshape(z0.shape),
+        finalmod.reshape(z0.shape),
+    )

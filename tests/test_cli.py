@@ -35,6 +35,13 @@ class TestJuliaCommand:
         assert len(rows) == 64
         assert {r["status"] for r in rows} <= {"bounded", "escaped", "attracted"}
 
+    def test_alpha_just_above_half(self, tmp_path):
+        out = tmp_path / "k.pgm"
+        code = run_cli(["julia", "--alpha", "0.5000001", "--c=-0.5", "--width", "3",
+                        "--nx", "8", "--ny", "8", "-o", str(out)])
+        assert code == 0
+        assert out.read_bytes() == b"P5\n8 8\n255\n" + bytes(64)  # all bounded
+
     def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
         blobs = []
         for threads in ("1", "5"):
@@ -57,6 +64,14 @@ class TestLocusCommand:
         )
         assert code == 0
         assert out.read_bytes().startswith(b"P5\n32 32\n255\n")
+
+    def test_alpha_just_above_half(self, tmp_path):
+        # 2^{1/(2a-1)} overflows here; the escape radius saturates to infinity
+        out = tmp_path / "m.pgm"
+        code = run_cli(["locus", "--alpha", "0.5000001", "--width", "3",
+                        "--nx", "8", "--ny", "8", "-o", str(out)])
+        assert code == 0
+        assert out.read_bytes().startswith(b"P5\n8 8\n255\n")
 
     def test_bad_alpha_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -182,6 +197,34 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["julia", "--alpha", "1.5", "--c", "a,b", "--width", "3", "-o", "x.pgm"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["julia", "--alpha", "1", "--c=nan", "--width", "3"],
+            ["julia", "--alpha", "1", "--c=0,inf", "--width", "3"],
+            ["julia", "--alpha", "1", "--c", "0", "--width", "inf"],
+            ["julia", "--alpha", "1", "--c", "0", "--width", "3", "--height", "nan"],
+            ["julia", "--alpha", "inf", "--c", "0", "--width", "3"],
+            ["locus", "--alpha", "1", "--center=nan", "--width", "3"],
+        ],
+    )
+    def test_non_finite_numbers(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.pgm"
+        with pytest.raises(SystemExit) as exc:
+            main(flags + ["-o", str(out)])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "k.pgm"
+        code = main(["julia", "--alpha", "1", "--c", "0", "--width", "3",
+                     "--nx", "4", "--ny", "4", "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qcdyn julia: ") and str(out) in err
+        assert err.count("\n") == 1
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

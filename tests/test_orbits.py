@@ -108,6 +108,27 @@ class TestPeriodicOrbit:
         with pytest.raises(NoConvergence):
             find_periodic_orbit(MapParams(1, 0.26), 3, 5e6 + 5e6j)
 
+    def test_overflowing_orbit_is_no_convergence(self):
+        # f^4(100) at alpha = 3 is about 100^(6^4): past the float range
+        with pytest.raises(NoConvergence):
+            find_periodic_orbit(MapParams(3.0, 0.3), 4, 100.0)
+
+    def test_overflowing_trial_step_is_halved(self):
+        # from these starts a full Newton step lands where f^q overflows
+        for c, q, seed in [
+            (0.24671813919360353 + 0.6883541033080989j, 3, -0.6244969414347191 - 0.29084581781007784j),
+            (0.8698983219429763 - 0.10293034450181904j, 4, 0.29546871508001427 + 0.3541799113945634j),
+        ]:
+            p = MapParams(3.0, c)
+            try:
+                orb = find_periodic_orbit(p, q, seed)
+            except NoConvergence:
+                continue
+            z = orb.points[0]
+            for _ in range(orb.period):
+                z = apply_map(p, z)
+            assert abs(z - orb.points[0]) < 1e-10
+
     def test_period_validation(self):
         with pytest.raises(DomainError):
             find_periodic_orbit(MapParams(1, 0), 0, 0.5)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import classify_reference
+from oracles import classify_block_reference, classify_reference
 from qcdyn.errors import DomainError
 from qcdyn.maps import MapParams, apply_map, lambda_min, tip_parameter
 from qcdyn.render import (
@@ -42,6 +42,11 @@ class TestEscapeRadius:
 
     def test_boundary_alpha_infinite(self):
         assert escape_radius(MapParams(0.5, 1)) == math.inf
+
+    def test_saturates_where_the_power_overflows(self):
+        assert escape_radius(MapParams(0.5000001, 1)) == math.inf
+        raster = render_julia(MapParams(0.5000001, -0.5), GridSpec(0, 3.0, 3.0, 4, 4), 20)
+        assert np.all(raster.status == PointClass.BOUNDED)
 
 
 class TestClassifyPoint:
@@ -102,9 +107,59 @@ class TestGridSpec:
             GridSpec(0, -1.0, 1.0, 4, 4)
         with pytest.raises(DomainError):
             GridSpec(0, 1.0, 1.0, 0, 4)
+        for center, width, height in [
+            (complex(math.nan, 0), 1.0, 1.0), (complex(0, math.inf), 1.0, 1.0),
+            (0, math.inf, 1.0), (0, 1.0, math.inf), (0, math.nan, 1.0),
+        ]:
+            with pytest.raises(DomainError):
+                GridSpec(center, width, height, 4, 4)
+
+
+class TestKernelIdentity:
+    """The escape kernel is bit-identical to the verbatim first version,
+    tests/oracles.classify_block_reference, for any thread count.
+
+    Escape grids hold just over 65536 cells and attractor grids just over
+    8192, so each render splits into two row blocks.  Julia grids have odd
+    sides centred on 0, so one lane starts at the branch point; locus grids
+    start every lane there.
+    """
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("mode", [ESCAPE_ONLY, ATTRACTOR_DETECT])
+    @pytest.mark.parametrize("kind", ["julia", "locus", "large_c"])
+    def test_matches_first_kernel(self, alpha, mode, kind):
+        nx, ny = (511, 131) if mode == ESCAPE_ONLY else (63, 131)
+        max_iter = 40 if mode == ESCAPE_ONLY else 60
+        if kind == "julia":
+            grid = GridSpec(0, 4.0, 4.0, nx, ny)
+            c, z0 = -0.7 + 0.2j, grid.samples()
+        else:
+            if kind == "locus":
+                grid = GridSpec(-0.3, 3.0, 3.0, nx, ny)
+            else:
+                # every |c| above 2^{1/(2a-1)}, so the radius is |c| itself
+                # (a = 1/2 has no finite floor; its radius stays infinite)
+                floor = 2.0 ** (1.0 / (2.0 * alpha - 1.0)) if alpha > 0.5 else 5.0
+                grid = GridSpec(1.3 * floor * np.exp(0.3j), 0.2 * floor, 0.2 * floor, nx, ny)
+                assert np.abs(grid.samples()).min() > floor
+            c, z0 = grid.samples(), np.zeros((ny, nx), dtype=np.complex128)
+        want = classify_block_reference(alpha, c, z0, max_iter, mode)
+        for threads in (1, 2):
+            if kind == "julia":
+                got = render_julia(MapParams(alpha, c), grid, max_iter, mode, threads=threads)
+            else:
+                got = render_locus(alpha, grid, max_iter, mode, threads=threads)
+            assert np.array_equal(got.status, want[0])
+            assert np.array_equal(got.value, want[1])
+            assert np.array_equal(got.final_modulus, want[2])
 
 
 class TestRenderJulia:
+    def test_rejects_non_finite_c(self):
+        with pytest.raises(DomainError):
+            render_julia(MapParams(1, complex(math.nan, 0)), GridSpec(0, 3.0, 3.0, 4, 4), 20)
+
     def test_unit_disk(self):
         g = GridSpec(0, 2.4, 2.4, 101, 101)
         raster = render_julia(MapParams(1, 0), g, 600)
