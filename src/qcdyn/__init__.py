@@ -34,7 +34,6 @@ from .jets import (
     normal_form3,
 )
 from .maps import (
-    Jacobian2,
     MapParams,
     WirtingerPair,
     apply_map,

@@ -187,6 +187,15 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error("leaf: branch word must consist of 0s and 1s")
 
 
+def _write_points_csv(points, path: str) -> None:
+    """Write an index,re,im table, one row per point, floats as repr."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["index", "re", "im"])
+        for idx, z in enumerate(points):
+            w.writerow([idx, repr(z.real), repr(z.imag)])
+
+
 def _cmd_julia(args) -> int:
     raster = render.render_julia(
         MapParams(args.alpha, args.c), _grid_from_args(args), args.max_iter, args.mode
@@ -292,20 +301,14 @@ def _cmd_orbit(args) -> int:
         print(f"critical orbit: {len(trace.points)} points, "
               f"{'escaped' if trace.escaped else 'bounded'}")
         pts = trace.points
-        header = ["index", "re", "im"]
     else:
         orb = orbits.find_periodic_orbit(p, args.periodic, args.seed_point)
         m1, m2 = orb.multipliers
         print(f"period {orb.period} ({orb.cls}); multipliers "
               f"{m1.real:+.9g}{m1.imag:+.9g}i, {m2.real:+.9g}{m2.imag:+.9g}i")
         pts = orb.points
-        header = ["index", "re", "im"]
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for idx, z in enumerate(pts):
-                w.writerow([idx, repr(z.real), repr(z.imag)])
+        _write_points_csv(pts, args.output)
     return 0
 
 
@@ -318,11 +321,7 @@ def _cmd_leaf(args) -> int:
     ]
     leaf = fp.Polyline(tuple(circle), closed=True)
     pulled = orbits.pullback_leaf(MapParams(args.alpha, args.c), leaf, word)
-    with open(args.output, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "re", "im"])
-        for idx, z in enumerate(pulled.points):
-            w.writerow([idx, repr(z.real), repr(z.imag)])
+    _write_points_csv(pulled.points, args.output)
     return 0
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DomainError
-from .maps import MapParams, apply_map, jacobian
+from .errors import ConvergenceWarning, DomainError, NoConvergence
+from .maps import BRANCH_POINT_DERIVATIVE, MapParams, _radius_floor, apply_map, jacobian
 
 __all__ = [
     "Polyline",
@@ -49,10 +49,10 @@ DELTA = "delta"
 GAMMA_PLUS = "gamma+"
 GAMMA_MINUS = "gamma-"
 
-TOL_FP = 1e-10
 TOL_CLS = 1e-9
 _NEWTON_TOL = 1e-13
 _NEWTON_STEPS = 60
+NEWTON_BOUND = 1e6  # Newton iterates beyond this modulus count as diverged
 _DEDUP = 1e-8
 
 
@@ -97,7 +97,11 @@ def param_for_fixed_point(alpha: float, z: complex) -> complex:
     """The parameter c = p(z) for which z is fixed; p(0) = 0 by continuity."""
     if z == 0:
         return 0j
-    return z - abs(z) ** (2.0 * alpha - 2.0) * (z * z)
+    try:
+        return z - abs(z) ** (2.0 * alpha - 2.0) * (z * z)
+    except OverflowError:  # |z|^{2a-2} overflows for tiny |z|; (|z|^{a-1} z)^2 does not
+        u = abs(z) ** (alpha - 1.0) * z
+        return z - u * u
 
 
 def param_jacobian(alpha: float, z: complex) -> np.ndarray:
@@ -106,9 +110,13 @@ def param_jacobian(alpha: float, z: complex) -> np.ndarray:
 
 
 def delta_circle(alpha: float) -> float:
-    """Radius (4a)^{1/(2-4a)} of the circle where det Df = 1."""
+    """Radius (4a)^{1/(2-4a)} of the circle where det Df = 1; DomainError
+    where it underflows to 0 (alpha just above 1/2)."""
     _require_curve_alpha(alpha)
-    return (4.0 * alpha) ** (1.0 / (2.0 - 4.0 * alpha))
+    r = (4.0 * alpha) ** (1.0 / (2.0 - 4.0 * alpha))
+    if r == 0.0:
+        raise DomainError(f"the delta circle radius (4a)^(1/(2-4a)) underflows to 0 at alpha = {alpha!r}")
+    return r
 
 
 def gamma_plus(alpha: float, theta: float) -> list[float]:
@@ -155,26 +163,20 @@ def _newton_fixed_point(p: MapParams, z0: complex) -> tuple[complex | None, bool
     """Newton for f(z) = z from one seed.
 
     Returns (root, stalled): root is None on failure; stalled distinguishes
-    running out of steps from diverging or hitting a singular step.
+    running out of steps from diverging, overflowing or a singular step.
     """
     z = z0
-    for _ in range(_NEWTON_STEPS):
-        if abs(z) > 1e6 or not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            return None, False
-        fval = apply_map(p, z) - z
-        if abs(fval) < _NEWTON_TOL:
-            return z, False
-        if z == 0:
-            a = -np.eye(2)  # derivative of f - id at the branch point
-        else:
-            a = jacobian(p, z).m - np.eye(2)
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        if abs(det) < 1e-300:
-            return None, False
-        bx, by = -fval.real, -fval.imag
-        dx = (bx * a[1, 1] - by * a[0, 1]) / det
-        dy = (by * a[0, 0] - bx * a[1, 0]) / det
-        z = z + complex(dx, dy)
+    try:
+        for _ in range(_NEWTON_STEPS):
+            if abs(z) > NEWTON_BOUND or not cmath.isfinite(z):
+                return None, False
+            fval = apply_map(p, z) - z
+            if abs(fval) < _NEWTON_TOL:
+                return z, False
+            df = jacobian(p, z) if z != 0 else BRANCH_POINT_DERIVATIVE
+            z = z + df.newton_step(fval)
+    except (NoConvergence, OverflowError):
+        return None, False
     return None, True
 
 
@@ -195,12 +197,12 @@ def find_fixed_points(
     """All fixed points found by multi-start Newton, deduplicated and classified.
 
     Seeds: a 24x24 polar grid over the disk |z| <= 2^{1/(2a-1)} (which contains
-    every fixed point of locus parameters), the two quadratic-case roots of
-    z^2 - z + c, and any extra_seeds.  Emits ConvergenceWarning if some seeds
-    stall without converging or leaving the search region.
+    every fixed point of locus parameters) capped at NEWTON_BOUND, the two
+    quadratic-case roots of z^2 - z + c, and any extra_seeds.  Emits
+    ConvergenceWarning if some seeds stall without converging or diverging.
     """
     _require_curve_alpha(p.alpha)
-    radius = 2.0 ** (1.0 / (2.0 * p.alpha - 1.0))
+    radius = min(_radius_floor(p.alpha), NEWTON_BOUND)
     seeds: list[complex] = []
     for k in range(24):
         r = radius * (k + 1) / 24.0

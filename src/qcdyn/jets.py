@@ -21,6 +21,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, DomainError, EigenvalueError, ResonanceError
+from .fixed_points import delta_circle
 
 __all__ = [
     "Jet3",
@@ -81,14 +82,6 @@ class Jet3:
     def __getitem__(self, jk: tuple[int, int]) -> complex:
         return complex(self.coeff[jk])
 
-    def terms(self) -> dict[tuple[int, int], complex]:
-        out = {}
-        for j in range(4):
-            for k in range(4 - j):
-                if self.coeff[j, k] != 0:
-                    out[(j, k)] = complex(self.coeff[j, k])
-        return out
-
     def __add__(self, other: "Jet3") -> "Jet3":
         return Jet3(self.coeff + other.coeff)
 
@@ -140,23 +133,27 @@ def jet_of_map(alpha: float, z0: complex) -> Jet3:
     coeff(j, k) = B(a+1, j) B(a-1, k) r^{2a-j-k} e^{i (2-j+k) t} with
     z0 = r e^{it}; the constant Q^2(z0) is absorbed into the additive
     parameter and excluded.  The linear part reproduces the Wirtinger
-    derivatives.
+    derivatives.  Raises DomainError at z0 = 0 and where a coefficient
+    overflows (|z0| tiny).
     """
     if z0 == 0:
         raise DomainError("jets are undefined at the branch point")
     r = abs(z0)
     t = cmath.phase(z0)
     c = np.zeros((4, 4), dtype=np.complex128)
-    for j in range(4):
-        for k in range(4 - j):
-            if j + k == 0:
-                continue
-            c[j, k] = (
-                _binom(alpha + 1.0, j)
-                * _binom(alpha - 1.0, k)
-                * r ** (2.0 * alpha - j - k)
-                * cmath.exp(1j * (2.0 - j + k) * t)
-            )
+    try:
+        for j in range(4):
+            for k in range(4 - j):
+                if j + k == 0:
+                    continue
+                c[j, k] = (
+                    _binom(alpha + 1.0, j)
+                    * _binom(alpha - 1.0, k)
+                    * r ** (2.0 * alpha - j - k)
+                    * cmath.exp(1j * (2.0 - j + k) * t)
+                )
+    except OverflowError:
+        raise DomainError(f"jet coefficients overflow at |z0| = {r!r}") from None
     return Jet3(c)
 
 
@@ -322,7 +319,7 @@ def normal_form3(jet: Jet3) -> complex:
 
 def _delta_point(alpha: float, theta: float) -> complex:
     """The det = 1 circle point whose trace matches the sweep angle theta."""
-    r = (4.0 * alpha) ** (1.0 / (2.0 - 4.0 * alpha))
+    r = delta_circle(alpha)
     x = math.cos(theta) * (4.0 * alpha) ** ((alpha - 1.0) / (2.0 * alpha - 1.0)) / (
         alpha + 1.0
     )

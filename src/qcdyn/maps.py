@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NoConvergence
 
 __all__ = [
     "MapParams",
     "WirtingerPair",
-    "Jacobian2",
     "q_alpha",
     "apply_map",
     "wirtinger",
@@ -39,40 +38,100 @@ class MapParams:
     alpha = 1 is the quadratic family z**2 + c.  Exponents below 1/2 change
     the character of the dynamics near infinity and are rejected; the boundary
     value alpha = 1/2 itself is accepted (f(z) = |z| e^{2i arg z} + c is still
-    a well-defined continuous map, used by the scaling checks).
+    a well-defined continuous map, used by the scaling checks).  Both must be
+    finite.
     """
 
     alpha: float
     c: complex = 0j
 
     def __post_init__(self):
-        if not self.alpha >= 0.5:
-            raise DomainError(f"alpha must be >= 1/2, got {self.alpha!r}")
+        if not (self.alpha >= 0.5 and math.isfinite(self.alpha)):
+            raise DomainError(f"alpha must be finite and >= 1/2, got {self.alpha!r}")
+        if not cmath.isfinite(self.c):
+            raise DomainError(f"c must be finite, got {self.c!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "c", complex(self.c))
 
 
 @dataclass(frozen=True)
 class WirtingerPair:
-    """First derivative of f at a point: complex-linear and anti-linear parts."""
+    """The real-linear map v -> fz v + fzbar conj(v) on tangent vectors.
+
+    This is the derivative of f at a point, or a product of such derivatives
+    along an orbit.  As a real 2x2 matrix it has trace 2 Re fz and determinant
+    |fz|^2 - |fzbar|^2; its eigenvalues are real when |fzbar|^2 >= (Im fz)^2
+    and a complex-conjugate pair otherwise.
+    """
 
     fz: complex
     fzbar: complex
+
+    @property
+    def trace(self) -> float:
+        return 2.0 * self.fz.real
 
     @property
     def det(self) -> float:
         """Determinant of the real Jacobian, |fz|^2 - |fzbar|^2."""
         return abs(self.fz) ** 2 - abs(self.fzbar) ** 2
 
+    @property
+    def eigenvalues(self) -> tuple[complex, complex]:
+        """Re fz +- sqrt(|fzbar|^2 - (Im fz)^2): the discriminant (trace/2)^2 - det
+        written without cancellation."""
+        fz = self.fz
+        disc = abs(self.fzbar) ** 2 - fz.imag**2
+        if disc >= 0.0:
+            s = math.sqrt(disc)
+            return complex(fz.real + s), complex(fz.real - s)
+        s = math.sqrt(-disc)
+        return complex(fz.real, s), complex(fz.real, -s)
 
-@dataclass(frozen=True, eq=False)
-class Jacobian2:
-    """The real 2x2 derivative acting on (x, y) tangent vectors."""
+    @property
+    def m(self) -> np.ndarray:
+        """The real 2x2 matrix acting on (x, y) tangent vectors."""
+        a, b = self.fz, self.fzbar
+        return np.array([[a.real + b.real, b.imag - a.imag], [a.imag + b.imag, a.real - b.real]])
 
-    m: np.ndarray
-    trace: float
-    det: float
-    eigenvalues: tuple[complex, complex]
+    def __matmul__(self, inner: WirtingerPair) -> WirtingerPair:
+        """The composite map v -> self(inner(v)) (chain rule)."""
+        a1, b1 = inner.fz, inner.fzbar
+        a2, b2 = self.fz, self.fzbar
+        return WirtingerPair(a2 * a1 + b2 * b1.conjugate(), a2 * b1 + b2 * a1.conjugate())
+
+    def newton_step(self, r: complex) -> complex:
+        """The v with (P - id) v = -r, P being this map.
+
+        With P the derivative of F at z and r = F(z) - z this is the Newton
+        step for a fixed point of F.  Raises NoConvergence when P - id is
+        singular (P has eigenvalue 1).
+        """
+        a = self.fz - 1.0
+        b = self.fzbar
+        det = abs(a) ** 2 - abs(b) ** 2
+        if abs(det) < 1e-300:
+            raise NoConvergence("singular Newton step (multiplier 1?)")
+        return (b * r.conjugate() - a.conjugate() * r) / det
+
+
+IDENTITY = WirtingerPair(1 + 0j, 0j)
+BRANCH_POINT_DERIVATIVE = WirtingerPair(0j, 0j)  # the Newton solvers' Df(0), for every alpha
+
+
+def _radius_floor(alpha: float) -> float:
+    """2^{1/(2a-1)}: the escape radius for |c| below it, and the modulus of
+    the tip parameter.
+
+    Saturates to infinity where the power overflows (alpha just above 1/2)
+    and at alpha = 1/2 itself, where no modulus bound forces escape.
+    """
+    if alpha == 0.5:
+        return math.inf
+    try:
+        return 2.0 ** (1.0 / (2.0 * alpha - 1.0))
+    except OverflowError:
+        return math.inf
 
 
 def q_alpha(alpha: float, z: complex) -> complex:
@@ -112,36 +171,8 @@ def wirtinger(p: MapParams, z: complex) -> WirtingerPair:
     return WirtingerPair((p.alpha + 1.0) * s * u, (p.alpha - 1.0) * s * (u * u * u))
 
 
-def _eig_from_parts(fz: complex, fzbar: complex) -> tuple[complex, complex]:
-    # eigenvalues of [[Re fz + Re fb, -Im fz + Im fb], [Im fz + Im fb, Re fz - Re fb]]
-    disc = abs(fzbar) ** 2 - fz.imag**2
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        return complex(fz.real + s), complex(fz.real - s)
-    s = math.sqrt(-disc)
-    return complex(fz.real, s), complex(fz.real, -s)
-
-
-def jacobian(p: MapParams, z: complex) -> Jacobian2:
-    """Real 2x2 derivative of f at z, with trace, det and eigenvalue pair.
-
-    The eigenvalues are real when |f_zbar|^2 >= (Im f_z)^2 and form a
-    complex-conjugate pair otherwise.
-    """
-    w = wirtinger(p, z)
-    fz, fb = w.fz, w.fzbar
-    m = np.array(
-        [
-            [fz.real + fb.real, -fz.imag + fb.imag],
-            [fz.imag + fb.imag, fz.real - fb.real],
-        ]
-    )
-    return Jacobian2(
-        m=m,
-        trace=2.0 * fz.real,
-        det=w.det,
-        eigenvalues=_eig_from_parts(fz, fb),
-    )
+# one body: the pair is the derivative; its .m is the real 2x2 matrix
+jacobian = wirtinger
 
 
 def inverse_branches(p: MapParams, y: complex) -> tuple[complex, complex]:
@@ -171,10 +202,13 @@ def lambda_min(p: MapParams, z: complex) -> float:
 
 def tip_parameter(alpha: float) -> float:
     """The real parameter c = -2^{1/(2a-1)} whose critical value lands on the
-    repelling fixed point |c| after one step (the analogue of c = -2)."""
+    repelling fixed point |c| after one step (the analogue of c = -2).
+
+    Saturates to -infinity where the power overflows (alpha just above 1/2).
+    """
     if not alpha > 0.5:
         raise DomainError("tip parameter requires alpha > 1/2")
-    return -(2.0 ** (1.0 / (2.0 * alpha - 1.0)))
+    return -_radius_floor(alpha)
 
 
 def rho_expansion_ratio(alpha: float, z: complex) -> float:
@@ -186,17 +220,15 @@ def rho_expansion_ratio(alpha: float, z: complex) -> float:
 
         (a + 1 - |a - 1|) * (|c^2 - z^2| / ||c|^{2a} - |z|^{2a-2} z^2|)^{(2a-1)/(2a)}
 
-    computed here in coordinates scaled by |c| for stability.  At alpha = 1/2
-    the tip parameter diverges; the scaled formula degenerates to the constant
-    2 (its limit as alpha decreases to 1/2), which is what is returned.
+    computed here in coordinates scaled by |c| for stability.  Where the tip
+    parameter diverges (at alpha = 1/2, or where |c| overflows just above it)
+    the scaled point is 0 and the formula degenerates to the constant 2, its
+    limit as alpha decreases to 1/2.
     """
     if not alpha >= 0.5:
         raise DomainError(f"alpha must be >= 1/2, got {alpha!r}")
     factor = (alpha + 1.0 - abs(alpha - 1.0)) * 2.0 ** ((1.0 - alpha) / alpha)
-    if alpha == 0.5:
-        return factor
-    radius = 2.0 ** (1.0 / (2.0 * alpha - 1.0))
-    w = z / radius
+    w = z / _radius_floor(alpha)
     if abs(w - 1.0) < 1e-12 or abs(w + 1.0) < 1e-12:
         raise DomainError("metric is singular at z = +/-c")
     x = abs(w)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchDegenerate, DomainError, NoConvergence
-from .fixed_points import Polyline, classify_eigenvalues
-from .maps import MapParams, apply_map, jacobian
+from .fixed_points import NEWTON_BOUND, Polyline, classify_eigenvalues
+from .maps import BRANCH_POINT_DERIVATIVE, IDENTITY, MapParams, WirtingerPair, apply_map, jacobian
 from .render import escape_radius
 
 __all__ = [
@@ -36,7 +36,7 @@ class OrbitTrace:
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """A periodic cycle with the eigenvalues of its cyclic Jacobian product."""
+    """A periodic cycle with the eigenvalues of its chained derivative."""
 
     points: tuple[complex, ...]
     period: int
@@ -70,20 +70,14 @@ def critical_orbit(p: MapParams, n: int) -> OrbitTrace:
     return OrbitTrace(tuple(pts), False)
 
 
-def _deriv_matrix(p: MapParams, z: complex) -> np.ndarray:
-    if z == 0:
-        return np.zeros((2, 2))  # the derivative vanishes at the branch point
-    return jacobian(p, z).m
-
-
-def _orbit_and_jacobian(p: MapParams, z: complex, q: int) -> tuple[complex, np.ndarray]:
-    """f^q(z) and the chained derivative, accumulated in orbit order."""
-    j = np.eye(2)
+def _orbit_and_derivative(p: MapParams, z: complex, q: int) -> tuple[complex, WirtingerPair]:
+    """f^q(z) and its derivative, chained along the orbit (Df(0) = 0)."""
+    d = IDENTITY
     w = z
     for _ in range(q):
-        j = _deriv_matrix(p, w) @ j
+        d = (jacobian(p, w) if w != 0 else BRANCH_POINT_DERIVATIVE) @ d
         w = apply_map(p, w)
-    return w, j
+    return w, d
 
 
 def _trial_residual(p: MapParams, z: complex, q: int) -> float:
@@ -97,22 +91,15 @@ def _trial_residual(p: MapParams, z: complex, q: int) -> float:
         return math.inf
 
 
-def _matrix_eigenvalues(m: np.ndarray) -> tuple[complex, complex]:
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = cmath.sqrt(complex(tr * tr - 4.0 * det))
-    return ((tr + disc) / 2.0, (tr - disc) / 2.0)
-
-
 def find_periodic_orbit(p: MapParams, q: int, seed: complex) -> PeriodicOrbit:
-    """Newton on f^q(z) = z with forward-accumulated Jacobians.
+    """Newton on f^q(z) = z with forward-chained derivatives.
 
     Steps are halved while they increase the residual (f^q is stiff near
     multipliers close to 1).  The returned orbit carries its minimal period
-    (a divisor of q) and the eigenvalues of the Jacobian product over one
-    minimal cycle.  Raises NoConvergence if the seed does not lead to a root,
-    including when the orbit of an iterate overflows; a trial step whose orbit
-    overflows counts as one that increases the residual.
+    (a divisor of q) and the eigenvalues of the derivative of f^period along
+    one minimal cycle.  Raises NoConvergence if the seed does not lead to a
+    root, including when the orbit of an iterate overflows; a trial step whose
+    orbit overflows counts as one that increases the residual.
     """
     if q < 1:
         raise DomainError("period must be >= 1")
@@ -120,21 +107,14 @@ def find_periodic_orbit(p: MapParams, q: int, seed: complex) -> PeriodicOrbit:
     resid = None
     try:
         for _ in range(100):
-            if abs(z) > 1e6 or not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            if abs(z) > NEWTON_BOUND or not cmath.isfinite(z):
                 raise NoConvergence(f"orbit search diverged from seed {seed}")
-            w, j = _orbit_and_jacobian(p, z, q)
+            w, df = _orbit_and_derivative(p, z, q)
             fval = w - z
             resid = abs(fval)
             if resid < 1e-12:
                 break
-            a = j - np.eye(2)
-            det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-            if abs(det) < 1e-300:
-                raise NoConvergence("singular Newton step (multiplier 1?)")
-            bx, by = -fval.real, -fval.imag
-            dx = (bx * a[1, 1] - by * a[0, 1]) / det
-            dy = (by * a[0, 0] - bx * a[1, 0]) / det
-            step = complex(dx, dy)
+            step = df.newton_step(fval)
             for _ in range(30):
                 if _trial_residual(p, z + step, q) <= resid or abs(step) < 1e-16:
                     break
@@ -155,12 +135,8 @@ def find_periodic_orbit(p: MapParams, q: int, seed: complex) -> PeriodicOrbit:
         if q % d == 0 and abs(cycle[d % q] - z) < TOL_FP:
             period = d
             break
-    cycle = cycle[:period]
-    j = np.eye(2)
-    for w in cycle:
-        j = _deriv_matrix(p, w) @ j
-    eigs = _matrix_eigenvalues(j)
-    return PeriodicOrbit(tuple(cycle), period, eigs, classify_eigenvalues(eigs))
+    eigs = _orbit_and_derivative(p, z, period)[1].eigenvalues
+    return PeriodicOrbit(tuple(cycle[:period]), period, eigs, classify_eigenvalues(eigs))
 
 
 def pullback_leaf(p: MapParams, leaf: Polyline, branch_word: list[int]) -> Polyline:

@@ -28,7 +28,7 @@ from typing import IO
 import numpy as np
 
 from .errors import DomainError
-from .maps import MapParams
+from .maps import MapParams, _radius_floor
 
 __all__ = [
     "PointClass",
@@ -133,20 +133,6 @@ class Raster:
             int(self.value[j, i]),
             float(self.final_modulus[j, i]),
         )
-
-
-def _radius_floor(alpha: float) -> float:
-    """2^{1/(2a-1)}, the escape radius for |c| below it.
-
-    Saturates to infinity where the power overflows (alpha just above 1/2)
-    and at alpha = 1/2 itself, where no modulus bound forces escape.
-    """
-    if alpha == 0.5:
-        return float("inf")
-    try:
-        return 2.0 ** (1.0 / (2.0 * alpha - 1.0))
-    except OverflowError:
-        return float("inf")
 
 
 def escape_radius(p: MapParams) -> float:
@@ -347,9 +333,7 @@ def render_julia(
     mode: str = ESCAPE_ONLY,
     threads: int | None = None,
 ) -> Raster:
-    """Classify every grid sample as a starting point of f_{alpha,c}; c must be finite."""
-    if not cmath.isfinite(p.c):
-        raise DomainError(f"c must be finite, got {p.c!r}")
+    """Classify every grid sample as a starting point of f_{alpha,c}."""
     return _render(p.alpha, p.c, grid.samples(), grid, max_iter, mode, threads)
 
 

@@ -1,9 +1,17 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcdyn.cli import main
 
@@ -96,6 +104,15 @@ class TestFixedPointsCommand:
         assert len(rows) == 4
         assert sorted(r["class"] for r in rows).count("attracting") == 2
 
+    @pytest.mark.parametrize("alpha", ["0.5000001", "0.5001"])
+    def test_alpha_just_above_half(self, capsys, alpha):
+        # 2^{1/(2a-1)} overflows (or exceeds the Newton bound) at these exponents
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli(["fixed-points", "--alpha", alpha, "--c", "0"])
+        assert code in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestCurvesCommand:
     def test_curves_with_cusps_and_probe(self, tmp_path, capsys):
@@ -141,6 +158,13 @@ class TestHopfCommand:
         assert code == 1
         assert "resonance" in capsys.readouterr().err
 
+    def test_delta_radius_underflow_is_named(self, capsys):
+        code = run_cli(["hopf", "--alpha", "0.5000001", "--theta", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("qcdyn hopf: the delta circle radius (4a)^(1/(2-4a)) underflows to 0"
+                       " at alpha = 0.5000001\n")
+
     def test_sweep_requires_output(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["hopf", "--alpha", "0.75", "--theta-grid", "8"])
@@ -185,6 +209,79 @@ class TestLeafCommand:
         expect = 1.5 ** (1 / 64)
         for r in rows:
             assert abs(complex(float(r["re"]), float(r["im"]))) == pytest.approx(expect)
+
+
+class TestPointTables:
+    """orbit and leaf write the same index,re,im table (csv module, CRLF rows)."""
+
+    def test_orbit_bytes(self, tmp_path):
+        out = tmp_path / "crit.csv"
+        assert run_cli(["orbit", "--alpha", "1", "--c=-1", "--critical", "3", "-o", str(out)]) == 0
+        assert out.read_bytes() == b"index,re,im\r\n0,-1.0,0.0\r\n1,0.0,0.0\r\n2,-1.0,0.0\r\n"
+        out = tmp_path / "per.csv"
+        assert run_cli(["orbit", "--alpha", "1", "--c=-1", "--periodic", "2",
+                        "--seed-point", "0.1", "-o", str(out)]) == 0
+        assert out.read_bytes() == b"index,re,im\r\n0,1.608918629052054e-13,0.0\r\n1,-1.0,0.0\r\n"
+
+    def test_leaf_bytes(self, tmp_path):
+        out = tmp_path / "leaf.csv"
+        assert run_cli(["leaf", "--alpha", "1", "--c", "0", "--radius", "4", "--points", "4",
+                        "--word", "0", "-o", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"index,re,im\r\n0,2.0,0.0\r\n1,1.4142135623730951,1.414213562373095\r\n"
+            b"2,1.2246467991473532e-16,2.0\r\n3,1.414213562373095,-1.4142135623730951\r\n"
+        )
+
+
+def _flag(z: complex) -> str:
+    return f"={z.real!r},{z.imag!r}"
+
+
+_alphas = st.one_of(st.floats(0.5, 0.501), st.floats(0.5, 6.0))
+_cs = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)).filter(lambda c: abs(c) <= 1e3)
+
+
+@st.composite
+def _argvs(draw):
+    """A small fixed-points, hopf, orbit or curves run; "OUT" marks the output path."""
+    cmd = draw(st.sampled_from(["fixed-points", "hopf", "orbit", "curves"]))
+    argv = [cmd, "--alpha", repr(draw(_alphas))]
+    if cmd == "hopf":
+        return argv + ["--theta", repr(draw(st.floats(0.0, 2.0 * math.pi)))]
+    if cmd == "curves":
+        which = draw(st.sampled_from(["delta", "gamma+", "gamma-", "all"]))
+        return argv + ["--which", which, "--n", str(draw(st.integers(16, 48))), "-o", "OUT"]
+    argv.append("--c" + _flag(draw(_cs)))
+    if cmd == "orbit":
+        if draw(st.booleans()):
+            argv += ["--critical", str(draw(st.integers(1, 40)))]
+        else:
+            seed = draw(st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
+            argv += ["--periodic", str(draw(st.integers(1, 4))), "--seed-point" + _flag(seed)]
+    return argv + ["-o", "OUT"]
+
+
+@given(_argvs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cli_never_shows_a_traceback(argv):
+    # alpha down to 1/2 (where 2^{1/(2a-1)} overflows and the delta radius
+    # underflows), any |c| <= 1e3: the run succeeds, fails with a one-line
+    # message (1) or rejects its arguments (2), and never raises
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        argv = [str(out) if a == "OUT" else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0 and "-o" in argv:
+            assert out.exists()
 
 
 class TestUsageErrors:

@@ -67,6 +67,10 @@ class TestCurves:
         with pytest.raises(DomainError):
             delta_circle(0.5)
 
+    def test_delta_radius_underflow_is_named(self):
+        with pytest.raises(DomainError, match="underflows to 0"):
+            delta_circle(0.5000001)
+
     def test_delta_unit_determinant(self):
         for alpha in (0.6, 0.8, 1.0, 2.0, 6.0):
             r = delta_circle(alpha)
@@ -143,6 +147,17 @@ class TestFindFixedPoints:
         counts = {cls: sum(r.cls == cls for r in recs) for cls in
                   ("attracting", "repelling", "saddle")}
         assert counts == {"attracting": 1, "repelling": 2, "saddle": 1}
+
+    def test_alpha_just_above_half(self):
+        # 2^{1/(2a-1)} overflows (0.5000001) or dwarfs the Newton bound
+        # (0.5001); the seed disk is capped at NEWTON_BOUND either way
+        for alpha in (0.5000001, 0.5001):
+            p = MapParams(alpha, 0.1 - 0.05j)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                recs = find_fixed_points(p)
+            assert recs
+            assert all(abs(apply_map(p, r.z) - r.z) < 1e-10 for r in recs)
 
     def test_matches_brute_force_scan(self):
         for alpha, c in [(0.75, -0.6), (0.75, 0.135), (2.0, 0.43), (2.0, -1.0)]:

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import fd_jacobian
-from qcdyn.errors import DomainError
+from qcdyn.errors import DomainError, NoConvergence
+from qcdyn.fixed_points import find_fixed_points
 from qcdyn.maps import (
     MapParams,
+    WirtingerPair,
     apply_map,
     inverse_branches,
     jacobian,
@@ -20,6 +22,8 @@ from qcdyn.maps import (
     tip_parameter,
     wirtinger,
 )
+from qcdyn.orbits import find_periodic_orbit
+from qcdyn.render import classify_point
 
 RNG = np.random.default_rng(20240811)
 
@@ -38,6 +42,27 @@ class TestMapParams:
 
     def test_boundary_alpha_allowed(self):
         assert MapParams(0.5, 1j).alpha == 0.5
+
+
+NON_FINITE = [
+    (1.0, complex(math.nan, 0)),
+    (1.0, complex(0, math.inf)),
+    (math.inf, 0.1),
+    (math.nan, 0.1),
+]
+ENTRY_POINTS = {
+    "classify_point": lambda p: classify_point(p, 0.1, 50),
+    "find_fixed_points": find_fixed_points,
+    "find_periodic_orbit": lambda p: find_periodic_orbit(p, 2, 0.1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("alpha, c", NON_FINITE)
+def test_non_finite_parameters_rejected(entry, alpha, c):
+    # MapParams refuses them, so no entry point can classify or solve with them
+    with pytest.raises(DomainError):
+        ENTRY_POINTS[entry](MapParams(alpha, c))
 
 
 class TestApplyMap:
@@ -155,6 +180,54 @@ class TestJacobian:
         assert worst < 1e-6
 
 
+pair_parts = st.builds(
+    complex,
+    st.floats(-4, 4, allow_nan=False),
+    st.floats(-4, 4, allow_nan=False),
+)
+pairs = st.builds(WirtingerPair, pair_parts, pair_parts)
+
+
+def _same_pair(got, ref, tol):
+    """Two unordered eigenvalue pairs agree within tol."""
+    (g0, g1), (r0, r1) = got, ref
+    return min(abs(g0 - r0) + abs(g1 - r1), abs(g0 - r1) + abs(g1 - r0)) < tol
+
+
+class TestWirtingerPairAlgebra:
+    """The pair acts as its real 2x2 matrix: composition, solve and eigenvalues."""
+
+    @given(pairs, pairs)
+    @settings(max_examples=200, deadline=None)
+    def test_composition_is_matrix_product(self, outer, inner):
+        ref = outer.m @ inner.m
+        assert np.allclose((outer @ inner).m, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+    @given(pairs, pair_parts)
+    @settings(max_examples=200, deadline=None)
+    def test_newton_step_solves_shifted_system(self, pair, r):
+        a = pair.m - np.eye(2)
+        assume(np.linalg.cond(a) < 1e8)
+        ref = np.linalg.solve(a, [-r.real, -r.imag])
+        v = pair.newton_step(r)
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert abs(v - complex(*ref)) < 1e-12 * np.linalg.cond(a) * scale
+
+    @given(pairs)
+    @settings(max_examples=200, deadline=None)
+    def test_eigenvalues_match_numpy(self, pair):
+        m = pair.m
+        scale = max(1.0, float(np.abs(m).max()))
+        # a near-double eigenvalue is only determined to about sqrt(eps)
+        assert _same_pair(pair.eigenvalues, np.linalg.eigvals(m), 1e-6 * scale)
+
+    def test_singular_step_raises(self):
+        with pytest.raises(NoConvergence):
+            WirtingerPair(1 + 0j, 0j).newton_step(0.5)
+        with pytest.raises(NoConvergence):
+            WirtingerPair(1.5 + 0j, 0.5 + 0j).newton_step(0.5)  # eigenvalues 2 and 1
+
+
 class TestInverseBranches:
     def test_square_roots(self):
         assert inverse_branches(MapParams(1, 0), 4) == (2, -2)
@@ -235,6 +308,10 @@ class TestRhoExpansion:
     def test_boundary_alpha_limit(self):
         assert rho_expansion_ratio(0.5, 0.3 + 0.2j) == pytest.approx(2.0)
 
+    def test_overflowing_tip_gives_boundary_limit(self):
+        # 2^{1/(2a-1)} overflows here; the scaled point is 0 as at alpha = 1/2
+        assert rho_expansion_ratio(0.5000001, 0.3 + 0.2j) == pytest.approx(2.0)
+
 
 class TestScalingIdentity:
     def test_spec_triple(self):
@@ -264,3 +341,4 @@ def test_tip_parameter():
     assert apply_map(MapParams(alpha, c), c) == pytest.approx(-c, rel=1e-12)
     with pytest.raises(DomainError):
         tip_parameter(0.5)
+    assert tip_parameter(0.5000001) == -math.inf  # the power overflows

@@ -6,7 +6,7 @@ import pytest
 
 from qcdyn.errors import BranchDegenerate, DomainError, NoConvergence
 from qcdyn.fixed_points import Polyline, find_fixed_points
-from qcdyn.maps import MapParams, apply_map
+from qcdyn.maps import MapParams, apply_map, jacobian
 from qcdyn.orbits import (
     OrbitTrace,
     PeriodicOrbit,
@@ -88,6 +88,24 @@ class TestPeriodicOrbit:
             rotations.append(sorted((m.real, m.imag) for m in o.multipliers))
         for rot in rotations[1:]:
             assert np.allclose(rot, rotations[0], atol=1e-9)
+
+    def test_multipliers_match_numpy_matrix_product(self):
+        # the chained Wirtinger pairs against the product of real 2x2 matrices
+        cases = [
+            (MapParams(1.3, -0.6 + 0.1j), 3, 0.4 + 0.2j),
+            (MapParams(0.75, -0.38), 2, -0.26 + 0.08j),
+            (MapParams(2.0, 0.3 + 0.4j), 1, 0.5),
+            (MapParams(0.6, -0.5 + 0.2j), 4, 0.3j),
+            (MapParams(3.0, -0.9), 2, 0.2 + 0.1j),
+        ]
+        for p, q, seed in cases:
+            orb = find_periodic_orbit(p, q, seed)
+            m = np.eye(2)
+            for z in orb.points:
+                m = jacobian(p, z).m @ m
+            (g0, g1), (r0, r1) = orb.multipliers, np.linalg.eigvals(m)
+            err = min(abs(g0 - r0) + abs(g1 - r1), abs(g0 - r1) + abs(g1 - r0))
+            assert err < 1e-9 * max(1.0, float(np.abs(m).max())), (p, q, orb)
 
     def test_period_two_attractor_coexists_with_saddle(self):
         # real parameter just inside the gamma- image: the cycle attracts but
