@@ -8,7 +8,6 @@ bump --size for production-quality images.
 
 import argparse
 import cmath
-import csv
 import math
 import pathlib
 import time
@@ -30,17 +29,14 @@ from qcdyn.render import (
     GridSpec,
     render_julia,
     render_locus,
+    write_csv,
     write_pgm,
 )
 
 
 def save_polyline(path, polylines):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "index", "re", "im"])
-        for name, pl in polylines:
-            for idx, z in enumerate(pl.points):
-                w.writerow([name, idx, repr(z.real), repr(z.imag)])
+    rows = ((name, idx, z.real, z.imag) for name, pl in polylines for idx, z in enumerate(pl.points))
+    write_csv(path, ("name", "index", "re", "im"), rows)
 
 
 def main():
@@ -94,11 +90,7 @@ def main():
             rows.append((f"{which} image", trace_curve_image(alpha, which, 1024)))
         save_polyline(out / f"curves_a{alpha}.csv", rows)
         cusps = detect_cusps(alpha)
-        with open(out / f"cusps_a{alpha}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["re", "im"])
-            for z in cusps:
-                w.writerow([repr(z.real), repr(z.imag)])
+        write_csv(out / f"cusps_a{alpha}.csv", ("re", "im"), ((z.real, z.imag) for z in cusps))
         log(f"curves_a{alpha}.csv ({len(cusps)} cusps)")
 
     # circular-leaf pullbacks: smooth for alpha = 2, merely uniform at 5/8

@@ -10,7 +10,6 @@ without changing any output byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -188,12 +187,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _write_points_csv(points, path: str) -> None:
-    """Write an index,re,im table, one row per point, floats as repr."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "re", "im"])
-        for idx, z in enumerate(points):
-            w.writerow([idx, repr(z.real), repr(z.imag)])
+    """Write an index,re,im table, one row per point."""
+    render.write_csv(path, ("index", "re", "im"), ((i, z.real, z.imag) for i, z in enumerate(points)))
 
 
 def _cmd_julia(args) -> int:
@@ -236,36 +231,31 @@ def _cmd_fixed_points(args) -> int:
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
         else:
-            with open(args.output, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(
-                    ["re", "im", "class", "eig1_re", "eig1_im", "eig2_re", "eig2_im", "det", "trace"]
-                )
+            header = ("re", "im", "class", "eig1_re", "eig1_im", "eig2_re", "eig2_im", "det", "trace")
+
+            def rows():
                 for r in records:
                     e1, e2 = r.eigenvalues
-                    w.writerow(
-                        [repr(r.z.real), repr(r.z.imag), r.cls,
-                         repr(e1.real), repr(e1.imag), repr(e2.real), repr(e2.imag),
-                         repr(r.det), repr(r.trace)]
-                    )
+                    yield r.z.real, r.z.imag, r.cls, e1.real, e1.imag, e2.real, e2.imag, r.det, r.trace
+
+            render.write_csv(args.output, header, rows())
     return 0
 
 
 def _cmd_curves(args) -> int:
     which = [fp.DELTA, fp.GAMMA_PLUS, fp.GAMMA_MINUS] if args.which == "all" else [args.which]
-    with open(args.output, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["curve", "kind", "index", "re", "im"])
+
+    def rows():
         for name in which:
             src = fp.trace_curve(args.alpha, name, args.n)
             img = fp.trace_curve_image(args.alpha, name, args.n)
-            for idx, z in enumerate(src.points):
-                w.writerow([name, "source", idx, repr(z.real), repr(z.imag)])
-            for idx, z in enumerate(img.points):
-                w.writerow([name, "image", idx, repr(z.real), repr(z.imag)])
+            yield from ((name, "source", idx, z.real, z.imag) for idx, z in enumerate(src.points))
+            yield from ((name, "image", idx, z.real, z.imag) for idx, z in enumerate(img.points))
         if args.cusps:
-            for idx, z in enumerate(fp.detect_cusps(args.alpha)):
-                w.writerow([fp.GAMMA_PLUS, "cusp", idx, repr(z.real), repr(z.imag)])
+            cusps = fp.detect_cusps(args.alpha)
+            yield from ((fp.GAMMA_PLUS, "cusp", idx, z.real, z.imag) for idx, z in enumerate(cusps))
+
+    render.write_csv(args.output, ("curve", "kind", "index", "re", "im"), rows())
     if args.probe:
         verdict = fp.injectivity_probe(args.alpha, args.probe, args.seed)
         print(f"injectivity probe ({args.probe} pairs, seed {args.seed}): "

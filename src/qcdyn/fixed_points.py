@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DomainError, NoConvergence
-from .maps import BRANCH_POINT_DERIVATIVE, MapParams, _radius_floor, apply_map, jacobian
+from .errors import ConvergenceWarning, DomainError
+from .maps import MapParams, _radius_floor, jacobian
+from .maps import apply_map  # noqa: F401  (unused here; perfbench counts calls through this name)
 
 __all__ = [
     "Polyline",
@@ -54,6 +55,7 @@ _NEWTON_TOL = 1e-13
 _NEWTON_STEPS = 60
 NEWTON_BOUND = 1e6  # Newton iterates beyond this modulus count as diverged
 _DEDUP = 1e-8
+_SEED_DIRECTIONS = [cmath.exp(2j * math.pi * j / 24.0) for j in range(24)]
 
 
 @dataclass(frozen=True)
@@ -159,25 +161,101 @@ def classify_eigenvalues(eigs: tuple[complex, complex], tol: float = TOL_CLS) ->
     return "neutral"
 
 
-def _newton_fixed_point(p: MapParams, z0: complex) -> tuple[complex | None, bool]:
-    """Newton for f(z) = z from one seed.
+def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Newton for f(z) = z from every seed at once, one numpy lane per seed.
 
-    Returns (root, stalled): root is None on failure; stalled distinguishes
-    running out of steps from diverging, overflowing or a singular step.
+    Each lane repeats the scalar iteration z <- z + (Df(z) - id)^{-1} (z - f(z))
+    of apply_map, wirtinger and WirtingerPair.newton_step bit for bit: moduli
+    are np.hypot (Python's abs), real powers np.float_power (Python's **),
+    complex products and quotients are written out in real and imaginary
+    parts in CPython's order, and z = 0 takes Df(0) = 0.  A lane stops as a
+    root once |f(z) - z| < 1e-13; it fails when |z| > NEWTON_BOUND, z is not
+    finite, a modulus or power overflows (where Python raises OverflowError)
+    or |det(Df - id)| < 1e-300; it stalls after 60 steps.
+
+    Returns (roots, converged, stalled): the root of each converged seed
+    (nan elsewhere), the converged mask, and the number of stalled seeds.
     """
-    z = z0
-    try:
+    seeds = np.asarray(seeds, dtype=np.complex128).ravel()
+    found = np.full((seeds.size, 2), np.nan)  # (re, im) rows, viewed as complex at the end
+    x, y = seeds.real.copy(), seeds.imag.copy()
+    idx = np.arange(seeds.size)
+    e_map, e_jac = p.alpha - 1.0, 2.0 * p.alpha - 1.0
+    k_z, k_zbar = p.alpha + 1.0, p.alpha - 1.0
+    cr, ci = p.c.real, p.c.imag
+    drop = np.zeros(seeds.size, dtype=bool)
+    stalled = 0
+    with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
-            if abs(z) > NEWTON_BOUND or not cmath.isfinite(z):
-                return None, False
-            fval = apply_map(p, z) - z
-            if abs(fval) < _NEWTON_TOL:
-                return z, False
-            df = jacobian(p, z) if z != 0 else BRANCH_POINT_DERIVATIVE
-            z = z + df.newton_step(fval)
-    except (NoConvergence, OverflowError):
-        return None, False
-    return None, True
+            r = np.hypot(x, y)
+            keep = ~drop & (r <= NEWTON_BOUND)  # False for nan and inf moduli
+            if np.count_nonzero(keep) < keep.size:
+                x, y, r, idx = x[keep], y[keep], r[keep], idx[keep]
+                if not idx.size:
+                    break
+            zero = r == 0.0
+            at_zero = np.count_nonzero(zero)
+            # apply_map: u = |z|^(a-1) z (float times complex), f - z = u u + c - z
+            zx, zy = 0.0 * x, 0.0 * y  # the zero parts' products, kept for signed zeros
+            s = np.float_power(r, e_map)
+            ur = s * x - zy
+            ui = s * y + zx
+            fr = ur * ur - ui * ui + cr - x
+            fi = ur * ui + ui * ur + ci - y
+            if at_zero:  # f(0) = c
+                fr[zero] = cr - x[zero]
+                fi[zero] = ci - y[zero]
+            fabs = np.hypot(fr, fi)
+            conv = fabs < _NEWTON_TOL
+            if np.count_nonzero(conv):
+                found[idx[conv], 0] = x[conv]
+                found[idx[conv], 1] = y[conv]
+            # wirtinger: v = z / |z| (Smith's quotient by |z| + 0j),
+            # fz = (a+1) s2 v, fzbar = (a-1) s2 v^3; newton_step takes a = fz - 1
+            s2 = np.float_power(r, e_jac)
+            vr = (x + zy) / r
+            vi = (y - zx) / r
+            sq_r = vr * vr - vi * vi
+            sq_i = vr * vi + vi * vr
+            cube_r = sq_r * vr - sq_i * vi
+            cube_i = sq_r * vi + sq_i * vr
+            k1, k2 = k_z * s2, k_zbar * s2
+            # fz.real is k1 vr - 0.0 vi; once 1 is subtracted the zero product
+            # cannot change the result, as vi is finite
+            ar = k1 * vr - 1.0
+            ai = k1 * vi + 0.0 * vr
+            br = k2 * cube_r - 0.0 * cube_i
+            bi = k2 * cube_i + 0.0 * cube_r
+            if at_zero:  # Df(0) = 0
+                ar[zero], ai[zero], br[zero], bi[zero] = -1.0, 0.0, 0.0, 0.0
+            # newton_step: det = |a|^2 - |b|^2, v = (b conj(r) - conj(a) r) / (det + 0j)
+            amod, bmod = np.hypot(ar, ai), np.hypot(br, bi)
+            amod2, bmod2 = np.float_power(amod, 2.0), np.float_power(bmod, 2.0)
+            det = amod2 - bmod2
+            drop = conv | (np.abs(det) < 1e-300)
+            # every overflow leaves fabs or det infinite or nan; check exactly only then
+            if not math.isfinite((fabs + det).sum()):
+                over = _overflowed(s2, r) | _overflowed(amod, ar, ai) | _overflowed(bmod, br, bi)
+                over |= _overflowed(amod2, amod) | _overflowed(bmod2, bmod) | _overflowed(s, r)
+                drop |= over & ~zero | _overflowed(fabs, fr, fi)
+            # conj(r) and conj(a) negate exactly, so x - (-y) is x + y bit for bit;
+            # the quotient's denominator det + 0 * ratio is det itself
+            nr = (br * fr + bi * fi) - (ar * fr + ai * fi)
+            ni = (bi * fr - br * fi) - (ar * fi - ai * fr)
+            ratio = 0.0 / det
+            x = x + (nr + ni * ratio) / det
+            y = y + (ni - nr * ratio) / det
+        else:
+            stalled = int(np.count_nonzero(~drop))
+    return found.view(np.complex128).ravel(), ~np.isnan(found[:, 0]), stalled
+
+
+def _overflowed(result: np.ndarray, *args: np.ndarray) -> np.ndarray:
+    """Lanes where Python would raise OverflowError: finite inputs, infinite result."""
+    out = np.isinf(result)
+    for a in args:
+        out &= np.isfinite(a)
+    return out
 
 
 def _record(p: MapParams, z: complex) -> FixedPointRecord:
@@ -191,10 +269,22 @@ def _record(p: MapParams, z: complex) -> FixedPointRecord:
     )
 
 
+def _census_seeds(p: MapParams, extra_seeds: tuple[complex, ...] = ()) -> np.ndarray:
+    """The census's Newton starts in order: the polar grid ring by ring, the
+    two roots of z^2 - z + c, then extra_seeds."""
+    radius = min(_radius_floor(p.alpha), NEWTON_BOUND)
+    seeds = [radius * (k + 1) / 24.0 * w for k in range(24) for w in _SEED_DIRECTIONS]
+    disc = cmath.sqrt(1.0 - 4.0 * p.c)
+    seeds.extend([(1.0 + disc) / 2.0, (1.0 - disc) / 2.0])
+    seeds.extend(extra_seeds)
+    return np.array(seeds, dtype=np.complex128)
+
+
 def find_fixed_points(
     p: MapParams, extra_seeds: tuple[complex, ...] = ()
 ) -> list[FixedPointRecord]:
-    """All fixed points found by multi-start Newton, deduplicated and classified.
+    """All fixed points found by multi-start Newton (every seed at once, see
+    _newton_lanes), deduplicated in seed order and classified.
 
     Seeds: a 24x24 polar grid over the disk |z| <= 2^{1/(2a-1)} (which contains
     every fixed point of locus parameters) capped at NEWTON_BOUND, the two
@@ -202,23 +292,9 @@ def find_fixed_points(
     ConvergenceWarning if some seeds stall without converging or diverging.
     """
     _require_curve_alpha(p.alpha)
-    radius = min(_radius_floor(p.alpha), NEWTON_BOUND)
-    seeds: list[complex] = []
-    for k in range(24):
-        r = radius * (k + 1) / 24.0
-        for j in range(24):
-            seeds.append(r * cmath.exp(2j * math.pi * j / 24.0))
-    disc = cmath.sqrt(1.0 - 4.0 * p.c)
-    seeds.extend([(1.0 + disc) / 2.0, (1.0 - disc) / 2.0])
-    seeds.extend(extra_seeds)
-
     roots: list[complex] = []
-    stalled = 0
-    for seed in seeds:
-        z, stall = _newton_fixed_point(p, seed)
-        if z is None:
-            stalled += stall
-            continue
+    lanes, converged, stalled = _newton_lanes(p, _census_seeds(p, extra_seeds))
+    for z in lanes[converged].tolist():
         if all(abs(z - r) > _DEDUP for r in roots):
             roots.append(z)
     if stalled:
@@ -303,11 +379,16 @@ def detect_cusps(
         raise DomainError(f"unknown curve {which!r}")
 
     h0 = 0.25 / n
+    p0 = MapParams(alpha, 0)
 
-    def push(t: float, h: float) -> np.ndarray:
-        za, zb = loop(alpha, t - h), loop(alpha, t + h)
-        tan = zb - za
-        return param_jacobian(alpha, loop(alpha, t)) @ np.array([tan.real, tan.imag])
+    def push(t: float, h: float) -> complex:
+        """Dp (tan) = tan - Df (tan) for the central-difference tangent at t."""
+        tan = loop(alpha, t + h) - loop(alpha, t - h)
+        df = jacobian(p0, loop(alpha, t))
+        return tan - (df.fz * tan + df.fzbar * tan.conjugate())
+
+    def dot(v: complex, w: complex) -> float:
+        return (v * w.conjugate()).real
 
     # offset grid: the real cusp sits exactly at quarter parameters, where an
     # aligned sample would land on the zero of v and leave both neighbouring
@@ -317,7 +398,7 @@ def detect_cusps(
     cusps: list[complex] = []
     for k in range(n):
         v0, v1 = vs[k], vs[(k + 1) % n]
-        if float(v0 @ v1) >= 0.0:
+        if dot(v0, v1) >= 0.0:
             continue
         lo, hi = ts[k], ts[k] + 1.0 / n
         vref = v0
@@ -325,7 +406,7 @@ def detect_cusps(
             mid = 0.5 * (lo + hi)
             hm = max(1e-12, (hi - lo) * 0.01)
             vm = push(mid, hm)
-            if float(vm @ vref) > 0.0:
+            if dot(vm, vref) > 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -363,12 +444,16 @@ def injectivity_probe(alpha: float, n_pairs: int, rng_seed: int) -> bool:
     z1, z2 = z1[good], z2[good]
     p1 = z1 - np.abs(z1) ** (2.0 * alpha - 2.0) * z1 * z1
     p2 = z2 - np.abs(z2) ** (2.0 * alpha - 2.0) * z2 * z2
-    for a, b, pa, pb in zip(z1, z2, p1, p2):
-        scale = max(
-            1.0,
-            float(np.linalg.norm(param_jacobian(alpha, complex(a)))),
-            float(np.linalg.norm(param_jacobian(alpha, complex(b)))),
-        )
-        if abs(pa - pb) <= 1e-12 * scale:
-            return False
-    return True
+    scale = np.maximum(1.0, np.maximum(_param_jacobian_norm(alpha, z1), _param_jacobian_norm(alpha, z2)))
+    return not np.any(np.abs(p1 - p2) <= 1e-12 * scale)
+
+
+def _param_jacobian_norm(alpha: float, z: np.ndarray) -> np.ndarray:
+    """Frobenius norm of param_jacobian at each z: I - Df is v -> (1 - f_z) v - f_zbar conj(v),
+    whose real matrix has norm sqrt(2 (|1 - f_z|^2 + |f_zbar|^2))."""
+    mod = np.abs(z)
+    s = mod ** (2.0 * alpha - 1.0)
+    u = z / mod
+    one_minus_fz = 1.0 - (alpha + 1.0) * s * u
+    fzbar_mod = abs(alpha - 1.0) * s
+    return np.sqrt(2.0 * (np.abs(one_minus_fz) ** 2 + fzbar_mod**2))

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, EigenvalueError, ResonanceError
 from .fixed_points import delta_circle
+from .render import write_csv
 
 __all__ = [
     "Jet3",
@@ -318,7 +319,16 @@ def normal_form3(jet: Jet3) -> complex:
 
 
 def _delta_point(alpha: float, theta: float) -> complex:
-    """The det = 1 circle point whose trace matches the sweep angle theta."""
+    """The point r e^{it} of the det = 1 circle (t in [0, pi]) selected by theta:
+
+        cos t = cos(theta) (4a)^{(a-1)/(2a-1)} / (a + 1).
+
+    theta is a selection parameter, not the multiplier angle.  The trace there
+    is 2 (a+1) (4a)^{-1/2} cos t, so the multipliers e^{+-i phi} have
+    cos phi = cos(theta) (4a)^{(a-1)/(2a-1)} / (2 sqrt a), and phi != theta in
+    general (at a = 1, cos phi = cos(theta) / 2).  EigenvalueError where the
+    right-hand side leaves [-1, 1].
+    """
     r = delta_circle(alpha)
     x = math.cos(theta) * (4.0 * alpha) ** ((alpha - 1.0) / (2.0 * alpha - 1.0)) / (
         alpha + 1.0
@@ -331,10 +341,12 @@ def _delta_point(alpha: float, theta: float) -> complex:
 def hopf_number(alpha: float, theta: float) -> float:
     """Re(b2/u) for the fixed point on the det = 1 circle selected by theta.
 
-    Positive for alpha < 1, zero at alpha = 1, negative for alpha > 1 on
-    nonresonant angles.  Raises ResonanceError within TOL_RES of a low-order
-    root of unity (for theta itself and for the actual multiplier angle) and
-    EigenvalueError when no conjugate-pair point exists for theta.
+    theta picks the point through _delta_point; the multiplier angle there is
+    in general not theta.  Positive for alpha < 1, zero at alpha = 1, negative
+    for alpha > 1 on nonresonant angles.  Raises ResonanceError within TOL_RES
+    of a low-order root of unity (for theta itself and for the actual
+    multiplier angle) and EigenvalueError when no conjugate-pair point exists
+    for theta.
     """
     if not alpha > 0.5:
         raise DomainError("hopf number requires alpha > 1/2")
@@ -352,7 +364,9 @@ def hopf_sweep(
     """Tabulate hopf_number over the grid product, row-major in (alpha, theta).
 
     Rows are (alpha, beta, theta, value, status) with beta = 1 - 1/alpha; the
-    value is nan and the status names the failure for excluded points.
+    value is nan and the status names the failure for excluded points.  theta
+    is hopf_number's selection parameter on the det = 1 circle, not the
+    multiplier angle of the selected point.
     """
     rows = []
     for alpha in alpha_grid:
@@ -370,16 +384,7 @@ def hopf_sweep(
 
 
 def write_sweep_csv(rows, out: IO[str] | str) -> None:
-    """CSV dump of hopf_sweep rows: alpha, beta, theta, hopf_number, status."""
-
-    def emit(fh):
-        fh.write("alpha,beta,theta,hopf_number,status\n")
-        for alpha, beta, theta, val, status in rows:
-            sval = "" if math.isnan(val) else repr(val)
-            fh.write(f"{alpha!r},{beta!r},{theta!r},{sval},{status}\n")
-
-    if hasattr(out, "write"):
-        emit(out)
-    else:
-        with open(out, "w") as fh:
-            emit(fh)
+    """CSV dump of hopf_sweep rows: alpha, beta, theta, hopf_number, status
+    (LF line ends; an empty hopf_number for excluded points)."""
+    table = ((a, b, t, "" if math.isnan(v) else v, s) for a, b, t, v, s in rows)
+    write_csv(out, ("alpha", "beta", "theta", "hopf_number", "status"), table, newline="\n")

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import IO
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "render_locus",
     "write_pgm",
     "write_cells_csv",
+    "write_csv",
 ]
 
 # cycle-detection constants: tail window recorded after the warm-up phase,
@@ -363,13 +364,28 @@ def gray_levels(raster: Raster) -> np.ndarray:
 
 
 @contextmanager
-def _sink(out, mode: str):
+def _sink(out, mode: str, newline: str | None = None):
     """Yield out itself if it is a file handle, else the file it names opened in mode."""
     if hasattr(out, "write"):
         yield out
     else:
-        with open(out, mode) as fh:
+        with open(out, mode, newline=newline) as fh:
             yield fh
+
+
+def write_csv(
+    out: str | os.PathLike | IO[str],
+    header: Sequence[str],
+    rows: Iterable[Iterable[object]],
+    newline: str = "\r\n",
+) -> None:
+    """The package's one table writer: a header line, then one comma-joined
+    line per row, each ended by newline.  Cells go through str, so floats are
+    written as their shortest round-tripping repr; no cell needs quoting."""
+    with _sink(out, "w", newline="") as fh:
+        fh.write(",".join(header) + newline)
+        for row in rows:
+            fh.write(",".join(map(str, row)) + newline)
 
 
 def write_pgm(raster: Raster, out: str | os.PathLike | IO[bytes]) -> None:

@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths it verifies: derivatives
 come from finite differences of the plain map evaluation, Taylor coefficients
 from circle sampling and Fourier separation, and fixed-point censuses from an
 exhaustive residual grid scan polished by a Newton iteration of its own that
-solves with the real 2x2 Jacobian matrix.
+solves with the real 2x2 Jacobian matrix.  The census's lane-parallel Newton
+is checked bit for bit against the scalar per-seed loop it replaced, kept
+here over the scalar apply_map, jacobian and WirtingerPair.newton_step.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from qcdyn.fixed_points import _record
-from qcdyn.maps import MapParams, apply_map, jacobian
+from qcdyn.errors import NoConvergence
+from qcdyn.fixed_points import _DEDUP, _NEWTON_STEPS, _NEWTON_TOL, NEWTON_BOUND, _record
+from qcdyn.maps import BRANCH_POINT_DERIVATIVE, MapParams, _radius_floor, apply_map, jacobian
 
 
 def fd_jacobian(p: MapParams, z: complex, h: float | None = None) -> np.ndarray:
@@ -107,12 +110,76 @@ def matrix_newton_fixed_point(p: MapParams, z0: complex) -> tuple[complex | None
     return None, True
 
 
-def brute_force_fixed_points(p: MapParams, n: int = 2000):
-    """Exhaustive census: scan |f(z) - z| on an n x n grid over the search box,
-    cluster sub-threshold pixels, add strict local minima as safety seeds, and
-    polish every candidate by matrix_newton_fixed_point.  Returns records
-    like find_fixed_points.
+def scalar_newton_fixed_point(p: MapParams, z0: complex) -> tuple[complex | None, bool]:
+    """Newton for f(z) = z from one seed.
+
+    Returns (root, stalled): root is None on failure; stalled distinguishes
+    running out of steps from diverging, overflowing or a singular step.
     """
+    z = z0
+    try:
+        for _ in range(_NEWTON_STEPS):
+            if abs(z) > NEWTON_BOUND or not cmath.isfinite(z):
+                return None, False
+            fval = apply_map(p, z) - z
+            if abs(fval) < _NEWTON_TOL:
+                return z, False
+            df = jacobian(p, z) if z != 0 else BRANCH_POINT_DERIVATIVE
+            z = z + df.newton_step(fval)
+    except (NoConvergence, OverflowError):
+        return None, False
+    return None, True
+
+
+def scalar_census_seeds(p: MapParams, extra_seeds=()) -> list[complex]:
+    """The census's Newton starts, built one Python complex at a time."""
+    radius = min(_radius_floor(p.alpha), NEWTON_BOUND)
+    seeds: list[complex] = []
+    for k in range(24):
+        r = radius * (k + 1) / 24.0
+        for j in range(24):
+            seeds.append(r * cmath.exp(2j * math.pi * j / 24.0))
+    disc = cmath.sqrt(1.0 - 4.0 * p.c)
+    seeds.extend([(1.0 + disc) / 2.0, (1.0 - disc) / 2.0])
+    seeds.extend(extra_seeds)
+    return seeds
+
+
+def scalar_census(p: MapParams, extra_seeds=()):
+    """find_fixed_points over scalar_newton_fixed_point: (records, stalled count)."""
+    roots: list[complex] = []
+    stalled = 0
+    for seed in scalar_census_seeds(p, extra_seeds):
+        z, stall = scalar_newton_fixed_point(p, seed)
+        if z is None:
+            stalled += stall
+            continue
+        if all(abs(z - r) > _DEDUP for r in roots):
+            roots.append(z)
+    roots.sort(key=lambda w: (w.real, w.imag))
+    return [_record(p, z) for z in roots], stalled
+
+
+def label_minimum_positions(values: np.ndarray, labels: np.ndarray, nlab: int) -> list[tuple[int, ...]]:
+    """ndimage.minimum_position(values, labels, range(1, nlab + 1)) over the
+    labelled pixels only, without argsorting the whole grid.
+
+    Ties go to the first pixel in row-major order, ndimage's documented "first
+    minimum"; its labelled path breaks exact ties by an unstable argsort of
+    the whole grid, so the two agree wherever a label's minimum is unique.
+    """
+    flat = np.flatnonzero(labels)
+    vals = values.ravel()[flat]
+    labs = labels.ravel()[flat]
+    order = np.lexsort((flat, vals, labs))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = labs[order[1:]] != labs[order[:-1]]
+    picked = flat[order[first]]
+    return [tuple(int(v) for v in np.unravel_index(k, values.shape)) for k in picked]
+
+
+def residual_grid(p: MapParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n grid over the search box and |f(z) - z| on it."""
     b = _search_box(p)
     xs = np.linspace(-b, b, n)
     grid = xs[None, :] + 1j * xs[:, None]
@@ -120,23 +187,34 @@ def brute_force_fixed_points(p: MapParams, n: int = 2000):
     rs = np.where(r == 0, 1.0, r)
     fval = rs ** (2 * p.alpha - 2) * grid * grid + p.c
     fval[r == 0] = p.c
-    resid = np.abs(fval - grid)
+    return grid, np.abs(fval - grid)
 
+
+def brute_force_fixed_points(p: MapParams, n: int = 2000):
+    """Exhaustive census: scan |f(z) - z| on an n x n grid over the search box,
+    cluster sub-threshold pixels, add strict local minima as safety seeds, and
+    polish every candidate by matrix_newton_fixed_point.  Returns records
+    like find_fixed_points.
+    """
+    grid, resid = residual_grid(p, n)
     seeds: list[complex] = []
     mask = resid < 1e-3
     if mask.any():
         labels, nlab = ndimage.label(mask)
-        for pos in ndimage.minimum_position(resid, labels, range(1, nlab + 1)):
+        for pos in label_minimum_positions(resid, labels, nlab):
             seeds.append(complex(grid[pos]))
-    core = resid[1:-1, 1:-1]
-    local_min = np.ones_like(core, dtype=bool)
+    # interior pixels below 0.05 in row-major order, kept where no neighbour is lower
+    rows, cols = np.nonzero(resid[1:-1, 1:-1] < 0.05)
+    rows, cols = rows + 1, cols + 1
+    centre = resid[rows, cols]
+    local_min = np.ones(rows.size, dtype=bool)
     for dj in (-1, 0, 1):
         for di in (-1, 0, 1):
             if dj == di == 0:
                 continue
-            local_min &= core <= resid[1 + dj : n - 1 + dj, 1 + di : n - 1 + di]
-    for j, i in np.argwhere(local_min & (core < 0.05)):
-        seeds.append(complex(grid[j + 1, i + 1]))
+            local_min &= centre <= resid[rows + dj, cols + di]
+    for j, i in zip(rows[local_min], cols[local_min]):
+        seeds.append(complex(grid[j, i]))
 
     roots: list[complex] = []
     for s in seeds:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -230,6 +231,53 @@ class TestPointTables:
         assert out.read_bytes() == (
             b"index,re,im\r\n0,2.0,0.0\r\n1,1.4142135623730951,1.414213562373095\r\n"
             b"2,1.2246467991473532e-16,2.0\r\n3,1.414213562373095,-1.4142135623730951\r\n"
+        )
+
+
+class TestTableBytes:
+    """Every CSV table the CLI writes, pinned byte for byte (sha256)."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["fixed-points", "--alpha", "0.75", "--c", "0.135"],
+             "0590f721ee0a59243ff2175d197a8c606d8bd1c23a1735c73160a7d14a8086df"),
+            (["fixed-points", "--alpha", "1", "--c", "0"],
+             "456f5f166380c1290a7722e22ede999d295cb9234b63f2637cec90ea49a9dde1"),
+            (["fixed-points", "--alpha", "2", "--c=-0.5,0.3"],
+             "f804d3ad854a05507bb9432d8dd505f3da59538029035d5d1f536f9bf12d5941"),
+            (["fixed-points", "--alpha", "0.6", "--c=-0.3,0.2"],
+             "26311c3837180fa0c39c7b4f24d04d30460528287004fe989a5401ed0a29f80f"),
+            (["curves", "--alpha", "0.8", "--n", "16"],
+             "82efb6593f3587a31aa68921c8065c1609bc818c3f6930fda768bc1e4a8db98c"),
+            (["curves", "--alpha", "0.8", "--n", "64", "--cusps"],
+             "6aaa35676ae6d603fcae4f1c64f8141d23dc41208c263372110e7e35211e758a"),
+            (["hopf", "--alpha", "0.75,1.5", "--theta-grid", "8"],
+             "04ce4a32aa9896da81c7366071991af44b0a42490866b1740d900b7995948868"),
+        ],
+    )
+    def test_digest(self, tmp_path, capsys, argv, digest):
+        out = tmp_path / "t.csv"
+        assert run_cli(argv + ["-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_fixed_points_rows(self, tmp_path):
+        out = tmp_path / "fp.csv"
+        assert run_cli(["fixed-points", "--alpha", "1", "--c", "0", "-o", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"re,im,class,eig1_re,eig1_im,eig2_re,eig2_im,det,trace\r\n"
+            b"-2.1762913466755795e-17,0.0,attracting,-4.352582693351159e-17,0.0,"
+            b"-4.352582693351159e-17,0.0,1.894497610246003e-33,-8.705165386702318e-17\r\n"
+            b"1.0,0.0,repelling,2.0,0.0,2.0,0.0,4.0,4.0\r\n"
+        )
+
+    def test_hopf_sweep_excluded_rows(self, tmp_path):
+        out = tmp_path / "h.csv"
+        assert run_cli(["hopf", "--alpha", "1.5", "--theta-grid", "2", "-o", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"alpha,beta,theta,hopf_number,status\n"
+            b"1.5,0.33333333333333337,1.5707963267948966,,resonance\n"
+            b"1.5,0.33333333333333337,4.71238898038469,,resonance\n"
         )
 
 

@@ -4,9 +4,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
-from oracles import brute_force_fixed_points, census_signature, count_self_intersections
-from qcdyn.errors import DomainError
+from oracles import (
+    brute_force_fixed_points,
+    census_signature,
+    count_self_intersections,
+    label_minimum_positions,
+    residual_grid,
+    scalar_census,
+    scalar_census_seeds,
+    scalar_newton_fixed_point,
+)
+from qcdyn.errors import ConvergenceWarning, DomainError
 from qcdyn.fixed_points import (
     DELTA,
     GAMMA_MINUS,
@@ -21,9 +33,11 @@ from qcdyn.fixed_points import (
     gamma_plus,
     injectivity_probe,
     param_for_fixed_point,
+    param_jacobian,
     trace_curve,
     trace_curve_image,
 )
+from qcdyn.fixed_points import _census_seeds, _newton_lanes, _param_jacobian_norm
 from qcdyn.maps import MapParams, apply_map, jacobian
 
 RNG = np.random.default_rng(11)
@@ -237,6 +251,113 @@ class TestInjectivity:
 
     def test_deterministic_in_seed(self):
         assert injectivity_probe(1.3, 500, 7) == injectivity_probe(1.3, 500, 7)
+
+
+def _fold_c(alpha: float) -> complex:
+    """A parameter 4% outside the fold curve p(gamma+), off the real axis."""
+    return 1.04 * trace_curve_image(alpha, GAMMA_PLUS, 64).points[5]
+
+
+_LANE_ALPHAS = [0.5000001, 0.5001, 0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 6.0]
+_LANE_CASES = [(a, 0j) for a in _LANE_ALPHAS]  # c = 0: the seed (1 - disc)/2 is the branch point
+_LANE_CASES += [(a, _fold_c(a)) for a in _LANE_ALPHAS if a >= 0.6]
+_LANE_CASES += [(a, c) for a in _LANE_ALPHAS for c in (2.1 - 2.1j, -3.0, 0.3 - 0.2j, complex(-0.5, -0.0))]
+# overflowing powers and moduli, where the scalar loop raises OverflowError; at
+# alpha 14 this c makes the extra seed 4.63e5 a Newton start whose |f_z - 1|^2
+# overflows while f(z) - z stays finite (without the overflow check it stalls)
+_LANE_CASES += [(30.0, 0.5), (60.0, -0.3 + 0.1j), (2.0, 1e308 + 1e308j), (0.75, -1e308)]
+_LANE_CASES += [(14.0, 4.63e5 - apply_map(MapParams(14.0, 0), 4.63e5))]
+# signed zeros on both axes, the branch point, beyond the bound, and nan
+_EXTRA_SEEDS = (0, complex(0.9, -0.0), complex(-0.8, -0.0), complex(-0.0, 0.7), 4.63e5, 1e7, complex("nan"))
+
+
+def _bits(z: complex) -> bytes:
+    return np.array([z], dtype=np.complex128).tobytes()
+
+
+class TestLaneNewton:
+    """The census's lane Newton against the scalar per-seed loop it replaced."""
+
+    @pytest.mark.parametrize("alpha,c", _LANE_CASES)
+    def test_seed_by_seed_identity(self, alpha, c):
+        p = MapParams(alpha, c)
+        seeds = _census_seeds(p, _EXTRA_SEEDS)
+        assert seeds.tobytes() == np.array(scalar_census_seeds(p, _EXTRA_SEEDS), dtype=np.complex128).tobytes()
+        roots, converged, stalled = _newton_lanes(p, seeds)
+        ref = [scalar_newton_fixed_point(p, s) for s in seeds.tolist()]
+        for k, (z, _) in enumerate(ref):
+            assert converged[k] == (z is not None), (k, seeds[k])
+            if z is not None:
+                assert _bits(roots[k]) == _bits(z), (k, seeds[k], roots[k], z)
+        # lanes are independent, so a subset run gives each seed's own stall flag
+        stalled_ref = np.array([st for _, st in ref])
+        assert stalled == np.count_nonzero(stalled_ref)
+        if stalled:
+            assert _newton_lanes(p, seeds[stalled_ref])[2] == stalled
+        failed = ~converged & ~stalled_ref
+        assert _newton_lanes(p, seeds[failed])[2] == 0
+
+    @pytest.mark.parametrize("alpha,c", _LANE_CASES[::3])
+    def test_records_match_scalar_census(self, alpha, c):
+        p = MapParams(alpha, c)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = find_fixed_points(p, _EXTRA_SEEDS)
+        want, stalled = scalar_census(p, _EXTRA_SEEDS)
+        assert records == want
+        stall_msgs = [str(w.message) for w in caught if w.category is ConvergenceWarning]
+        assert stall_msgs == ([f"{stalled} Newton starts stalled without converging or diverging"]
+                              if stalled else [])
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
+    def test_no_seeds(self):
+        roots, converged, stalled = _newton_lanes(MapParams(1.0, 0.1), np.array([], dtype=complex))
+        assert roots.size == 0 and converged.size == 0 and stalled == 0
+
+
+class TestParamJacobianNorm:
+    @given(
+        st.floats(0.5000001, 6.0),
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_closed_form_matches_matrix_norm(self, alpha, x, y):
+        z = complex(x, y)
+        if abs(z) < 1e-6:
+            z = complex(1e-6, y)
+        want = np.linalg.norm(param_jacobian(alpha, z))
+        got = _param_jacobian_norm(alpha, np.array([z]))[0]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+class TestLabelMinima:
+    @pytest.mark.parametrize(
+        "alpha,c,below",
+        [
+            (0.75, 0.135 + 0.01j, 0.01),
+            (0.75, -0.6 + 0.2j, 0.03),
+            (0.75, 0.1 + 0.05j, 0.02),
+            (1.0, 0.2 + 0.3j, 0.02),
+            (1.5, -0.5 + 0.5j, 0.03),
+            (2.0, 0.43 - 0.05j, 0.03),
+        ],
+    )
+    def test_matches_ndimage(self, alpha, c, below):
+        _, resid = residual_grid(MapParams(alpha, c), 200)
+        labels, nlab = ndimage.label(resid < below)
+        assert nlab >= 2
+        for k in range(1, nlab + 1):  # unique minima, so the tie rule plays no part
+            vals = resid[labels == k]
+            assert np.count_nonzero(vals == vals.min()) == 1
+        assert label_minimum_positions(resid, labels, nlab) == ndimage.minimum_position(
+            resid, labels, range(1, nlab + 1)
+        )
+
+    def test_ties_go_to_the_first_pixel(self):
+        values = np.array([[3.0, 1.0, 9.0, 2.0], [1.0, 5.0, 9.0, 2.0]])
+        labels, nlab = ndimage.label(values < 9.0)
+        assert label_minimum_positions(values, labels, nlab) == [(0, 1), (0, 3)]
 
 
 class TestDataTypes:
