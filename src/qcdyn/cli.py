@@ -1,7 +1,9 @@
 """Command-line front end: batch subcommands with deterministic file outputs.
 
 Exit codes: 0 success, 1 computation error (domain, resonance, convergence)
-or unwritable output, 2 usage error (including non-finite numbers).
+or unwritable output, 2 usage error: a flag value its type rejects (see the
+flag types below; alpha goes through maps.require_alpha) or a hopf sweep
+without -o.
 Complex-valued flags accept "re" or "re,im"; prefix negative values with '='
 (e.g. --c=-0.8,0.1).  QCDYN_THREADS caps render parallelism
 without changing any output byte.
@@ -24,7 +26,7 @@ from .errors import (
     NoConvergence,
     ResonanceError,
 )
-from .maps import MapParams
+from .maps import MapParams, require_alpha
 
 _COMPUTE_ERRORS = (
     DomainError,
@@ -46,13 +48,61 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value > 0:
+        return value
+    raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+
+
+def _count(least: int):
+    """Flag type: an integer >= least."""
+
+    def count(text: str) -> int:
+        try:
+            if (value := int(text)) >= least:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+
+    return count
+
+
+def _alpha_flag(strict: bool):
+    """Flag type: an exponent that passes maps.require_alpha (> 1/2 if strict)."""
+
+    def alpha(text: str) -> float:
+        try:
+            return require_alpha(float(text), strict)
+        except ValueError as exc:  # float()'s, or require_alpha's DomainError
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return alpha
+
+
+_map_alpha, _curve_alpha = _alpha_flag(False), _alpha_flag(True)
+
+
+def _alpha_list(text: str) -> list[float]:
+    alphas = [_curve_alpha(tok) for tok in text.split(",") if tok]
+    if not alphas:
+        raise argparse.ArgumentTypeError(f"expected a value or comma list, got {text!r}")
+    return alphas
+
+
+def _branch_word(text: str) -> list[int]:
+    bits = text.replace(",", "")
+    if any(ch not in "01" for ch in bits):
+        raise argparse.ArgumentTypeError(f"expected a word of 0s and 1s, got {text!r}")
+    return [int(ch) for ch in bits]
+
+
 def _complex_flag(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(_finite_float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(_finite_float(parts[0]), _finite_float(parts[1]))
+        if len(parts) <= 2:
+            return complex(*map(_finite_float, parts))
     except argparse.ArgumentTypeError:
         pass
     raise argparse.ArgumentTypeError(f"expected finite 're' or 're,im', got {text!r}")
@@ -60,11 +110,11 @@ def _complex_flag(text: str) -> complex:
 
 def _add_grid_flags(sp, default_iter):
     sp.add_argument("--center", type=_complex_flag, default=0j, help="grid center re,im")
-    sp.add_argument("--width", type=_finite_float, required=True, help="grid width")
-    sp.add_argument("--height", type=_finite_float, default=None, help="grid height (default: width*ny/nx)")
-    sp.add_argument("--nx", type=int, default=512)
-    sp.add_argument("--ny", type=int, default=512)
-    sp.add_argument("--max-iter", type=int, default=default_iter)
+    sp.add_argument("--width", type=_positive_float, required=True, help="grid width")
+    sp.add_argument("--height", type=_positive_float, default=None, help="grid height (default: width*ny/nx)")
+    sp.add_argument("--nx", type=_count(1), default=512)
+    sp.add_argument("--ny", type=_count(1), default=512)
+    sp.add_argument("--max-iter", type=_count(1), default=default_iter)
     sp.add_argument(
         "--mode",
         choices=[render.ESCAPE_ONLY, render.ATTRACTOR_DETECT],
@@ -90,100 +140,61 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("julia", help="render a filled Julia set")
-    sp.add_argument("--alpha", type=_finite_float, required=True)
+    sp.add_argument("--alpha", type=_map_alpha, required=True)
     sp.add_argument("--c", type=_complex_flag, required=True)
     _add_grid_flags(sp, 1000)
     sp.add_argument("-o", "--output", required=True)
 
     sp = sub.add_parser("locus", help="render the connectedness locus")
-    sp.add_argument("--alpha", type=_finite_float, required=True)
+    sp.add_argument("--alpha", type=_map_alpha, required=True)
     _add_grid_flags(sp, 256)
     sp.add_argument("-o", "--output", required=True)
 
     sp = sub.add_parser("fixed-points", help="locate and classify fixed points")
-    sp.add_argument("--alpha", type=_finite_float, required=True)
+    sp.add_argument("--alpha", type=_curve_alpha, required=True)
     sp.add_argument("--c", type=_complex_flag, required=True)
     sp.add_argument("-o", "--output", default=None, help=".csv or .json table (optional)")
 
     sp = sub.add_parser("curves", help="trace bifurcation curves and their images")
-    sp.add_argument("--alpha", type=_finite_float, required=True)
+    sp.add_argument("--alpha", type=_curve_alpha, required=True)
     sp.add_argument(
         "--which",
         choices=[fp.DELTA, fp.GAMMA_PLUS, fp.GAMMA_MINUS, "all"],
         default="all",
     )
-    sp.add_argument("--n", type=int, default=512, help="samples per curve")
+    sp.add_argument("--n", type=_count(fp.MIN_SAMPLES), default=512, help="samples per curve")
     sp.add_argument("--cusps", action="store_true", help="append cusp rows for gamma+")
-    sp.add_argument("--probe", type=int, default=0, metavar="PAIRS",
+    sp.add_argument("--probe", type=_count(0), default=0, metavar="PAIRS",
                     help="also run the injectivity probe with this many pairs")
-    sp.add_argument("--seed", type=int, default=42, help="probe RNG seed")
+    sp.add_argument("--seed", type=_count(0), default=42, help="probe RNG seed")
     sp.add_argument("-o", "--output", required=True, help="CSV output")
 
     sp = sub.add_parser("hopf", help="Hopf number at one angle or over a sweep")
-    sp.add_argument("--alpha", type=str, required=True, help="value or comma list")
+    sp.add_argument("--alpha", type=_alpha_list, required=True, help="value or comma list")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--theta", type=_finite_float, help="single angle")
-    group.add_argument("--theta-grid", type=int, help="uniform offset grid size over (0, 2pi)")
+    group.add_argument("--theta-grid", type=_count(1), help="uniform offset grid size over (0, 2pi)")
     sp.add_argument("-o", "--output", default=None, help="CSV output (required for sweeps)")
 
     sp = sub.add_parser("orbit", help="critical or periodic orbit")
-    sp.add_argument("--alpha", type=_finite_float, required=True)
+    sp.add_argument("--alpha", type=_map_alpha, required=True)
     sp.add_argument("--c", type=_complex_flag, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--critical", type=int, metavar="N", help="critical orbit length")
-    group.add_argument("--periodic", type=int, metavar="Q", help="period for Newton search")
+    group.add_argument("--critical", type=_count(1), metavar="N", help="critical orbit length")
+    group.add_argument("--periodic", type=_count(1), metavar="Q", help="period for Newton search")
     sp.add_argument("--seed-point", type=_complex_flag, default=0.1 + 0.1j,
                     help="Newton seed for --periodic")
     sp.add_argument("-o", "--output", default=None, help="CSV output")
 
     sp = sub.add_parser("leaf", help="pull a polyline back through inverse branches")
-    sp.add_argument("--alpha", type=_finite_float, required=True)
+    sp.add_argument("--alpha", type=_map_alpha, required=True)
     sp.add_argument("--c", type=_complex_flag, required=True)
-    sp.add_argument("--radius", type=_finite_float, required=True, help="initial circle radius")
-    sp.add_argument("--points", type=int, default=256)
-    sp.add_argument("--word", type=str, required=True,
+    sp.add_argument("--radius", type=_positive_float, required=True, help="initial circle radius")
+    sp.add_argument("--points", type=_count(2), default=256)
+    sp.add_argument("--word", type=_branch_word, required=True,
                     help="branch word, e.g. 010 or 0,1,0")
     sp.add_argument("-o", "--output", required=True, help="CSV output")
     return ap
-
-
-def _validate(parser: argparse.ArgumentParser, args) -> None:
-    """Reject malformed run configurations with usage text (exit code 2)."""
-    alpha_min_exclusive = args.command in {"fixed-points", "curves"}
-    if hasattr(args, "alpha") and not isinstance(args.alpha, str):
-        if alpha_min_exclusive and not args.alpha > 0.5:
-            parser.error(f"{args.command}: alpha must be > 1/2")
-        if not args.alpha >= 0.5:
-            parser.error(f"{args.command}: alpha must be >= 1/2")
-    if getattr(args, "max_iter", 1) < 1:
-        parser.error("max-iter must be >= 1")
-    if getattr(args, "width", 1.0) <= 0 or (getattr(args, "height", None) or 1.0) <= 0:
-        parser.error("grid width and height must be positive")
-    if getattr(args, "nx", 1) < 1 or getattr(args, "ny", 1) < 1:
-        parser.error("grid needs at least one pixel per axis")
-    if args.command == "hopf":
-        try:
-            alphas = [_finite_float(tok) for tok in args.alpha.split(",") if tok]
-        except argparse.ArgumentTypeError:
-            parser.error("hopf: --alpha expects a finite value or comma list")
-        if not alphas or any(not a > 0.5 for a in alphas):
-            parser.error("hopf: every alpha must be > 1/2")
-        if args.theta_grid is not None and args.theta_grid < 1:
-            parser.error("hopf: theta grid size must be >= 1")
-        if args.theta is None and not args.output:
-            parser.error("hopf: sweeps need -o/--output for the CSV table")
-    if args.command == "orbit":
-        if args.critical is not None and args.critical < 1:
-            parser.error("orbit: --critical length must be >= 1")
-        if args.periodic is not None and args.periodic < 1:
-            parser.error("orbit: --periodic period must be >= 1")
-    if args.command == "leaf":
-        if args.radius <= 0:
-            parser.error("leaf: radius must be positive")
-        if args.points < 2:
-            parser.error("leaf: need at least two polyline points")
-        if any(ch not in "01" for ch in args.word.replace(",", "")):
-            parser.error("leaf: branch word must consist of 0s and 1s")
 
 
 def _write_points_csv(points, path: str) -> None:
@@ -266,14 +277,13 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_hopf(args) -> int:
-    alphas = [float(tok) for tok in args.alpha.split(",") if tok]
     if args.theta is not None:
         thetas = [args.theta]
     else:
         n = args.theta_grid
         thetas = [2.0 * math.pi * (k + 0.5) / n for k in range(n)]
-    rows = jets.hopf_sweep(alphas, thetas)
-    if args.theta is not None and len(alphas) == 1:
+    rows = jets.hopf_sweep(args.alpha, thetas)
+    if args.theta is not None and len(args.alpha) == 1:
         alpha, beta, theta, val, status = rows[0]
         if status != "ok":
             print(f"alpha={alpha} theta={theta}: {status}", file=sys.stderr)
@@ -303,14 +313,13 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_leaf(args) -> int:
-    word = [int(ch) for ch in args.word.replace(",", "")]
     circle = [
         args.radius * complex(math.cos(2 * math.pi * k / args.points),
                               math.sin(2 * math.pi * k / args.points))
         for k in range(args.points)
     ]
     leaf = fp.Polyline(tuple(circle), closed=True)
-    pulled = orbits.pullback_leaf(MapParams(args.alpha, args.c), leaf, word)
+    pulled = orbits.pullback_leaf(MapParams(args.alpha, args.c), leaf, args.word)
     _write_points_csv(pulled.points, args.output)
     return 0
 
@@ -329,7 +338,8 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
+    if args.command == "hopf" and args.theta is None and not args.output:
+        parser.error("hopf: sweeps need -o/--output for the CSV table")
     try:
         return _DISPATCH[args.command](args)
     except (*_COMPUTE_ERRORS, OSError) as exc:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceWarning, DomainError
-from .maps import MapParams, _radius_floor, jacobian
+from .maps import MapParams, _radius_floor, jacobian, require_alpha
 from .maps import apply_map  # noqa: F401  (unused here; perfbench counts calls through this name)
 
 __all__ = [
@@ -54,6 +54,7 @@ TOL_CLS = 1e-9
 _NEWTON_TOL = 1e-13
 _NEWTON_STEPS = 60
 NEWTON_BOUND = 1e6  # Newton iterates beyond this modulus count as diverged
+MIN_SAMPLES = 16  # fewest samples trace_curve accepts
 _DEDUP = 1e-8
 _SEED_DIRECTIONS = [cmath.exp(2j * math.pi * j / 24.0) for j in range(24)]
 
@@ -90,11 +91,6 @@ class FixedPointRecord:
     trace: float
 
 
-def _require_curve_alpha(alpha: float) -> None:
-    if not alpha > 0.5:
-        raise DomainError("fixed-point curve formulas require alpha > 1/2")
-
-
 def param_for_fixed_point(alpha: float, z: complex) -> complex:
     """The parameter c = p(z) for which z is fixed; p(0) = 0 by continuity."""
     if z == 0:
@@ -114,7 +110,7 @@ def param_jacobian(alpha: float, z: complex) -> np.ndarray:
 def delta_circle(alpha: float) -> float:
     """Radius (4a)^{1/(2-4a)} of the circle where det Df = 1; DomainError
     where it underflows to 0 (alpha just above 1/2)."""
-    _require_curve_alpha(alpha)
+    require_alpha(alpha, strict=True)
     r = (4.0 * alpha) ** (1.0 / (2.0 - 4.0 * alpha))
     if r == 0.0:
         raise DomainError(f"the delta circle radius (4a)^(1/(2-4a)) underflows to 0 at alpha = {alpha!r}")
@@ -128,20 +124,24 @@ def gamma_plus(alpha: float, theta: float) -> list[float]:
     roots exist only for cos(theta) > 0 with cos^2 >= 4a/(a+1)^2, and the
     double root at the sector boundary is returned once.
     """
-    _require_curve_alpha(alpha)
+    require_alpha(alpha, strict=True)
     ct = math.cos(theta)
     if ct <= 0.0:
         return []
-    disc = (alpha + 1.0) ** 2 * ct * ct - 4.0 * alpha
+    disc, r_hi = _gamma_plus_radius(alpha, ct, 1)
     if disc < 0.0:
         return []
-    e = 1.0 / (2.0 * alpha - 1.0)
-    if disc == 0.0:
-        return [((alpha + 1.0) * ct / (4.0 * alpha)) ** e]
-    s = math.sqrt(disc)
-    u_lo = ((alpha + 1.0) * ct - s) / (4.0 * alpha)
-    u_hi = ((alpha + 1.0) * ct + s) / (4.0 * alpha)
-    return [u_lo**e, u_hi**e]
+    return [r_hi] if disc == 0.0 else [_gamma_plus_radius(alpha, ct, 0)[1], r_hi]
+
+
+def _gamma_plus_radius(alpha: float, ct: float, branch: int) -> tuple[float, float]:
+    """For ct = cos(theta) > 0: the discriminant d = (a+1)^2 ct^2 - 4a of
+    4a u^2 - 2(a+1) u ct + 1 = 0 and the radius r = u^{1/(2a-1)} at its larger
+    (branch 1) or smaller (branch 0) root u, solved with d clamped at 0."""
+    disc = (alpha + 1.0) ** 2 * ct * ct - 4.0 * alpha
+    s = math.sqrt(max(0.0, disc))
+    u = ((alpha + 1.0) * ct + (s if branch else -s)) / (4.0 * alpha)
+    return disc, u ** (1.0 / (2.0 * alpha - 1.0))
 
 
 def gamma_minus(alpha: float, theta: float) -> list[float]:
@@ -291,7 +291,7 @@ def find_fixed_points(
     quadratic-case roots of z^2 - z + c, and any extra_seeds.  Emits
     ConvergenceWarning if some seeds stall without converging or diverging.
     """
-    _require_curve_alpha(p.alpha)
+    require_alpha(p.alpha, strict=True)
     roots: list[complex] = []
     lanes, converged, stalled = _newton_lanes(p, _census_seeds(p, extra_seeds))
     for z in lanes[converged].tolist():
@@ -326,19 +326,15 @@ def _gamma_plus_loop(alpha: float, t: float) -> complex:
     else:
         theta = ts * (3.0 - 4.0 * t)
         branch = 0
-    ct = math.cos(theta)
-    disc = max(0.0, (alpha + 1.0) ** 2 * ct * ct - 4.0 * alpha)
-    s = math.sqrt(disc)
-    u = ((alpha + 1.0) * ct + (s if branch else -s)) / (4.0 * alpha)
-    r = u ** (1.0 / (2.0 * alpha - 1.0))
+    r = _gamma_plus_radius(alpha, math.cos(theta), branch)[1]
     return r * cmath.exp(1j * theta)
 
 
 def trace_curve(alpha: float, which: str, n: int) -> Polyline:
     """Sample the source curve (delta circle or gamma loops) as a closed polyline."""
-    _require_curve_alpha(alpha)
-    if n < 16:
-        raise DomainError("need at least 16 samples")
+    require_alpha(alpha, strict=True)
+    if n < MIN_SAMPLES:
+        raise DomainError(f"need at least {MIN_SAMPLES} samples")
     if which == DELTA:
         r = delta_circle(alpha)
         pts = [r * cmath.exp(2j * math.pi * k / n) for k in range(n)]
@@ -368,7 +364,7 @@ def detect_cusps(
     Returns the cusp locations in the c-plane.  gamma- yields an empty list
     (its image is an immersed circle); gamma+ has three cusps for alpha != 1.
     """
-    _require_curve_alpha(alpha)
+    require_alpha(alpha, strict=True)
     if alpha == 1.0:
         raise DomainError("cusp detection is degenerate at alpha = 1")
     if which == GAMMA_MINUS:
@@ -421,7 +417,9 @@ def detect_cusps(
 def injectivity_probe(alpha: float, n_pairs: int, rng_seed: int) -> bool:
     """Sample random pairs in the left half-disk {Re z <= 0, |z| <= 3} and
     verify their p-images stay apart (tolerance scaled by the local Dp norm)."""
-    _require_curve_alpha(alpha)
+    require_alpha(alpha, strict=True)
+    if n_pairs < 0 or rng_seed < 0:
+        raise DomainError(f"pair count and seed must be >= 0, got {n_pairs!r} and {rng_seed!r}")
     rng = np.random.default_rng(rng_seed)
 
     def draw(k: int) -> np.ndarray:

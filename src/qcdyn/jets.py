@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, EigenvalueError, ResonanceError
 from .fixed_points import delta_circle
+from .maps import require_alpha
 from .render import write_csv
 
 __all__ = [
@@ -240,14 +241,17 @@ def coord_change1(jet: Jet3) -> Jet3:
     return chop_jet3(new)
 
 
+def _resonance_distance(angle: float) -> float:
+    """Distance from angle (mod 2 pi) to the nearest root of unity of order <= 4."""
+    return min(abs((angle - res + math.pi) % (2.0 * math.pi) - math.pi) for res in _RESONANT_ANGLES)
+
+
 def _check_nonresonant(u: complex) -> None:
     ang = cmath.phase(u)
-    for res in _RESONANT_ANGLES:
-        d = abs((ang - res + math.pi) % (2.0 * math.pi) - math.pi)
-        if d < TOL_RES:
-            raise ResonanceError(
-                f"eigenvalue angle {ang:.6f} within {TOL_RES} of a root of unity of order <= 4"
-            )
+    if _resonance_distance(ang) < TOL_RES:
+        raise ResonanceError(
+            f"eigenvalue angle {ang:.6f} within {TOL_RES} of a root of unity of order <= 4"
+        )
 
 
 def _quad_cubic_residual(
@@ -348,12 +352,9 @@ def hopf_number(alpha: float, theta: float) -> float:
     multiplier angle) and EigenvalueError when no conjugate-pair point exists
     for theta.
     """
-    if not alpha > 0.5:
-        raise DomainError("hopf number requires alpha > 1/2")
-    for res in _RESONANT_ANGLES:
-        d = abs((theta - res + math.pi) % (2.0 * math.pi) - math.pi)
-        if d < TOL_RES:
-            raise ResonanceError(f"theta = {theta} is within {TOL_RES} of a resonant angle")
+    require_alpha(alpha, strict=True)
+    if _resonance_distance(theta) < TOL_RES:
+        raise ResonanceError(f"theta = {theta} is within {TOL_RES} of a resonant angle")
     z0 = _delta_point(alpha, theta)
     return normal_form3(jet_of_map(alpha, z0)).real
 

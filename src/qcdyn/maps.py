@@ -19,6 +19,7 @@ from .errors import DomainError, NoConvergence
 __all__ = [
     "MapParams",
     "WirtingerPair",
+    "require_alpha",
     "q_alpha",
     "apply_map",
     "wirtinger",
@@ -29,6 +30,18 @@ __all__ = [
     "rho_expansion_ratio",
     "scaling_identity_check",
 ]
+
+
+def require_alpha(alpha: float, strict: bool = False) -> float:
+    """The exponent's domain rule, checked here for the whole package.
+
+    The map itself needs alpha finite and >= 1/2; the curve, Hopf, tip and
+    smoothness formulas degenerate at alpha = 1/2 and need alpha > 1/2
+    (strict).  Returns alpha as a float; DomainError otherwise.
+    """
+    if not (math.isfinite(alpha) and (alpha > 0.5 if strict else alpha >= 0.5)):
+        raise DomainError(f"alpha must be finite and {'>' if strict else '>='} 1/2, got {alpha!r}")
+    return float(alpha)
 
 
 @dataclass(frozen=True)
@@ -46,11 +59,9 @@ class MapParams:
     c: complex = 0j
 
     def __post_init__(self):
-        if not (self.alpha >= 0.5 and math.isfinite(self.alpha)):
-            raise DomainError(f"alpha must be finite and >= 1/2, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", require_alpha(self.alpha))
         if not cmath.isfinite(self.c):
             raise DomainError(f"c must be finite, got {self.c!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "c", complex(self.c))
 
 
@@ -206,9 +217,7 @@ def tip_parameter(alpha: float) -> float:
 
     Saturates to -infinity where the power overflows (alpha just above 1/2).
     """
-    if not alpha > 0.5:
-        raise DomainError("tip parameter requires alpha > 1/2")
-    return -_radius_floor(alpha)
+    return -_radius_floor(require_alpha(alpha, strict=True))
 
 
 def rho_expansion_ratio(alpha: float, z: complex) -> float:
@@ -225,8 +234,7 @@ def rho_expansion_ratio(alpha: float, z: complex) -> float:
     the scaled point is 0 and the formula degenerates to the constant 2, its
     limit as alpha decreases to 1/2.
     """
-    if not alpha >= 0.5:
-        raise DomainError(f"alpha must be >= 1/2, got {alpha!r}")
+    alpha = require_alpha(alpha)
     factor = (alpha + 1.0 - abs(alpha - 1.0)) * 2.0 ** ((1.0 - alpha) / alpha)
     w = z / _radius_floor(alpha)
     if abs(w - 1.0) < 1e-12 or abs(w + 1.0) < 1e-12:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import BranchDegenerate, DomainError, NoConvergence
 from .fixed_points import NEWTON_BOUND, Polyline, classify_eigenvalues
-from .maps import BRANCH_POINT_DERIVATIVE, IDENTITY, MapParams, WirtingerPair, apply_map, jacobian
+from .maps import BRANCH_POINT_DERIVATIVE, IDENTITY, MapParams, WirtingerPair, apply_map, jacobian, require_alpha
 from .render import escape_radius
 
 __all__ = [
@@ -163,6 +163,4 @@ def pullback_leaf(p: MapParams, leaf: Polyline, branch_word: list[int]) -> Polyl
 
 def smoothness_exponent(alpha: float) -> SmoothnessExponent:
     """m = ln(2a)/ln 2; equals 1 at alpha = 1 and 2 at alpha = 2."""
-    if not alpha > 0.5:
-        raise DomainError("exponent defined for alpha > 1/2")
-    return SmoothnessExponent(math.log(2.0 * alpha) / math.log(2.0))
+    return SmoothnessExponent(math.log(2.0 * require_alpha(alpha, strict=True)) / math.log(2.0))

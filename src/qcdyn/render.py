@@ -253,6 +253,13 @@ def _classify_block(
     )
 
 
+def _check_run(max_iter: int, mode: str) -> None:
+    if max_iter < 1:
+        raise DomainError("max_iter must be >= 1")
+    if mode not in (ESCAPE_ONLY, ATTRACTOR_DETECT):
+        raise DomainError(f"unknown mode {mode!r}")
+
+
 def classify_point(
     p: MapParams, z0: complex, max_iter: int, mode: str = ESCAPE_ONLY
 ) -> CellResult:
@@ -265,10 +272,7 @@ def classify_point(
     q <= 100 for which the last CYCLE_RUNS aligned window pairs agree within
     TOL_CYCLE.  Everything else is BOUNDED.
     """
-    if max_iter < 1:
-        raise DomainError("max_iter must be >= 1")
-    if mode not in (ESCAPE_ONLY, ATTRACTOR_DETECT):
-        raise DomainError(f"unknown mode {mode!r}")
+    _check_run(max_iter, mode)
     status, value, finalmod = _classify_block(
         p.alpha, p.c, np.array([z0], dtype=np.complex128), max_iter, mode
     )
@@ -296,14 +300,10 @@ def _render(
     mode: str,
     threads: int | None,
 ) -> Raster:
-    if max_iter < 1:
-        raise DomainError("max_iter must be >= 1")
-    if mode not in (ESCAPE_ONLY, ATTRACTOR_DETECT):
-        raise DomainError(f"unknown mode {mode!r}")
+    _check_run(max_iter, mode)
     status = np.empty((grid.ny, grid.nx), dtype=np.int8)
     value = np.empty((grid.ny, grid.nx), dtype=np.int32)
     finalmod = np.empty((grid.ny, grid.nx), dtype=np.float64)
-    samples = grid.samples()
 
     block_rows = max(1, (8192 if mode == ATTRACTOR_DETECT else 65536) // grid.nx)
     blocks = [(j, min(j + block_rows, grid.ny)) for j in range(0, grid.ny, block_rows)]
@@ -311,7 +311,7 @@ def _render(
     def run(block):
         j0, j1 = block
         cblk = c[j0:j1] if isinstance(c, np.ndarray) else c
-        zblk = z0[j0:j1] if isinstance(z0, np.ndarray) else np.broadcast_to(z0, samples[j0:j1].shape)
+        zblk = z0[j0:j1] if isinstance(z0, np.ndarray) else np.broadcast_to(z0, cblk.shape)
         s, v, fm = _classify_block(alpha, cblk, zblk, max_iter, mode)
         status[j0:j1] = s
         value[j0:j1] = v

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcdyn
 from qcdyn.cli import main
 
 
@@ -288,33 +290,84 @@ def _flag(z: complex) -> str:
 _alphas = st.one_of(st.floats(0.5, 0.501), st.floats(0.5, 6.0))
 _cs = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)).filter(lambda c: abs(c) <= 1e3)
 
+_CSV_HEADERS = {
+    "julia": ["i", "j", "re", "im", "status", "value"],
+    "locus": ["i", "j", "re", "im", "status", "value"],
+    "fixed-points": ["re", "im", "class", "eig1_re", "eig1_im", "eig2_re", "eig2_im", "det", "trace"],
+    "curves": ["curve", "kind", "index", "re", "im"],
+    "orbit": ["index", "re", "im"],
+    "leaf": ["index", "re", "im"],
+}
+_CSV_LABELS = {
+    "bounded", "escaped", "attracted",  # raster cell status
+    "attracting", "repelling", "saddle", "neutral",  # fixed-point class
+    "delta", "gamma+", "gamma-", "source", "image", "cusp",  # curve rows
+}
+
 
 @st.composite
 def _argvs(draw):
-    """A small fixed-points, hopf, orbit or curves run; "OUT" marks the output path."""
-    cmd = draw(st.sampled_from(["fixed-points", "hopf", "orbit", "curves"]))
+    """A small run of any subcommand; "OUT" marks the output path."""
+    cmd = draw(st.sampled_from(["julia", "locus", "fixed-points", "hopf", "orbit", "curves", "leaf"]))
     argv = [cmd, "--alpha", repr(draw(_alphas))]
     if cmd == "hopf":
         return argv + ["--theta", repr(draw(st.floats(0.0, 2.0 * math.pi)))]
     if cmd == "curves":
         which = draw(st.sampled_from(["delta", "gamma+", "gamma-", "all"]))
-        return argv + ["--which", which, "--n", str(draw(st.integers(16, 48))), "-o", "OUT"]
-    argv.append("--c" + _flag(draw(_cs)))
+        argv += ["--which", which, "--n", str(draw(st.integers(16, 48)))]
+        if draw(st.booleans()):  # the probe, with counts and seeds down to negative values
+            argv += [f"--probe={draw(st.integers(-3, 200))}", f"--seed={draw(st.integers(-3, 99))}"]
+        return argv + ["-o", "OUT"]
+    if cmd != "locus":
+        argv.append("--c" + _flag(draw(_cs)))
+    if cmd in ("julia", "locus"):
+        argv += ["--center" + _flag(draw(_cs)), "--width", repr(draw(st.floats(1e-3, 10.0))),
+                 "--nx", str(draw(st.integers(1, 8))), "--ny", str(draw(st.integers(1, 8))),
+                 "--max-iter", str(draw(st.integers(1, 50))),
+                 "--mode", draw(st.sampled_from(["escape", "attractor"])),
+                 "--format", draw(st.sampled_from(["pgm", "csv"]))]
     if cmd == "orbit":
         if draw(st.booleans()):
             argv += ["--critical", str(draw(st.integers(1, 40)))]
         else:
             seed = draw(st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
             argv += ["--periodic", str(draw(st.integers(1, 4))), "--seed-point" + _flag(seed)]
+    if cmd == "leaf":
+        bits = draw(st.text("01", max_size=4))
+        argv += ["--radius", repr(draw(st.floats(1e-3, 1e3))), "--points", str(draw(st.integers(2, 64))),
+                 "--word", ",".join(bits) if draw(st.booleans()) else bits]
     return argv + ["-o", "OUT"]
 
 
+def _finite_or_label(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return cell in _CSV_LABELS
+
+
+def _assert_well_formed(argv, path: Path) -> None:
+    """A PGM has its P5 header and nx*ny bytes; a CSV has its header and
+    only finite numbers besides the label columns."""
+    if "--format" in argv and argv[argv.index("--format") + 1] == "pgm":
+        nx, ny = int(argv[argv.index("--nx") + 1]), int(argv[argv.index("--ny") + 1])
+        header = f"P5\n{nx} {ny}\n255\n".encode()
+        raw = path.read_bytes()
+        assert raw[: len(header)] == header and len(raw) == len(header) + nx * ny
+        return
+    rows = list(csv.reader(path.open(newline="")))
+    assert rows[0] == _CSV_HEADERS[argv[0]]
+    for row in rows[1:]:
+        assert len(row) == len(rows[0]) and all(map(_finite_or_label, row)), row
+
+
 @given(_argvs())
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 def test_cli_never_shows_a_traceback(argv):
     # alpha down to 1/2 (where 2^{1/(2a-1)} overflows and the delta radius
-    # underflows), any |c| <= 1e3: the run succeeds, fails with a one-line
-    # message (1) or rejects its arguments (2), and never raises
+    # underflows), any |c| <= 1e3: the run succeeds with a well-formed file,
+    # fails with a one-line message (1) or rejects its arguments (2), and
+    # never raises
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
         argv = [str(out) if a == "OUT" else a for a in argv]
@@ -329,7 +382,7 @@ def test_cli_never_shows_a_traceback(argv):
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         if code == 0 and "-o" in argv:
-            assert out.exists()
+            _assert_well_formed(argv, out)
 
 
 class TestUsageErrors:
@@ -352,6 +405,7 @@ class TestUsageErrors:
             ["julia", "--alpha", "1", "--c", "0", "--width", "3", "--height", "nan"],
             ["julia", "--alpha", "inf", "--c", "0", "--width", "3"],
             ["locus", "--alpha", "1", "--center=nan", "--width", "3"],
+            ["fixed-points", "--alpha", "inf", "--c", "0"],
         ],
     )
     def test_non_finite_numbers(self, tmp_path, capsys, flags):
@@ -360,6 +414,39 @@ class TestUsageErrors:
             main(flags + ["-o", str(out)])
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,needle",
+        [
+            (["curves", "--alpha", "0.8", "--n", "32", "--probe=-5"], "--probe"),
+            (["curves", "--alpha", "0.8", "--n", "32", "--probe", "10", "--seed=-1"], "--seed"),
+            (["curves", "--alpha", "0.8", "--n", "8"], "--n"),
+            (["curves", "--alpha", "0.5"], "alpha must be finite and > 1/2"),
+            (["fixed-points", "--alpha", "0.5", "--c", "0"], "alpha must be finite and > 1/2"),
+            (["orbit", "--alpha", "0.4", "--c", "0", "--critical", "3"], "alpha must be finite and >= 1/2"),
+            (["julia", "--alpha", "1", "--c", "0", "--width", "0"], "--width"),
+            (["julia", "--alpha", "1", "--c", "0", "--width", "3", "--height=-1"], "--height"),
+            (["julia", "--alpha", "1", "--c", "0", "--width", "3", "--nx", "0"], "--nx"),
+            (["locus", "--alpha", "1", "--width", "3", "--ny", "2.5"], "--ny"),
+            (["locus", "--alpha", "1", "--width", "3", "--max-iter", "0"], "--max-iter"),
+            (["hopf", "--alpha", "0.75,0.5", "--theta", "2"], "--alpha"),
+            (["hopf", "--alpha", ",", "--theta", "2"], "--alpha"),
+            (["hopf", "--alpha", "0.75", "--theta-grid", "0"], "--theta-grid"),
+            (["orbit", "--alpha", "1", "--c", "0", "--critical", "0"], "--critical"),
+            (["orbit", "--alpha", "1", "--c", "0", "--periodic", "0"], "--periodic"),
+            (["leaf", "--alpha", "1", "--c", "0", "--radius", "0", "--word", "0"], "--radius"),
+            (["leaf", "--alpha", "1", "--c", "0", "--radius", "1", "--points", "1", "--word", "0"], "--points"),
+            (["leaf", "--alpha", "1", "--c", "0", "--radius", "1", "--word", "012"], "--word"),
+        ],
+    )
+    def test_flag_types(self, tmp_path, capsys, flags, needle):
+        # each flag's type rejects the value before anything runs
+        out = tmp_path / "x.out"
+        with pytest.raises(SystemExit) as exc:
+            main(flags + ["-o", str(out)])
+        assert exc.value.code == 2
+        assert needle in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_output(self, tmp_path, capsys):
@@ -372,10 +459,15 @@ class TestUsageErrors:
         assert err.count("\n") == 1
 
     def test_entry_point_runs(self):
+        # the child imports qcdyn from where this process found it, with or
+        # without PYTHONPATH set (pytest's own pythonpath setting is not inherited)
+        src = str(Path(qcdyn.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "qcdyn.cli", "hopf", "--alpha", "1.5", "--theta", "2.0"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "hopf=" in proc.stdout

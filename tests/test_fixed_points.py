@@ -252,6 +252,14 @@ class TestInjectivity:
     def test_deterministic_in_seed(self):
         assert injectivity_probe(1.3, 500, 7) == injectivity_probe(1.3, 500, 7)
 
+    @pytest.mark.parametrize("n_pairs,rng_seed", [(-5, 42), (10, -1)])
+    def test_negative_count_or_seed_rejected(self, n_pairs, rng_seed):
+        with pytest.raises(DomainError, match=">= 0"):
+            injectivity_probe(0.8, n_pairs, rng_seed)
+
+    def test_zero_pairs_pass(self):
+        assert injectivity_probe(0.8, 0, 0)
+
 
 def _fold_c(alpha: float) -> complex:
     """A parameter 4% outside the fold curve p(gamma+), off the real axis."""

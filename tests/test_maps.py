@@ -8,7 +8,18 @@ from hypothesis import strategies as st
 
 from oracles import fd_jacobian
 from qcdyn.errors import DomainError, NoConvergence
-from qcdyn.fixed_points import find_fixed_points
+from qcdyn.fixed_points import (
+    DELTA,
+    GAMMA_PLUS,
+    delta_circle,
+    find_fixed_points,
+    gamma_minus,
+    gamma_plus,
+    injectivity_probe,
+    trace_curve,
+    trace_curve_image,
+)
+from qcdyn.jets import hopf_number
 from qcdyn.maps import (
     MapParams,
     WirtingerPair,
@@ -17,12 +28,13 @@ from qcdyn.maps import (
     jacobian,
     lambda_min,
     q_alpha,
+    require_alpha,
     rho_expansion_ratio,
     scaling_identity_check,
     tip_parameter,
     wirtinger,
 )
-from qcdyn.orbits import find_periodic_orbit
+from qcdyn.orbits import find_periodic_orbit, smoothness_exponent
 from qcdyn.render import classify_point
 
 RNG = np.random.default_rng(20240811)
@@ -63,6 +75,39 @@ def test_non_finite_parameters_rejected(entry, alpha, c):
     # MapParams refuses them, so no entry point can classify or solve with them
     with pytest.raises(DomainError):
         ENTRY_POINTS[entry](MapParams(alpha, c))
+
+
+ALPHA_FORMULAS = {
+    "tip_parameter": tip_parameter,
+    "smoothness_exponent": smoothness_exponent,
+    "rho_expansion_ratio": lambda a: rho_expansion_ratio(a, 0.1),
+    "delta_circle": delta_circle,
+    "gamma_plus": lambda a: gamma_plus(a, 0.1),
+    "gamma_minus": lambda a: gamma_minus(a, 3.0),
+    "trace_curve": lambda a: trace_curve(a, DELTA, 32),
+    "trace_curve_image": lambda a: trace_curve_image(a, GAMMA_PLUS, 32),
+    "injectivity_probe": lambda a: injectivity_probe(a, 10, 1),
+    "hopf_number": lambda a: hopf_number(a, 2.0),
+}
+
+
+@pytest.mark.parametrize("formula", sorted(ALPHA_FORMULAS))
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_non_finite_alpha_rejected(formula, alpha):
+    # each formula goes through maps.require_alpha, so none returns a value for these
+    with pytest.raises(DomainError, match="finite"):
+        ALPHA_FORMULAS[formula](alpha)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_require_alpha_bounds(strict):
+    assert require_alpha(1, strict) == 1.0 and type(require_alpha(1, strict)) is float
+    assert require_alpha(0.5000001, strict) == 0.5000001
+    for bad in (0.4999999, -math.inf, math.inf, math.nan) + ((0.5,) if strict else ()):
+        with pytest.raises(DomainError):
+            require_alpha(bad, strict)
+    if not strict:
+        assert require_alpha(0.5) == 0.5
 
 
 class TestApplyMap:
