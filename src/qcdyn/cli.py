@@ -163,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     sp.add_argument("--n", type=_count(fp.MIN_SAMPLES), default=512, help="samples per curve")
-    sp.add_argument("--cusps", action="store_true", help="append cusp rows for gamma+")
+    sp.add_argument("--cusps", action="store_true",
+                    help="append the three gamma+ cusp rows (closed form, independent of --n)")
     sp.add_argument("--probe", type=_count(0), default=0, metavar="PAIRS",
                     help="also run the injectivity probe with this many pairs")
     sp.add_argument("--seed", type=_count(0), default=42, help="probe RNG seed")

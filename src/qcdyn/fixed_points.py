@@ -137,8 +137,13 @@ def gamma_plus(alpha: float, theta: float) -> list[float]:
 def _gamma_plus_radius(alpha: float, ct: float, branch: int) -> tuple[float, float]:
     """For ct = cos(theta) > 0: the discriminant d = (a+1)^2 ct^2 - 4a of
     4a u^2 - 2(a+1) u ct + 1 = 0 and the radius r = u^{1/(2a-1)} at its larger
-    (branch 1) or smaller (branch 0) root u, solved with d clamped at 0."""
-    disc = (alpha + 1.0) ** 2 * ct * ct - 4.0 * alpha
+    (branch 1) or smaller (branch 0) root u, solved with d clamped at 0;
+    DomainError where (a+1)^2 overflows (alpha above about 1.3e154)."""
+    try:
+        disc = (alpha + 1.0) ** 2 * ct * ct - 4.0 * alpha
+    except OverflowError:
+        msg = f"the gamma+ radius overflows: (a+1)^2 is out of range at alpha = {alpha!r}"
+        raise DomainError(msg) from None
     s = math.sqrt(max(0.0, disc))
     u = ((alpha + 1.0) * ct + (s if branch else -s)) / (4.0 * alpha)
     return disc, u ** (1.0 / (2.0 * alpha - 1.0))
@@ -355,63 +360,39 @@ def trace_curve_image(alpha: float, which: str, n: int) -> Polyline:
     )
 
 
-def detect_cusps(
-    alpha: float, n: int = 4096, which: str = GAMMA_PLUS
-) -> list[complex]:
-    """Cusps of the curve image under p: points where the pushed-forward
-    tangent reverses direction (the curve tangent falls in ker Dp).
+def detect_cusps(alpha: float, which: str = GAMMA_PLUS) -> list[complex]:
+    """Cusps of the curve image under p, in closed form, sorted by (re, im).
 
-    Returns the cusp locations in the c-plane.  gamma- yields an empty list
-    (its image is an immersed circle); gamma+ has three cusps for alpha != 1.
+    Write z = r e^{i theta} and u = r^{2a-1}.  In the frame (e^{i theta},
+    i e^{i theta}) Df acts as R(theta) diag(2au, 2u), so gamma+ is the curve
+    4a u^2 - 2(a+1) u cos(theta) + 1 = 0, and a cusp of p(gamma+) is a point
+    where its tangent lies in ker(I - Df).  Solving that condition gives the
+    real cusp at theta = 0, u = 1/2, where c = z/2 = 2^{-2a/(2a-1)}, and a
+    conjugate pair at u = (6a-2)^{-1/2}, cos(theta) = (5a-1) u/(a+1),
+    sin(theta) = |a-1| u sqrt(6a-3)/(a+1), where c = z (1 - u e^{i theta})
+    (p(z) without |z|^{2a-2}).  The three merge at c = 1/4 when a = 1, which
+    raises DomainError, as does alpha above about 3e307, where the formula
+    overflows.  gamma- yields an empty list: there Df has the eigenvalues -1
+    and -det = -4a u^2, never 1, so p immerses it.
     """
     require_alpha(alpha, strict=True)
     if alpha == 1.0:
         raise DomainError("cusp detection is degenerate at alpha = 1")
     if which == GAMMA_MINUS:
-        loop = lambda a, t: -_gamma_plus_loop(a, t)  # noqa: E731
-    elif which == GAMMA_PLUS:
-        loop = _gamma_plus_loop
-    else:
+        return []
+    if which != GAMMA_PLUS:
         raise DomainError(f"unknown curve {which!r}")
-
-    h0 = 0.25 / n
-    p0 = MapParams(alpha, 0)
-
-    def push(t: float, h: float) -> complex:
-        """Dp (tan) = tan - Df (tan) for the central-difference tangent at t."""
-        tan = loop(alpha, t + h) - loop(alpha, t - h)
-        df = jacobian(p0, loop(alpha, t))
-        return tan - (df.fz * tan + df.fzbar * tan.conjugate())
-
-    def dot(v: complex, w: complex) -> float:
-        return (v * w.conjugate()).real
-
-    # offset grid: the real cusp sits exactly at quarter parameters, where an
-    # aligned sample would land on the zero of v and leave both neighbouring
-    # dot products at noise level
-    ts = [(k + 0.5) / n for k in range(n)]
-    vs = [push(t, h0) for t in ts]
-    cusps: list[complex] = []
-    for k in range(n):
-        v0, v1 = vs[k], vs[(k + 1) % n]
-        if dot(v0, v1) >= 0.0:
-            continue
-        lo, hi = ts[k], ts[k] + 1.0 / n
-        vref = v0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            hm = max(1e-12, (hi - lo) * 0.01)
-            vm = push(mid, hm)
-            if dot(vm, vref) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t_star = 0.5 * (lo + hi)
-        c = param_for_fixed_point(alpha, loop(alpha, t_star))
-        if all(abs(c - other) > 1e-6 for other in cusps):
-            cusps.append(c)
-    cusps.sort(key=lambda w: (w.real, w.imag))
-    return cusps
+    d = 2.0 * alpha - 1.0  # exact near 1/2, where the power 1/d amplifies every error
+    real = 0.5 ** (1.0 / d) / 2.0
+    u = (1.0 + 3.0 * d) ** -0.5
+    cos_t = (5.0 * alpha - 1.0) * u / (alpha + 1.0)
+    sin_t = abs(alpha - 1.0) * u * math.sqrt(3.0 * d) / (alpha + 1.0)
+    r = math.exp(-math.log1p(3.0 * d) / (2.0 * d))  # u^{1/d}, without rounding u first
+    w = complex(cos_t, sin_t)
+    c = r * w * (1.0 - u * w)
+    if not cmath.isfinite(c):
+        raise DomainError(f"the cusp formula overflows at alpha = {alpha!r}")
+    return sorted([complex(real, 0.0), c, c.conjugate()], key=lambda v: (v.real, v.imag))
 
 
 def injectivity_probe(alpha: float, n_pairs: int, rng_seed: int) -> bool:
@@ -440,18 +421,24 @@ def injectivity_probe(alpha: float, n_pairs: int, rng_seed: int) -> bool:
     sep = np.abs(z1 - z2)
     good = sep > 1e-9  # discard near-coincident draws; they carry no information
     z1, z2 = z1[good], z2[good]
-    p1 = z1 - np.abs(z1) ** (2.0 * alpha - 2.0) * z1 * z1
-    p2 = z2 - np.abs(z2) ** (2.0 * alpha - 2.0) * z2 * z2
-    scale = np.maximum(1.0, np.maximum(_param_jacobian_norm(alpha, z1), _param_jacobian_norm(alpha, z2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p1 = z1 - np.abs(z1) ** (2.0 * alpha - 2.0) * z1 * z1
+        p2 = z2 - np.abs(z2) ** (2.0 * alpha - 2.0) * z2 * z2
+        scale = np.maximum(1.0, np.maximum(_param_jacobian_norm(alpha, z1), _param_jacobian_norm(alpha, z2)))
+    # an infinite image or scale would make every pair look like a collision
+    if not (np.isfinite(p1).all() and np.isfinite(p2).all() and np.isfinite(scale).all()):
+        raise DomainError(
+            f"the injectivity probe overflows: p or Dp is out of range on |z| <= 3 at alpha = {alpha!r}"
+        )
     return not np.any(np.abs(p1 - p2) <= 1e-12 * scale)
 
 
 def _param_jacobian_norm(alpha: float, z: np.ndarray) -> np.ndarray:
     """Frobenius norm of param_jacobian at each z: I - Df is v -> (1 - f_z) v - f_zbar conj(v),
-    whose real matrix has norm sqrt(2 (|1 - f_z|^2 + |f_zbar|^2))."""
+    whose real matrix has norm sqrt(2) hypot(|1 - f_z|, |f_zbar|) (no squares to overflow)."""
     mod = np.abs(z)
     s = mod ** (2.0 * alpha - 1.0)
     u = z / mod
     one_minus_fz = 1.0 - (alpha + 1.0) * s * u
     fzbar_mod = abs(alpha - 1.0) * s
-    return np.sqrt(2.0 * (np.abs(one_minus_fz) ** 2 + fzbar_mod**2))
+    return math.sqrt(2.0) * np.hypot(np.abs(one_minus_fz), fzbar_mod)

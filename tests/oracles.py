@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it verifies: derivatives
 come from finite differences of the plain map evaluation, Taylor coefficients
 from circle sampling and Fourier separation, and fixed-point censuses from an
 exhaustive residual grid scan polished by a Newton iteration of its own that
-solves with the real 2x2 Jacobian matrix.  The census's lane-parallel Newton
+solves with the real 2x2 Jacobian matrix, and cusps from a sign-change sweep
+of the pushed-forward tangent with bisection.  The census's lane-parallel Newton
 is checked bit for bit against the scalar per-seed loop it replaced, kept
 here over the scalar apply_map, jacobian and WirtingerPair.newton_step.
 """
@@ -17,9 +18,19 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from qcdyn.errors import NoConvergence
-from qcdyn.fixed_points import _DEDUP, _NEWTON_STEPS, _NEWTON_TOL, NEWTON_BOUND, _record
-from qcdyn.maps import BRANCH_POINT_DERIVATIVE, MapParams, _radius_floor, apply_map, jacobian
+from qcdyn.errors import DomainError, NoConvergence
+from qcdyn.fixed_points import (
+    _DEDUP,
+    _NEWTON_STEPS,
+    _NEWTON_TOL,
+    GAMMA_MINUS,
+    GAMMA_PLUS,
+    NEWTON_BOUND,
+    _gamma_plus_loop,
+    _record,
+    param_for_fixed_point,
+)
+from qcdyn.maps import BRANCH_POINT_DERIVATIVE, MapParams, _radius_floor, apply_map, jacobian, require_alpha
 
 
 def fd_jacobian(p: MapParams, z: complex, h: float | None = None) -> np.ndarray:
@@ -252,6 +263,65 @@ def count_self_intersections(points) -> int:
             if _segments_cross(*edges[i], *edges[j]):
                 count += 1
     return count
+
+
+def detect_cusps_sweep(
+    alpha: float, n: int = 4096, which: str = GAMMA_PLUS
+) -> list[complex]:
+    """Cusps of the curve image under p: points where the pushed-forward
+    tangent reverses direction (the curve tangent falls in ker Dp).
+
+    Returns the cusp locations in the c-plane.  gamma- yields an empty list
+    (its image is an immersed circle); gamma+ has three cusps for alpha != 1.
+    """
+    require_alpha(alpha, strict=True)
+    if alpha == 1.0:
+        raise DomainError("cusp detection is degenerate at alpha = 1")
+    if which == GAMMA_MINUS:
+        loop = lambda a, t: -_gamma_plus_loop(a, t)  # noqa: E731
+    elif which == GAMMA_PLUS:
+        loop = _gamma_plus_loop
+    else:
+        raise DomainError(f"unknown curve {which!r}")
+
+    h0 = 0.25 / n
+    p0 = MapParams(alpha, 0)
+
+    def push(t: float, h: float) -> complex:
+        """Dp (tan) = tan - Df (tan) for the central-difference tangent at t."""
+        tan = loop(alpha, t + h) - loop(alpha, t - h)
+        df = jacobian(p0, loop(alpha, t))
+        return tan - (df.fz * tan + df.fzbar * tan.conjugate())
+
+    def dot(v: complex, w: complex) -> float:
+        return (v * w.conjugate()).real
+
+    # offset grid: the real cusp sits exactly at quarter parameters, where an
+    # aligned sample would land on the zero of v and leave both neighbouring
+    # dot products at noise level
+    ts = [(k + 0.5) / n for k in range(n)]
+    vs = [push(t, h0) for t in ts]
+    cusps: list[complex] = []
+    for k in range(n):
+        v0, v1 = vs[k], vs[(k + 1) % n]
+        if dot(v0, v1) >= 0.0:
+            continue
+        lo, hi = ts[k], ts[k] + 1.0 / n
+        vref = v0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            hm = max(1e-12, (hi - lo) * 0.01)
+            vm = push(mid, hm)
+            if dot(vm, vref) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        t_star = 0.5 * (lo + hi)
+        c = param_for_fixed_point(alpha, loop(alpha, t_star))
+        if all(abs(c - other) > 1e-6 for other in cusps):
+            cusps.append(c)
+    cusps.sort(key=lambda w: (w.real, w.imag))
+    return cusps
 
 
 def classify_reference(p: MapParams, z0: complex, max_iter: int, mode: str):

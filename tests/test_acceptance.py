@@ -199,7 +199,7 @@ def test_criterion_4_curve_geometry():
         if minus != tuple(-z for z in plus):
             failures.append(("negation", alpha))
     for alpha in (0.8, 2.0):
-        cusps = detect_cusps(alpha, 2048)
+        cusps = detect_cusps(alpha)
         real = [c for c in cusps if abs(c.imag) < 1e-9]
         if len(cusps) != 3 or len(real) != 1:
             failures.append(("cusps", alpha, cusps))

@@ -131,6 +131,32 @@ class TestCurvesCommand:
         assert sum(r["kind"] == "cusp" for r in rows) == 3
         assert "passed" in capsys.readouterr().out
 
+    def test_cusps_next_to_one(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run_cli(["curves", "--alpha", "0.999", "--n", "16", "--cusps", "-o", str(out)]) == 0
+        cusps = [r for r in csv.DictReader(out.open()) if r["kind"] == "cusp"]
+        assert len(cusps) == 3 and [float(r["im"]) for r in cusps].count(0.0) == 1
+
+    def test_probe_at_large_alpha(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["curves", "--alpha", "170", "--which", "delta", "--n", "16",
+                            "--probe", "1000", "-o", str(out)]) == 0
+            assert "passed" in capsys.readouterr().out
+            code = run_cli(["curves", "--alpha", "1e200", "--which", "delta", "--n", "16",
+                            "--probe", "1000", "-o", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "FAILED" not in captured.out
+        assert "overflows" in captured.err and len(captured.err.splitlines()) == 1
+
+    def test_gamma_plus_overflow_is_named(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert run_cli(["curves", "--alpha", "1e200", "--n", "16", "--cusps", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "(a+1)^2" in err and len(err.splitlines()) == 1
+
     def test_single_curve(self, tmp_path):
         out = tmp_path / "d.csv"
         code = run_cli(["curves", "--alpha", "2", "--which", "delta", "--n", "32", "-o", str(out)])
@@ -253,7 +279,7 @@ class TestTableBytes:
             (["curves", "--alpha", "0.8", "--n", "16"],
              "82efb6593f3587a31aa68921c8065c1609bc818c3f6930fda768bc1e4a8db98c"),
             (["curves", "--alpha", "0.8", "--n", "64", "--cusps"],
-             "6aaa35676ae6d603fcae4f1c64f8141d23dc41208c263372110e7e35211e758a"),
+             "935191e422142a0e8971eb7af29f3afda10369a35df9c805212ab18f7e8edac2"),
             (["hopf", "--alpha", "0.75,1.5", "--theta-grid", "8"],
              "04ce4a32aa9896da81c7366071991af44b0a42490866b1740d900b7995948868"),
         ],
@@ -313,8 +339,12 @@ def _argvs(draw):
     if cmd == "hopf":
         return argv + ["--theta", repr(draw(st.floats(0.0, 2.0 * math.pi)))]
     if cmd == "curves":
+        if draw(st.booleans()):  # exponents far above 6, where powers and (a+1)^2 overflow
+            argv[2] = repr(draw(st.floats(6.0, 1e300)))
         which = draw(st.sampled_from(["delta", "gamma+", "gamma-", "all"]))
         argv += ["--which", which, "--n", str(draw(st.integers(16, 48)))]
+        if draw(st.booleans()):
+            argv.append("--cusps")
         if draw(st.booleans()):  # the probe, with counts and seeds down to negative values
             argv += [f"--probe={draw(st.integers(-3, 200))}", f"--seed={draw(st.integers(-3, 99))}"]
         return argv + ["-o", "OUT"]

@@ -12,6 +12,7 @@ from oracles import (
     brute_force_fixed_points,
     census_signature,
     count_self_intersections,
+    detect_cusps_sweep,
     label_minimum_positions,
     residual_grid,
     scalar_census,
@@ -226,7 +227,7 @@ class TestCurveImages:
 class TestCusps:
     @pytest.mark.parametrize("alpha", [0.8, 2.0])
     def test_three_cusps_one_real(self, alpha):
-        cusps = detect_cusps(alpha, 2048)
+        cusps = detect_cusps(alpha)
         assert len(cusps) == 3
         real = [c for c in cusps if abs(c.imag) < 1e-9]
         assert len(real) == 1
@@ -235,13 +236,65 @@ class TestCusps:
         pair = sorted((c for c in cusps if abs(c.imag) >= 1e-9), key=lambda w: w.imag)
         assert pair[0] == pytest.approx(pair[1].conjugate(), abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "alpha", [0.51, 0.55, 0.6, 0.75, 0.8, 0.95, 1.05, 1.5, 2.0, 3.0, 6.0, 20.0, 100.0]
+    )
+    def test_matches_sweep(self, alpha):
+        got, ref = detect_cusps(alpha), detect_cusps_sweep(alpha)
+        assert len(ref) == 3
+        assert max(min(abs(c - s) for s in ref) for c in got) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.999, 1.001])
+    def test_three_cusps_next_to_one(self, alpha):
+        # detect_cusps_sweep finds only one of the three here
+        cusps = detect_cusps(alpha)
+        assert len(cusps) == 3 and [c.imag == 0.0 for c in cusps].count(True) == 1
+
+    @given(st.floats(0.5, 1e3, exclude_min=True).filter(lambda a: abs(a - 1.0) >= 1e-3))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_source_points_are_cusps(self, alpha):
+        cusps = detect_cusps(alpha)
+        real = [c for c in cusps if c.imag == 0.0]
+        pair = [c for c in cusps if c.imag != 0.0]
+        assert len(cusps) == 3 and len(real) == 1 and pair[0] == pair[1].conjugate()
+        p0 = MapParams(alpha, 0)
+        for z, images in zip(_cusp_sources(alpha), (real, pair)):
+            if z == 0:  # 2^{-1/(2a-1)} underflows as a -> 1/2
+                continue
+            jac = jacobian(p0, z)
+            assert abs(1 - jac.trace + jac.det) < 1e-9
+            t = _gamma_plus_tangent(alpha, z)
+            assert abs(t - (jac.fz * t + jac.fzbar * t.conjugate())) < 1e-9 * abs(t)
+            assert min(abs(param_for_fixed_point(alpha, z) - c) for c in images) < 1e-12
+
     def test_gamma_minus_has_no_cusps(self):
-        assert detect_cusps(0.8, 1024, GAMMA_MINUS) == []
-        assert detect_cusps(2.0, 1024, GAMMA_MINUS) == []
+        assert detect_cusps(0.8, GAMMA_MINUS) == []
+        assert detect_cusps(2.0, GAMMA_MINUS) == []
 
     def test_conformal_case_rejected(self):
         with pytest.raises(DomainError):
             detect_cusps(1.0)
+
+
+def _cusp_sources(alpha: float) -> list[complex]:
+    """The derivation's source points: the real one (u = 1/2) and the one of
+    the pair with theta > 0 (u = (6a-2)^{-1/2}); r = u^{1/(2a-1)} goes
+    through log1p, which stays accurate as a -> 1/2."""
+    d = 2 * alpha - 1
+    u = (1 + 3 * d) ** -0.5
+    r = math.exp(-math.log1p(3 * d) / (2 * d))
+    w = complex((5 * alpha - 1) * u, abs(alpha - 1) * u * math.sqrt(3 * d)) / (alpha + 1)
+    return [0.5 ** (1 / d), r * w]
+
+
+def _gamma_plus_tangent(alpha: float, z: complex) -> complex:
+    """Tangent of gamma+ at z: the level set G = 4a u^2 - 2(a+1) u cos(theta) + 1
+    of u = r^{2a-1} and theta moves along (dG/dtheta, -dG/du) in (u, theta)."""
+    r, theta = abs(z), cmath.phase(z)
+    u = r ** (2 * alpha - 1)
+    g_u = 8 * alpha * u - 2 * (alpha + 1) * math.cos(theta)
+    g_theta = 2 * (alpha + 1) * u * math.sin(theta)
+    return cmath.exp(1j * theta) * complex(g_theta * r / ((2 * alpha - 1) * u), -r * g_u)
 
 
 class TestInjectivity:
