@@ -267,7 +267,9 @@ def _cmd_curves(args) -> int:
             cusps = fp.detect_cusps(args.alpha)
             yield from ((fp.GAMMA_PLUS, "cusp", idx, z.real, z.imag) for idx, z in enumerate(cusps))
 
-    render.write_csv(args.output, ("curve", "kind", "index", "re", "im"), rows())
+    # every row is built before the file opens, so a DomainError partway
+    # through leaves no truncated table behind
+    render.write_csv(args.output, ("curve", "kind", "index", "re", "im"), list(rows()))
     if args.probe:
         verdict = fp.injectivity_probe(args.alpha, args.probe, args.seed)
         print(f"injectivity probe ({args.probe} pairs, seed {args.seed}): "

@@ -95,11 +95,16 @@ def param_for_fixed_point(alpha: float, z: complex) -> complex:
     """The parameter c = p(z) for which z is fixed; p(0) = 0 by continuity."""
     if z == 0:
         return 0j
-    try:
-        return z - abs(z) ** (2.0 * alpha - 2.0) * (z * z)
-    except OverflowError:  # |z|^{2a-2} overflows for tiny |z|; (|z|^{a-1} z)^2 does not
-        u = abs(z) ** (alpha - 1.0) * z
-        return z - u * u
+    zz = z * z
+    if zz != 0:
+        try:
+            return z - abs(z) ** (2.0 * alpha - 2.0) * zz
+        except OverflowError:
+            pass
+    # for tiny |z|, z*z underflows to 0 or |z|^{2a-2} overflows; (|z|^{a-1} z)^2
+    # has modulus |z|^{2a}, which underflows only where it is negligible beside z
+    u = abs(z) ** (alpha - 1.0) * z
+    return z - u * u
 
 
 def param_jacobian(alpha: float, z: complex) -> np.ndarray:

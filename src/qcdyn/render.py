@@ -6,6 +6,12 @@ classified independently by the same kernel, so renders are deterministic:
 identical inputs give bit-identical rasters regardless of chunking or the
 thread count (workers only split the grid into fixed row blocks).
 
+Inside a block the kernel iterates all live lanes at once.  A lane that
+escapes is recorded, parked (its z set to NaN) and dropped from the arrays
+in batches rather than on every step; the attractor window holds one
+contiguous row per step.  None of this changes a live lane's arithmetic, so
+a cell's result is the same in any block and at any thread count.
+
 The kernel is vectorised with numpy and is not bit-identical to iterating
 maps.apply_map in plain Python: numpy's SIMD routines for np.abs, the power
 |z|^(a-1) and the complex product round differently from the C library, so
@@ -159,6 +165,15 @@ def _classify_block(
     Returns (status, value, final_modulus) arrays of z0's shape.  Every lane
     goes through the same numpy operations in the same order, so a cell's
     result does not depend on the block it sits in.
+
+    An escaped lane is parked: its z becomes NaN, which never exceeds the
+    radius, raises no floating-point warning and so is never recorded again,
+    and a gone mask marks it.  Parked lanes are compacted away once they
+    have wasted one full step's worth of lane-steps, at the warm-up step
+    (so the cycle window is allocated for live lanes only) and before the
+    final moduli are read.  The cycle window is stored (CYCLE_WINDOW, lanes)
+    so each step writes one contiguous row, and the period search drops each
+    lane once its smallest period is found.
     """
     z0 = np.asarray(z0, dtype=np.complex128)
     n_pts = z0.size
@@ -186,6 +201,8 @@ def _classify_block(
     mod = np.empty(n_pts)
     flag = np.empty(n_pts, dtype=bool)
     u = np.empty(n_pts, dtype=np.complex128)
+    gone = np.zeros(n_pts, dtype=bool)
+    parked = waste = 0
 
     n = 0
     while True:
@@ -199,19 +216,29 @@ def _classify_block(
             # past the escape budget the point merely leaves the disk; it
             # stays BOUNDED but is dropped from further iteration
             finalmod[hit] = mod[esc]
-            keep = ~esc
+            # NaN never exceeds the radius, so a parked lane is never recorded
+            # again.  Parked lanes are told apart by gone, not by isnan: at
+            # alpha = 1/2 a live lane can overflow to NaN
+            z[esc] = np.nan
+            gone |= esc
+            parked += hit.size
+        waste += parked
+        if parked and (parked == idx.size or waste >= idx.size or n == total or (detect and n == warmup)):
+            keep = ~gone
             idx, z, mod = idx[keep], z[keep], mod[keep]
-            flag, u = flag[: idx.size], u[: idx.size]
+            flag, u, gone = flag[: idx.size], u[: idx.size], gone[: idx.size]
+            gone[:] = False
+            parked = waste = 0
             if per_point:
                 carr, radius = carr[keep], radius[keep]
             if window is not None:
-                window = window[keep]
+                window = np.compress(keep, window, axis=1)
             if idx.size == 0:
                 break
         if detect and n == warmup:
-            window = np.empty((idx.size, CYCLE_WINDOW), dtype=np.complex128)
+            window = np.empty((CYCLE_WINDOW, idx.size), dtype=np.complex128)
         if detect and warmup <= n < warmup + CYCLE_WINDOW:
-            window[:, n - warmup] = z
+            window[n - warmup] = z
         if n == total:
             break
         # same evaluation order as apply_map: u = |z|^(a-1) z, f = u u + c.
@@ -233,15 +260,17 @@ def _classify_block(
     if idx.size:
         finalmod[idx] = mod
         if detect and window is not None:
+            # smallest period first; a lane leaves the search once it has one
             qfound = np.zeros(idx.size, dtype=np.int32)
+            pending = np.arange(idx.size)
             for q in range(1, MAX_PERIOD + 1):
                 m0 = CYCLE_WINDOW - q - CYCLE_RUNS
-                if m0 < 0:
+                if m0 < 0 or pending.size == 0:
                     break
-                delta = window[:, m0 + q : m0 + q + CYCLE_RUNS] - window[:, m0 : m0 + CYCLE_RUNS]
-                close = (np.abs(delta) < TOL_CYCLE).all(axis=1)
-                fresh = close & (qfound == 0)
-                qfound[fresh] = q
+                delta = window[m0 + q : m0 + q + CYCLE_RUNS, pending] - window[m0 : m0 + CYCLE_RUNS, pending]
+                close = (np.abs(delta) < TOL_CYCLE).all(axis=0)
+                qfound[pending[close]] = q
+                pending = pending[~close]
             att = qfound > 0
             status[idx[att]] = PointClass.ATTRACTED
             value[idx[att]] = qfound[att]

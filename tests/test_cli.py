@@ -157,6 +157,13 @@ class TestCurvesCommand:
         err = capsys.readouterr().err
         assert "(a+1)^2" in err and len(err.splitlines()) == 1
 
+    def test_failure_leaves_no_partial_file(self, tmp_path, capsys):
+        # the delta rows come before the gamma+ overflow; none may reach the disk
+        out = tmp_path / "x.csv"
+        assert run_cli(["curves", "--alpha", "1e200", "--n", "16", "-o", str(out)]) == 1
+        assert "(a+1)^2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_curve(self, tmp_path):
         out = tmp_path / "d.csv"
         code = run_cli(["curves", "--alpha", "2", "--which", "delta", "--n", "32", "-o", str(out)])

@@ -74,6 +74,15 @@ class TestParamMap:
             rhs = param_for_fixed_point(alpha, z).conjugate()
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
+    def test_where_z_squared_underflows(self):
+        # (2^-1000)^2 is 0 in floating point; p(z) = z - |z|^{2a-2} z^2 is
+        # z (1 - w) ~ z/2 on the real axis and z w + i z on the imaginary one,
+        # with w = |z|^{2a-1}
+        alpha, z = 0.5005, 2.0**-1000
+        w = 2.0 ** (-1000.0 * (2.0 * alpha - 1.0))
+        assert abs(param_for_fixed_point(alpha, z) - z * (1.0 - w)) < 1e-12 * z
+        assert abs(param_for_fixed_point(alpha, 1j * z) - complex(z * w, z)) < 1e-12 * z
+
 
 class TestCurves:
     def test_delta_radius_values(self):
@@ -206,6 +215,13 @@ class TestCurveImages:
     def test_minimum_sample_count(self):
         with pytest.raises(DomainError):
             trace_curve_image(0.8, DELTA, 8)
+
+    def test_gamma_plus_near_half_moves_every_point(self):
+        # half of this loop has |z| small enough that z*z underflows; p(z) != z
+        # there, since z is not fixed by f_{a,0}
+        src = trace_curve(0.5005, GAMMA_PLUS, 64).points
+        img = trace_curve_image(0.5005, GAMMA_PLUS, 64).points
+        assert not any(z == c for z, c in zip(src, img))
 
     def test_gamma_images_disjoint_by_sampling(self):
         # open question probed by sampling: the gamma+ and gamma- images

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,77 @@ class TestKernelIdentity:
             assert np.array_equal(got.status, want[0])
             assert np.array_equal(got.value, want[1])
             assert np.array_equal(got.final_modulus, want[2])
+
+
+class TestParkedLanes:
+    """Escaped lanes are parked (z set to NaN) and compacted away in batches.
+
+    Each case is compared with the verbatim first kernel at threads 1 and 2,
+    with warnings raised as errors.  Escape grids hold just over 65536 cells
+    and attractor grids just over 8192, so each render splits into two row
+    blocks.
+    """
+
+    @staticmethod
+    def _check(alpha, grid, max_iter, mode, c=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if c is None:
+                want = classify_block_reference(alpha, grid.samples(), np.zeros((grid.ny, grid.nx)), max_iter, mode)
+            else:
+                want = classify_block_reference(alpha, c, grid.samples(), max_iter, mode)
+            for threads in (1, 2):
+                if c is None:
+                    got = render_locus(alpha, grid, max_iter, mode, threads=threads)
+                else:
+                    got = render_julia(MapParams(alpha, c), grid, max_iter, mode, threads=threads)
+                assert np.array_equal(got.status, want[0])
+                assert np.array_equal(got.value, want[1])
+                assert got.final_modulus.tobytes() == want[2].tobytes()
+        return want
+
+    @pytest.mark.parametrize("alpha, c", [(0.75, 0.1483), (1.0, 0.2501)])
+    def test_long_escape_tail(self, alpha, c):
+        # c just right of where the locus leaves the positive real axis
+        # (1/4 at a = 1; between 0.1481 and 0.1482 at a = 0.75, by a scan of
+        # the critical orbit): orbits crawl through the gap the parabolic
+        # point leaves, so escapes spread over hundreds of steps and parked
+        # lanes wait across many of them
+        grid = GridSpec(0, 3.2, 3.2, 511, 131)
+        status, value, _ = self._check(alpha, grid, 400, ESCAPE_ONLY, c=c)
+        steps = value[status == PointClass.ESCAPED]
+        assert steps.min() <= 2 and steps.max() >= 300
+        assert np.unique(steps).size >= 60
+
+    def test_escapes_after_warm_up(self):
+        # max_iter 900: warm-up 225, window steps 225..424; orbits near the
+        # locus boundary escape before, during and after the window
+        grid = GridSpec(-0.75 + 0.1j, 0.05, 0.05, 63, 131)
+        status, value, _ = self._check(1.0, grid, 900, ATTRACTOR_DETECT)
+        steps = value[status == PointClass.ESCAPED]
+        assert (steps < 225).any() and ((225 < steps) & (steps < 425)).any() and (steps > 425).any()
+        assert (status == PointClass.ATTRACTED).any()
+
+    @pytest.mark.parametrize("mode", [ESCAPE_ONLY, ATTRACTOR_DETECT])
+    def test_half_alpha(self, mode):
+        # the radius is infinite: nothing escapes and nothing is parked
+        grid = GridSpec(0, 4.0, 4.0, *((63, 131) if mode == ATTRACTOR_DETECT else (511, 131)))
+        status, _, _ = self._check(0.5, grid, 300, mode, c=-0.7 + 0.2j)
+        assert not (status == PointClass.ESCAPED).any()
+
+    @pytest.mark.parametrize("mode", [ESCAPE_ONLY, ATTRACTOR_DETECT])
+    def test_half_alpha_overflow_stays_live(self, mode):
+        # parameters near the largest double overflow to inf and then NaN
+        # while still live; only escapes may park a lane
+        grid = GridSpec(0, 1.6e308, 1.6e308, 15, 9)
+        c, z0 = grid.samples(), np.zeros((9, 15))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = classify_block_reference(0.5, c, z0, 300, mode)
+            got = render_locus(0.5, grid, 300, mode, threads=1)
+        assert np.isnan(want[2]).any()
+        assert np.array_equal(got.status, want[0])
+        assert np.array_equal(got.value, want[1])
+        assert got.final_modulus.tobytes() == want[2].tobytes()
 
 
 class TestRenderJulia:
