@@ -12,9 +12,11 @@ without changing any output byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+from fractions import Fraction
 
 from . import fixed_points as fp
 from . import jets, orbits, render
@@ -124,7 +126,12 @@ def _add_grid_flags(sp, default_iter):
 
 
 def _grid_from_args(args) -> render.GridSpec:
-    height = args.height if args.height is not None else args.width * args.ny / args.nx
+    height = args.height
+    if height is None:
+        height = args.width * args.ny / args.nx
+        if math.isinf(height):  # width * ny overflowed; round the exact quotient instead
+            with contextlib.suppress(OverflowError):
+                height = float(Fraction(args.width) * args.ny / args.nx)
     return render.GridSpec(args.center, args.width, height, args.nx, args.ny)
 
 

@@ -143,14 +143,16 @@ def _gamma_plus_radius(alpha: float, ct: float, branch: int) -> tuple[float, flo
     """For ct = cos(theta) > 0: the discriminant d = (a+1)^2 ct^2 - 4a of
     4a u^2 - 2(a+1) u ct + 1 = 0 and the radius r = u^{1/(2a-1)} at its larger
     (branch 1) or smaller (branch 0) root u, solved with d clamped at 0;
-    DomainError where (a+1)^2 overflows (alpha above about 1.3e154)."""
+    DomainError where (a+1)^2 overflows (alpha above about 1.3e154).  The
+    smaller root is 1/((a+1) ct + sqrt d) by Vieta: ((a+1) ct - sqrt d)/(4a)
+    cancels to 0 for large alpha."""
     try:
         disc = (alpha + 1.0) ** 2 * ct * ct - 4.0 * alpha
     except OverflowError:
         msg = f"the gamma+ radius overflows: (a+1)^2 is out of range at alpha = {alpha!r}"
         raise DomainError(msg) from None
-    s = math.sqrt(max(0.0, disc))
-    u = ((alpha + 1.0) * ct + (s if branch else -s)) / (4.0 * alpha)
+    q = (alpha + 1.0) * ct + math.sqrt(max(0.0, disc))
+    u = q / (4.0 * alpha) if branch else 1.0 / q
     return disc, u ** (1.0 / (2.0 * alpha - 1.0))
 
 

@@ -41,6 +41,8 @@ __all__ = [
 DEG = 3
 TOL_RES = 1e-3  # exclusion radius (in angle) around 1st..4th roots of unity
 
+_ABOVE_DEG = np.add.outer(np.arange(4), np.arange(4)) > DEG  # z^j w^k with j + k > DEG
+
 # angles of all roots of unity of order <= 4
 _RESONANT_ANGLES = (
     0.0,
@@ -162,18 +164,17 @@ def jet_of_map(alpha: float, z0: complex) -> Jet3:
 def chop_jet3(raw) -> Jet3:
     """Truncate a raw expansion (dict of (j,k) -> coeff, array, or Jet3) to degree 3."""
     if isinstance(raw, Jet3):
-        return Jet3(raw.coeff.copy())
+        raw = raw.coeff
     if isinstance(raw, dict):
         c = np.zeros((4, 4), dtype=np.complex128)
         for (j, k), val in raw.items():
             if j + k <= DEG:
                 c[j, k] = val
         return Jet3(c)
-    arr = np.asarray(raw, dtype=np.complex128)
+    arr = np.asarray(raw, dtype=np.complex128)[:4, :4]
     c = np.zeros((4, 4), dtype=np.complex128)
-    for j in range(min(4, arr.shape[0])):
-        for k in range(min(4 - j, arr.shape[1])):
-            c[j, k] = arr[j, k]
+    c[: arr.shape[0], : arr.shape[1]] = arr
+    c[_ABOVE_DEG] = 0.0
     return Jet3(c)
 
 
@@ -259,9 +260,9 @@ def _quad_cubic_residual(
 ) -> Jet3:
     """The homological mismatch rjet o L1 - L1 o N for the candidate changes.
 
-    L1 = 2z + a1 z^2 + a2 z w + a3 w^2 and N = u z + b2 z^2 w; the quadratic
-    coefficients of the mismatch vanish exactly when (a1, a2, a3) solve the
-    conjugation equations, and the z^2 w coefficient then determines b2.
+    L1 = 2z + a1 z^2 + a2 z w + a3 w^2 and N = u z + b2 z^2 w; the z^j w^k
+    quadratic coefficient of the mismatch is 4 g_jk + (u - u^j ubar^k) a_jk,
+    and its z^2 w coefficient falls by 2 b2 from its value at b2 = 0.
     """
     a1, a2, a3 = avec
     l1 = Jet3.from_terms({(1, 0): 2.0, (2, 0): a1, (1, 1): a2, (0, 2): a3})
@@ -270,41 +271,25 @@ def _quad_cubic_residual(
 
 
 def _normal_form3_full(jet: Jet3) -> tuple[complex, tuple[complex, complex, complex], complex, Jet3]:
-    """Resolve the degree-3 normal form; returns (u, (a1,a2,a3), b2, reduced jet)."""
+    """Resolve the degree-3 normal form; returns (u, (a1,a2,a3), b2, reduced jet).
+
+    With the linear part reduced to u z the homological operator is diagonal
+    on z^j w^k (Kuznetsov, Elements of Applied Bifurcation Theory, 4.7):
+    (a1, a2, a3) = (a_20, a_11, a_02) with a_jk = 4 g_jk / (u^j ubar^k - u),
+    g = rjet and the 4 from L1's 2z.  The denominators vanish only at u in
+    {0, 1} or at u^3 = 1 with |u| = 1, which _check_nonresonant rejects.
+    L1 o N has the z^2 w coefficient 2 b2.
+    """
     rjet = coord_change1(chop_jet3(jet))
     u = rjet[1, 0]
     _check_nonresonant(u)
-
-    def quad_parts(avec) -> np.ndarray:
-        big = _quad_cubic_residual(rjet, u, avec, 0.0)
-        vals = (big[2, 0], big[1, 1], big[0, 2])
-        return np.array(
-            [vals[0].real, vals[0].imag, vals[1].real, vals[1].imag, vals[2].real, vals[2].imag]
-        )
-
-    base = quad_parts((0.0, 0.0, 0.0))
-    cols = []
-    for i in range(3):
-        for part in (1.0, 1.0j):
-            avec = [0.0, 0.0, 0.0]
-            avec[i] = part
-            cols.append(quad_parts(avec) - base)
-    m = np.column_stack(cols)
-    try:
-        sol = np.linalg.solve(m, -base)
-    except np.linalg.LinAlgError as exc:
-        raise ResonanceError(f"quadratic elimination is singular: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise ResonanceError("quadratic elimination produced non-finite coefficients")
+    ub = u.conjugate()
     avec = (
-        complex(sol[0], sol[1]),
-        complex(sol[2], sol[3]),
-        complex(sol[4], sol[5]),
+        4.0 * rjet[2, 0] / (u * u - u),
+        4.0 * rjet[1, 1] / (u * ub - u),
+        4.0 * rjet[0, 2] / (ub * ub - u),
     )
-    e0 = _quad_cubic_residual(rjet, u, avec, 0.0)[2, 1]
-    e1 = _quad_cubic_residual(rjet, u, avec, 1.0)[2, 1]
-    slope = e1 - e0  # always -2: the z^2 w term of L1 o N is 2 b2
-    b2 = -e0 / slope
+    b2 = _quad_cubic_residual(rjet, u, avec, 0.0)[2, 1] / 2.0
     return u, avec, b2, rjet
 
 
@@ -313,10 +298,10 @@ def normal_form3(jet: Jet3) -> complex:
 
     The jet is first reduced by coord_change1; the eigenvalue u must stay
     clear of 1st..4th roots of unity (ResonanceError otherwise).  Quadratic
-    terms are removed by a conjugation L1 = 2z + a1 z^2 + a2 zw + a3 w^2 whose
-    coefficients solve a real-linear 6x6 system (conjugated unknowns enter
-    through conj_jet, so the system is honestly real-linear); the z^2 w
-    coefficient of the remaining mismatch yields b2.
+    terms are removed by a conjugation L1 = 2z + a1 z^2 + a2 zw + a3 w^2 with
+    a_jk = 4 g_jk / (u^j ubar^k - u), one division each since no denominator
+    vanishes on a nonresonant u; the z^2 w coefficient of the remaining
+    mismatch yields b2.
     """
     u, _, b2, _ = _normal_form3_full(jet)
     return b2 / u

@@ -5,7 +5,9 @@ come from finite differences of the plain map evaluation, Taylor coefficients
 from circle sampling and Fourier separation, and fixed-point censuses from an
 exhaustive residual grid scan polished by a Newton iteration of its own that
 solves with the real 2x2 Jacobian matrix, and cusps from a sign-change sweep
-of the pushed-forward tangent with bisection.  The census's lane-parallel Newton
+of the pushed-forward tangent with bisection.  The Hopf number comes from
+Kuznetsov's explicit Neimark-Sacker coefficient c1, not from the library's
+homological conjugation.  The census's lane-parallel Newton
 is checked bit for bit against the scalar per-seed loop it replaced, kept
 here over the scalar apply_map, jacobian and WirtingerPair.newton_step.
 """
@@ -322,6 +324,32 @@ def detect_cusps_sweep(
             cusps.append(c)
     cusps.sort(key=lambda w: (w.real, w.imag))
     return cusps
+
+
+def kuznetsov_hopf_number(alpha: float, theta: float) -> float:
+    """4 Re(c1/u) at the det = 1 point that hopf_number selects by theta.
+
+    c1 is the Neimark-Sacker cubic coefficient (Kuznetsov, Elements of
+    Applied Bifurcation Theory, 4.7) read off the jet after coord_change1,
+    whose Taylor coefficients g_jk are j! k! times the jet's; the factor 4
+    converts to hopf_number's normalisation L1 = 2z + ...  Only meaningful
+    where hopf_number returns a value.
+    """
+    from qcdyn.jets import coord_change1, jet_of_map
+
+    x = math.cos(theta) * (4.0 * alpha) ** ((alpha - 1.0) / (2.0 * alpha - 1.0)) / (alpha + 1.0)
+    z0 = (4.0 * alpha) ** (1.0 / (2.0 - 4.0 * alpha)) * cmath.exp(1j * math.acos(x))
+    g = coord_change1(jet_of_map(alpha, z0))
+    u = g[1, 0]
+    ub = u.conjugate()
+    g20, g11, g02, g21 = 2.0 * g[2, 0], g[1, 1], 2.0 * g[0, 2], 2.0 * g[2, 1]
+    c1 = (
+        g20 * g11 * (1.0 - 2.0 * u) / (2.0 * (u * u - u))
+        + abs(g11) ** 2 / (1.0 - ub)
+        + abs(g02) ** 2 / (2.0 * (u * u - ub))
+        + g21 / 2.0
+    )
+    return 4.0 * (c1 / u).real
 
 
 def classify_reference(p: MapParams, z0: complex, max_iter: int, mode: str):

@@ -84,6 +84,14 @@ class TestLocusCommand:
         assert code == 0
         assert out.read_bytes().startswith(b"P5\n8 8\n255\n")
 
+    def test_default_height_where_width_times_ny_overflows(self, tmp_path):
+        # 1.6e308 * 9 overflows, but the height it means, 9.6e307, is finite
+        out = tmp_path / "m.pgm"
+        code = run_cli(["locus", "--alpha", "0.5", "--width", "1.6e308",
+                        "--nx", "15", "--ny", "9", "-o", str(out)])
+        assert code == 0
+        assert out.read_bytes().startswith(b"P5\n15 9\n255\n")
+
     def test_bad_alpha_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["locus", "--alpha", "0.3", "--width", "3", "-o", str(tmp_path / "x.pgm")])
@@ -284,11 +292,11 @@ class TestTableBytes:
             (["fixed-points", "--alpha", "0.6", "--c=-0.3,0.2"],
              "26311c3837180fa0c39c7b4f24d04d30460528287004fe989a5401ed0a29f80f"),
             (["curves", "--alpha", "0.8", "--n", "16"],
-             "82efb6593f3587a31aa68921c8065c1609bc818c3f6930fda768bc1e4a8db98c"),
+             "8a000ed287d2890cbde18f61038547ab82da1274312a7465860076b88e573d4b"),
             (["curves", "--alpha", "0.8", "--n", "64", "--cusps"],
-             "935191e422142a0e8971eb7af29f3afda10369a35df9c805212ab18f7e8edac2"),
+             "5f0c4c1087c247c9b54cd33e1be665e3590b59eead177bc145424c8280f793af"),
             (["hopf", "--alpha", "0.75,1.5", "--theta-grid", "8"],
-             "04ce4a32aa9896da81c7366071991af44b0a42490866b1740d900b7995948868"),
+             "c515069340526b769d82a719f2a4498b0764eeaac4cad3f4b7bf11ef5754fc4d"),
         ],
     )
     def test_digest(self, tmp_path, capsys, argv, digest):

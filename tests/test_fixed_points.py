@@ -133,6 +133,14 @@ class TestCurves:
                     jac = jacobian(MapParams(alpha, 0), r * cmath.exp(1j * theta))
                     assert abs(1 + jac.trace + jac.det) < 1e-9
 
+    @pytest.mark.parametrize("alpha", [1e17, 1e20, 1e100])
+    def test_gamma_radii_at_huge_alpha(self, alpha):
+        # both roots of 4a u^2 - 2(a+1) u ct + 1 give r = u^{1/(2a-1)} -> 1;
+        # the smaller one must not cancel to u = 0
+        for which in (GAMMA_PLUS, GAMMA_MINUS):
+            for z in trace_curve(alpha, which, 16).points:
+                assert z != 0 and abs(abs(z) - 1.0) < 1e-12
+
     def test_gamma_minus_is_negated_gamma_plus(self):
         alpha, n = 1.4, 128
         plus = trace_curve(alpha, GAMMA_PLUS, n).points

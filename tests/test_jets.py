@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_jet
+from oracles import fd_jet, kuznetsov_hopf_number
 from qcdyn.errors import ContractError, DomainError, ResonanceError
 from qcdyn.jets import (
     Jet3,
@@ -93,6 +93,11 @@ class TestAlgebra:
     @settings(max_examples=50, deadline=None)
     def test_chop_idempotent(self, jet):
         assert np.array_equal(chop_jet3(chop_jet3(jet)).coeff, chop_jet3(jet).coeff)
+
+    def test_chop_truncates_a_jet3(self):
+        c = np.arange(1, 17, dtype=np.complex128).reshape(4, 4)
+        assert np.array_equal(chop_jet3(Jet3(c)).coeff, chop_jet3(c).coeff)
+        assert chop_jet3(Jet3(c))[2, 2] == 0 and chop_jet3(Jet3(c))[1, 2] == c[1, 2]
 
     def test_chop_zero(self):
         assert np.all(chop_jet3(Jet3.zero()).coeff == 0)
@@ -290,6 +295,18 @@ class TestHopfSweep:
     def test_empty_grids(self):
         assert hopf_sweep([], [1.0]) == []
         assert hopf_sweep([0.8], []) == []
+
+    def test_gallery_surface_matches_kuznetsov_c1(self):
+        # the Hopf surface of scripts/render_figures.py against the explicit
+        # Neimark-Sacker coefficient
+        betas = [-0.98 + 1.96 * k / 63 for k in range(64)]
+        thetas = [2 * math.pi * (k + 0.5) / 64 for k in range(64)]
+        rows = hopf_sweep([1.0 / (1.0 - b) for b in betas], thetas)
+        ok = [(a, t, v) for a, _, t, v, status in rows if status == "ok"]
+        assert len(ok) > 3800
+        for alpha, theta, val in ok:
+            ref = kuznetsov_hopf_number(alpha, theta)
+            assert abs(val - ref) <= 1e-12 * abs(ref), (alpha, theta)
 
     def test_row_major_order_and_tags(self):
         rows = hopf_sweep([0.8, 1.5], [math.pi / 2, 2.0])
