@@ -9,8 +9,12 @@ thread count (workers only split the grid into fixed row blocks).
 Inside a block the kernel iterates all live lanes at once.  A lane that
 escapes is recorded, parked (its z set to NaN) and dropped from the arrays
 in batches rather than on every step; the attractor window holds one
-contiguous row per step.  None of this changes a live lane's arithmetic, so
-a cell's result is the same in any block and at any thread count.
+contiguous row per step and keeps only the last MAX_PERIOD + CYCLE_RUNS
+rows, the ones the period search reads.  None of this changes a live lane's
+arithmetic, so a cell's result is the same in any block and at any thread
+count.  Renders split the grid into row blocks of at most 65536 lanes in
+escape mode and 16384 in attractor mode (one row where a row is longer), so
+an attractor block's window is at most 16384 x 103 x 16 B = 27.0 MB.
 
 The kernel is vectorised with numpy and is not bit-identical to iterating
 maps.apply_map in plain Python: numpy's SIMD routines for np.abs, the power
@@ -57,6 +61,8 @@ TOL_CYCLE = 1e-6
 CYCLE_WINDOW = 200
 MAX_PERIOD = 100
 CYCLE_RUNS = 3
+# the period search reads only the window's last MAX_PERIOD + CYCLE_RUNS rows
+WINDOW_ROWS = min(CYCLE_WINDOW, MAX_PERIOD + CYCLE_RUNS)
 
 ESCAPE_ONLY = "escape"
 ATTRACTOR_DETECT = "attractor"
@@ -114,13 +120,26 @@ class GridSpec:
         im = self.center.imag + (0.5 - (j + 0.5) / self.ny) * self.height
         return complex(re, im)
 
-    def samples(self) -> np.ndarray:
-        """All cell centers as a (ny, nx) complex array."""
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The re of every column (length nx) and the im of every row (length ny)."""
         i = np.arange(self.nx)
         j = np.arange(self.ny)
         re = self.center.real + ((i + 0.5) / self.nx - 0.5) * self.width
         im = self.center.imag + (0.5 - (j + 0.5) / self.ny) * self.height
-        return re[None, :] + 1j * im[:, None]
+        return re, im
+
+    def samples(self) -> np.ndarray:
+        """All cell centers as a (ny, nx) complex array; [j, i] is sample(i, j).
+
+        The parts are stored, not computed as re + 1j*im, so they are the
+        axes bit for bit: that sum turns an overflowed im into a NaN re and
+        a -0.0 part into +0.0.
+        """
+        re, im = self.axes()
+        out = np.empty((self.ny, self.nx), dtype=np.complex128)
+        out.real = re
+        out.imag = im[:, None]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +188,20 @@ def _classify_block(
     An escaped lane is parked: its z becomes NaN, which never exceeds the
     radius, raises no floating-point warning and so is never recorded again,
     and a gone mask marks it.  Parked lanes are compacted away once they
-    have wasted one full step's worth of lane-steps, at the warm-up step
-    (so the cycle window is allocated for live lanes only) and before the
-    final moduli are read.  The cycle window is stored (CYCLE_WINDOW, lanes)
-    so each step writes one contiguous row, and the period search drops each
-    lane once its smallest period is found.
+    have wasted one full step's worth of lane-steps, at the step the cycle
+    window starts (so it is allocated for live lanes only) and before the
+    final moduli are read.  Of the CYCLE_WINDOW steps after the warm-up the
+    window keeps only the last WINDOW_ROWS = MAX_PERIOD + CYCLE_RUNS, the
+    rows the period search compares.  It is stored (WINDOW_ROWS, lanes) so
+    each step writes one contiguous row, and the period search drops each
+    lane once its smallest period is found.  An attractor block of 16384
+    lanes thus holds at most 16384 x 103 x 16 B = 27.0 MB of window.
+
+    Overflow raises no warning: an orbit that overflows is on its way out,
+    and a lane at |z| = inf exceeds any finite radius at the next check.  A
+    product with an infinite factor can give NaN instead, which never
+    escapes; numpy still reports that as an invalid value (it happens at
+    alpha = 1/2, whose radius is infinite).
     """
     z0 = np.asarray(z0, dtype=np.complex128)
     n_pts = z0.size
@@ -194,6 +222,7 @@ def _classify_block(
     detect = mode == ATTRACTOR_DETECT
     warmup = max(200, max_iter // 4)
     total = max(max_iter, warmup + CYCLE_WINDOW) if detect else max_iter
+    start = warmup + CYCLE_WINDOW - WINDOW_ROWS  # first step the window records
 
     idx = np.arange(n_pts)
     s = alpha - 1.0
@@ -205,57 +234,58 @@ def _classify_block(
     parked = waste = 0
 
     n = 0
-    while True:
-        np.abs(z, out=mod)
-        esc = np.greater(mod, radius, out=flag)
-        if esc.any():
-            hit = idx[esc]
-            if n <= max_iter:
-                status[hit] = PointClass.ESCAPED
-                value[hit] = n
-            # past the escape budget the point merely leaves the disk; it
-            # stays BOUNDED but is dropped from further iteration
-            finalmod[hit] = mod[esc]
-            # NaN never exceeds the radius, so a parked lane is never recorded
-            # again.  Parked lanes are told apart by gone, not by isnan: at
-            # alpha = 1/2 a live lane can overflow to NaN
-            z[esc] = np.nan
-            gone |= esc
-            parked += hit.size
-        waste += parked
-        if parked and (parked == idx.size or waste >= idx.size or n == total or (detect and n == warmup)):
-            keep = ~gone
-            idx, z, mod = idx[keep], z[keep], mod[keep]
-            flag, u, gone = flag[: idx.size], u[: idx.size], gone[: idx.size]
-            gone[:] = False
-            parked = waste = 0
-            if per_point:
-                carr, radius = carr[keep], radius[keep]
-            if window is not None:
-                window = np.compress(keep, window, axis=1)
-            if idx.size == 0:
+    with np.errstate(over="ignore"):
+        while True:
+            np.abs(z, out=mod)
+            esc = np.greater(mod, radius, out=flag)
+            if esc.any():
+                hit = idx[esc]
+                if n <= max_iter:
+                    status[hit] = PointClass.ESCAPED
+                    value[hit] = n
+                # past the escape budget the point merely leaves the disk; it
+                # stays BOUNDED but is dropped from further iteration
+                finalmod[hit] = mod[esc]
+                # NaN never exceeds the radius, so a parked lane is never recorded
+                # again.  Parked lanes are told apart by gone, not by isnan: at
+                # alpha = 1/2 a live lane can overflow to NaN
+                z[esc] = np.nan
+                gone |= esc
+                parked += hit.size
+            waste += parked
+            if parked and (parked == idx.size or waste >= idx.size or n == total or (detect and n == start)):
+                keep = ~gone
+                idx, z, mod = idx[keep], z[keep], mod[keep]
+                flag, u, gone = flag[: idx.size], u[: idx.size], gone[: idx.size]
+                gone[:] = False
+                parked = waste = 0
+                if per_point:
+                    carr, radius = carr[keep], radius[keep]
+                if window is not None:
+                    window = np.compress(keep, window, axis=1)
+                if idx.size == 0:
+                    break
+            if detect and n == start:
+                window = np.empty((WINDOW_ROWS, idx.size), dtype=np.complex128)
+            if detect and start <= n < warmup + CYCLE_WINDOW:
+                window[n - start] = z
+            if n == total:
                 break
-        if detect and n == warmup:
-            window = np.empty((CYCLE_WINDOW, idx.size), dtype=np.complex128)
-        if detect and warmup <= n < warmup + CYCLE_WINDOW:
-            window[n - warmup] = z
-        if n == total:
-            break
-        # same evaluation order as apply_map: u = |z|^(a-1) z, f = u u + c.
-        # A lane at the branch point z = 0 has u = 0 and so lands on c, as in
-        # apply_map; only the infinite 0^(a-1) of a < 1 needs patching
-        if s < 0.0:
-            zero = np.equal(mod, 0.0, out=flag)
-            if zero.any():
-                mod[zero] = 1.0
-        if s == 0.0:
-            np.multiply(z, z, out=u)
-            z, u = u, z
-        else:
-            np.multiply(mod ** s, z, out=u)
-            np.multiply(u, u, out=z)
-        z += carr
-        n += 1
+            # same evaluation order as apply_map: u = |z|^(a-1) z, f = u u + c.
+            # A lane at the branch point z = 0 has u = 0 and so lands on c, as in
+            # apply_map; only the infinite 0^(a-1) of a < 1 needs patching
+            if s < 0.0:
+                zero = np.equal(mod, 0.0, out=flag)
+                if zero.any():
+                    mod[zero] = 1.0
+            if s == 0.0:
+                np.multiply(z, z, out=u)
+                z, u = u, z
+            else:
+                np.multiply(mod ** s, z, out=u)
+                np.multiply(u, u, out=z)
+            z += carr
+            n += 1
 
     if idx.size:
         finalmod[idx] = mod
@@ -264,7 +294,7 @@ def _classify_block(
             qfound = np.zeros(idx.size, dtype=np.int32)
             pending = np.arange(idx.size)
             for q in range(1, MAX_PERIOD + 1):
-                m0 = CYCLE_WINDOW - q - CYCLE_RUNS
+                m0 = WINDOW_ROWS - q - CYCLE_RUNS
                 if m0 < 0 or pending.size == 0:
                     break
                 delta = window[m0 + q : m0 + q + CYCLE_RUNS, pending] - window[m0 : m0 + CYCLE_RUNS, pending]
@@ -334,7 +364,7 @@ def _render(
     value = np.empty((grid.ny, grid.nx), dtype=np.int32)
     finalmod = np.empty((grid.ny, grid.nx), dtype=np.float64)
 
-    block_rows = max(1, (8192 if mode == ATTRACTOR_DETECT else 65536) // grid.nx)
+    block_rows = max(1, (16384 if mode == ATTRACTOR_DETECT else 65536) // grid.nx)
     blocks = [(j, min(j + block_rows, grid.ny)) for j in range(0, grid.ny, block_rows)]
 
     def run(block):
@@ -431,18 +461,15 @@ def write_cells_csv(raster: Raster, out: str | os.PathLike | IO[str]) -> None:
 
     value is the escape iteration count for escaped cells, the detected
     period for attracted cells and 0 for bounded cells.  re and im are the
-    shortest round-tripping reprs of the cell center.
+    shortest round-tripping reprs of the cell center; a column shares its re
+    and a row its im (see GridSpec.samples), so each is formatted once.
     """
-    samples = raster.grid.samples()
+    re, im = raster.grid.axes()
+    cols = [(f"{i},", f",{x!r},") for i, x in enumerate(re.tolist())]
     names = {int(pc): pc.name.lower() for pc in PointClass}
     with _sink(out, "w") as fh:
         fh.write("i,j,re,im,status,value\n")
-        for j in range(raster.grid.ny):
-            cells = zip(
-                range(raster.grid.nx),
-                samples[j].real.tolist(),
-                samples[j].imag.tolist(),
-                raster.status[j].tolist(),
-                raster.value[j].tolist(),
-            )
-            fh.write("".join(f"{i},{j},{re!r},{im!r},{names[st]},{val}\n" for i, re, im, st, val in cells))
+        for j, y in enumerate(im.tolist()):
+            tail = f"{y!r},"
+            cells = zip(cols, raster.status[j].tolist(), raster.value[j].tolist())
+            fh.write("".join(f"{head}{j}{mid}{tail}{names[st]},{val}\n" for (head, mid), st, val in cells))

@@ -504,15 +504,37 @@ class TestUsageErrors:
         assert err.count("\n") == 1
 
     def test_entry_point_runs(self):
-        # the child imports qcdyn from where this process found it, with or
-        # without PYTHONPATH set (pytest's own pythonpath setting is not inherited)
-        src = str(Path(qcdyn.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qcdyn.cli", "hopf", "--alpha", "1.5", "--theta", "2.0"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_module(["hopf", "--alpha", "1.5", "--theta", "2.0"])
         assert proc.returncode == 0
         assert "hopf=" in proc.stdout
+
+
+def run_module(args):
+    """Run `python -m qcdyn.cli args` in a child process.
+
+    The child imports qcdyn from where this process found it, with or
+    without PYTHONPATH set (pytest's own pythonpath setting is not inherited).
+    """
+    src = str(Path(qcdyn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qcdyn.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["julia", "--alpha", "1.5", "--c=1e200,0", "--width", "4", "--nx", "3", "--ny", "2", "--format", "csv"],
+        ["locus", "--alpha", "1", "--width", "1e300", "--nx", "15", "--ny", "9"],
+    ],
+)
+def test_overflowing_orbits_print_nothing(tmp_path, argv):
+    # orbits pass |z| ~ 1e154, where z*z overflows, before they leave the
+    # escape radius; the overflow is part of escaping and needs no warning
+    proc = run_module([*argv, "-o", str(tmp_path / "out")])
+    assert proc.returncode == 0
+    assert proc.stderr == ""

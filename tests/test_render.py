@@ -14,6 +14,7 @@ from qcdyn.render import (
     CellResult,
     GridSpec,
     PointClass,
+    Raster,
     classify_point,
     escape_radius,
     gray_levels,
@@ -24,6 +25,14 @@ from qcdyn.render import (
 )
 
 RNG = np.random.default_rng(7)
+
+# grids where re + 1j*im would not keep the axes bit for bit: offsets that
+# underflow to -0.0 (the sum makes them +0.0) and top rows whose im
+# overflows to inf (the sum makes their re NaN)
+EDGE_GRIDS = [
+    GridSpec(complex(-0.0, -0.0), 5e-324, 5e-324, 4, 4),
+    GridSpec(1.7e308j, 1e308, 1e308, 3, 3),
+]
 
 
 class TestEscapeRadius:
@@ -98,6 +107,14 @@ class TestGridSpec:
             for i in (0, 3, 6):
                 assert arr[j, i] == g.sample(i, j)
 
+    @pytest.mark.parametrize("g", EDGE_GRIDS)
+    def test_edge_samples_match_bit_for_bit(self, g):
+        arr = g.samples()
+        for j in range(g.ny):
+            for i in range(g.nx):
+                z = g.sample(i, j)
+                assert np.array([arr[j, i].real, arr[j, i].imag]).tobytes() == np.array([z.real, z.imag]).tobytes()
+
     def test_orientation_top_row_has_larger_imag(self):
         g = GridSpec(0, 2.0, 2.0, 4, 4)
         arr = g.samples()
@@ -121,7 +138,7 @@ class TestKernelIdentity:
     tests/oracles.classify_block_reference, for any thread count.
 
     Escape grids hold just over 65536 cells and attractor grids just over
-    8192, so each render splits into two row blocks.  Julia grids have odd
+    16384, so each render splits into two row blocks.  Julia grids have odd
     sides centred on 0, so one lane starts at the branch point; locus grids
     start every lane there.
     """
@@ -130,8 +147,21 @@ class TestKernelIdentity:
     @pytest.mark.parametrize("mode", [ESCAPE_ONLY, ATTRACTOR_DETECT])
     @pytest.mark.parametrize("kind", ["julia", "locus", "large_c"])
     def test_matches_first_kernel(self, alpha, mode, kind):
-        nx, ny = (511, 131) if mode == ESCAPE_ONLY else (63, 131)
         max_iter = 40 if mode == ESCAPE_ONLY else 60
+        self._check(alpha, mode, kind, max_iter)
+
+    def test_escape_budget_past_the_window(self):
+        # max_iter 1000: warm-up 250, window steps 250..449 of which only
+        # 347..449 are stored, then 550 more steps; orbits escape in every
+        # stretch
+        status, value, _ = self._check(1.0, ATTRACTOR_DETECT, "locus", 1000)
+        steps = value[status == PointClass.ESCAPED]
+        assert ((250 <= steps) & (steps < 347)).any() and ((347 <= steps) & (steps < 450)).any()
+        assert (steps >= 450).any() and (status == PointClass.ATTRACTED).any()
+
+    @staticmethod
+    def _check(alpha, mode, kind, max_iter):
+        nx, ny = (511, 131) if mode == ESCAPE_ONLY else (127, 131)
         if kind == "julia":
             grid = GridSpec(0, 4.0, 4.0, nx, ny)
             c, z0 = -0.7 + 0.2j, grid.samples()
@@ -154,6 +184,7 @@ class TestKernelIdentity:
             assert np.array_equal(got.status, want[0])
             assert np.array_equal(got.value, want[1])
             assert np.array_equal(got.final_modulus, want[2])
+        return want
 
 
 class TestParkedLanes:
@@ -161,7 +192,7 @@ class TestParkedLanes:
 
     Each case is compared with the verbatim first kernel at threads 1 and 2,
     with warnings raised as errors.  Escape grids hold just over 65536 cells
-    and attractor grids just over 8192, so each render splits into two row
+    and attractor grids just over 16384, so each render splits into two row
     blocks.
     """
 
@@ -197,18 +228,19 @@ class TestParkedLanes:
         assert np.unique(steps).size >= 60
 
     def test_escapes_after_warm_up(self):
-        # max_iter 900: warm-up 225, window steps 225..424; orbits near the
-        # locus boundary escape before, during and after the window
-        grid = GridSpec(-0.75 + 0.1j, 0.05, 0.05, 63, 131)
+        # max_iter 900: warm-up 225, window steps 225..424 of which 322..424
+        # are stored; orbits near the locus boundary escape before, during
+        # and after the stored rows
+        grid = GridSpec(-0.75 + 0.1j, 0.05, 0.05, 127, 131)
         status, value, _ = self._check(1.0, grid, 900, ATTRACTOR_DETECT)
         steps = value[status == PointClass.ESCAPED]
-        assert (steps < 225).any() and ((225 < steps) & (steps < 425)).any() and (steps > 425).any()
+        assert (steps < 322).any() and ((322 < steps) & (steps < 425)).any() and (steps > 425).any()
         assert (status == PointClass.ATTRACTED).any()
 
     @pytest.mark.parametrize("mode", [ESCAPE_ONLY, ATTRACTOR_DETECT])
     def test_half_alpha(self, mode):
         # the radius is infinite: nothing escapes and nothing is parked
-        grid = GridSpec(0, 4.0, 4.0, *((63, 131) if mode == ATTRACTOR_DETECT else (511, 131)))
+        grid = GridSpec(0, 4.0, 4.0, *((127, 131) if mode == ATTRACTOR_DETECT else (511, 131)))
         status, _, _ = self._check(0.5, grid, 300, mode, c=-0.7 + 0.2j)
         assert not (status == PointClass.ESCAPED).any()
 
@@ -357,6 +389,30 @@ class TestOutputs:
         assert (int(i), int(j)) == (0, 0)
         assert complex(float(re), float(im)) == g.sample(0, 0)
         assert status in {"bounded", "escaped", "attracted"}
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            GridSpec(complex(-0.0, -0.0), 2.0, 2.0, 5, 3),
+            GridSpec(-0.0, 1e-300, 1e-300, 1, 9),
+            GridSpec(0.3 - 1.2j, 1e300, 1e300, 9, 1),
+            GridSpec(-0.0, 1e300, 1e-300, 7, 5),
+            *EDGE_GRIDS,
+        ],
+    )
+    def test_csv_coordinates_are_the_samples(self, g):
+        shape = (g.ny, g.nx)
+        raster = Raster(g, np.zeros(shape, np.int8), np.zeros(shape, np.int32), np.zeros(shape), 1, ESCAPE_ONLY)
+        buf = io.StringIO()
+        write_cells_csv(raster, buf)
+        lines = buf.getvalue().splitlines()[1:]
+        assert len(lines) == g.nx * g.ny
+        samples = g.samples()
+        for k, line in enumerate(lines):
+            i, j, re, im, _, _ = line.split(",")
+            assert (int(i), int(j)) == (k % g.nx, k // g.nx)
+            z = samples[int(j), int(i)]
+            assert (re, im) == (repr(float(z.real)), repr(float(z.imag)))
 
     def test_cell_accessor(self):
         g = GridSpec(0, 2.0, 2.0, 3, 2)
