@@ -10,11 +10,15 @@ Inside a block the kernel iterates all live lanes at once.  A lane that
 escapes is recorded, parked (its z set to NaN) and dropped from the arrays
 in batches rather than on every step; the attractor window holds one
 contiguous row per step and keeps only the last MAX_PERIOD + CYCLE_RUNS
-rows, the ones the period search reads.  None of this changes a live lane's
-arithmetic, so a cell's result is the same in any block and at any thread
-count.  Renders split the grid into row blocks of at most 65536 lanes in
-escape mode and 16384 in attractor mode (one row where a row is longer), so
-an attractor block's window is at most 16384 x 103 x 16 B = 27.0 MB.
+rows, the ones the period search reads.  In escape mode a lane whose z
+repeats exactly after LOCK_EVERY steps is retired the same way: its orbit
+is an exact floating-point cycle, so it can neither escape later nor end on
+another modulus (attractor mode retires no lanes).  None of this changes a
+live lane's arithmetic, so a cell's result is the same in any block, at any
+thread count and as if every lane ran to the end.  Renders split the grid
+into row blocks of at most 65536 lanes in escape mode and 16384 in
+attractor mode (one row where a row is longer), so an attractor block's
+window is at most 16384 x 103 x 16 B = 27.0 MB.
 
 The kernel is vectorised with numpy and is not bit-identical to iterating
 maps.apply_map in plain Python: numpy's SIMD routines for np.abs, the power
@@ -63,6 +67,9 @@ MAX_PERIOD = 100
 CYCLE_RUNS = 3
 # the period search reads only the window's last MAX_PERIOD + CYCLE_RUNS rows
 WINDOW_ROWS = min(CYCLE_WINDOW, MAX_PERIOD + CYCLE_RUNS)
+# escape mode compares each lane with its state LOCK_EVERY steps earlier and
+# retires the lanes that repeat exactly
+LOCK_EVERY = 12
 
 ESCAPE_ONLY = "escape"
 ATTRACTOR_DETECT = "attractor"
@@ -94,6 +101,8 @@ class GridSpec:
         im = center.im + (0.5 - (j + 0.5)/ny) * height
 
     so row j = 0 is the top of the image, matching raster output order.
+    Every one of these coordinates must be finite: a grid whose edge cells
+    overflow raises DomainError.
     """
 
     center: complex
@@ -110,6 +119,10 @@ class GridSpec:
         if self.nx < 1 or self.ny < 1:
             raise DomainError("grid needs at least one pixel per axis")
         object.__setattr__(self, "center", complex(self.center))
+        with np.errstate(over="ignore"):
+            re, im = self.axes()
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise DomainError("grid cell coordinates overflow the float range")
 
     @property
     def pixel_diag(self) -> float:
@@ -132,8 +145,7 @@ class GridSpec:
         """All cell centers as a (ny, nx) complex array; [j, i] is sample(i, j).
 
         The parts are stored, not computed as re + 1j*im, so they are the
-        axes bit for bit: that sum turns an overflowed im into a NaN re and
-        a -0.0 part into +0.0.
+        axes bit for bit: that sum turns a -0.0 part into +0.0.
         """
         re, im = self.axes()
         out = np.empty((self.ny, self.nx), dtype=np.complex128)
@@ -197,6 +209,21 @@ def _classify_block(
     lane once its smallest period is found.  An attractor block of 16384
     lanes thus holds at most 16384 x 103 x 16 B = 27.0 MB of window.
 
+    Escape mode also retires lanes that have closed into an exact cycle.
+    Checkpoints are the steps n < total with (total - n) % LOCK_EVERY == 0;
+    at each, after the escape test, a lane whose z equals (==) its z at the
+    previous checkpoint keeps BOUNDED with value 0, takes its current modulus
+    as its final modulus and is parked like an escaped lane.  This is exact: a
+    lane's whole state is z (its c and radius are fixed and the step acts
+    elementwise), so the orbit repeats with a period dividing LOCK_EVERY and
+    z at step total equals the current z; every state of the cycle has already
+    passed the escape test; == ignores only the sign of zero, which changes
+    no modulus, no comparison and no nonzero part; and NaN, of parked lanes
+    or of alpha = 1/2 overflow, never compares equal.  The cost is one
+    compare and one copy of z per LOCK_EVERY steps.  Attractor mode retires
+    no lanes, because its period search reads the window rows a retired
+    lane would skip.
+
     Overflow raises no warning: an orbit that overflows is on its way out,
     and a lane at |z| = inf exceeds any finite radius at the next check.  A
     product with an infinite factor can give NaN instead, which never
@@ -232,6 +259,7 @@ def _classify_block(
     u = np.empty(n_pts, dtype=np.complex128)
     gone = np.zeros(n_pts, dtype=bool)
     parked = waste = 0
+    ref = None  # escape mode: z at the previous checkpoint
 
     n = 0
     with np.errstate(over="ignore"):
@@ -263,8 +291,23 @@ def _classify_block(
                     carr, radius = carr[keep], radius[keep]
                 if window is not None:
                     window = np.compress(keep, window, axis=1)
+                if ref is not None:
+                    ref = ref[keep]
                 if idx.size == 0:
                     break
+            if not detect and n < total and (total - n) % LOCK_EVERY == 0:
+                # a lane equal to its state LOCK_EVERY steps ago is on an exact
+                # cycle whose period divides LOCK_EVERY, and total - n is a
+                # multiple of it, so its final modulus is the current one; NaN
+                # (parked lanes) never compares equal
+                if ref is not None:
+                    same = np.equal(z, ref, out=flag)
+                    if same.any():
+                        finalmod[idx[same]] = mod[same]
+                        z[same] = np.nan
+                        gone |= same
+                        parked += np.count_nonzero(same)
+                ref = z.copy()
             if detect and n == start:
                 window = np.empty((WINDOW_ROWS, idx.size), dtype=np.complex128)
             if detect and start <= n < warmup + CYCLE_WINDOW:

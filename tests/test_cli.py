@@ -92,6 +92,18 @@ class TestLocusCommand:
         assert code == 0
         assert out.read_bytes().startswith(b"P5\n15 9\n255\n")
 
+    def test_overflowing_cell_coordinates(self, tmp_path, capsys):
+        # the top row's im, 1.7e308 + 1e308/3, overflows to inf
+        out = tmp_path / "ov.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["locus", "--alpha", "1", "--center=0,1.7e308", "--width", "1e308",
+                            "--nx", "3", "--ny", "3", "--format", "csv", "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "qcdyn locus: grid cell coordinates overflow the float range\n"
+        assert not out.exists()
+
     def test_bad_alpha_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["locus", "--alpha", "0.3", "--width", "3", "-o", str(tmp_path / "x.pgm")])

@@ -11,6 +11,7 @@ from qcdyn.maps import MapParams, apply_map, lambda_min, tip_parameter
 from qcdyn.render import (
     ATTRACTOR_DETECT,
     ESCAPE_ONLY,
+    LOCK_EVERY,
     CellResult,
     GridSpec,
     PointClass,
@@ -26,12 +27,12 @@ from qcdyn.render import (
 
 RNG = np.random.default_rng(7)
 
-# grids where re + 1j*im would not keep the axes bit for bit: offsets that
-# underflow to -0.0 (the sum makes them +0.0) and top rows whose im
-# overflows to inf (the sum makes their re NaN)
+# grids at the edges of the float range: offsets that underflow to -0.0
+# (re + 1j*im would make them +0.0) and cells whose coordinates are the
+# largest finite ones
 EDGE_GRIDS = [
     GridSpec(complex(-0.0, -0.0), 5e-324, 5e-324, 4, 4),
-    GridSpec(1.7e308j, 1e308, 1e308, 3, 3),
+    GridSpec(complex(1.7e308, -1.7e308), 2e307, 2e307, 3, 3),
 ]
 
 
@@ -115,6 +116,13 @@ class TestGridSpec:
                 z = g.sample(i, j)
                 assert np.array([arr[j, i].real, arr[j, i].imag]).tobytes() == np.array([z.real, z.imag]).tobytes()
 
+    def test_overflowing_axes_rejected(self):
+        # the top row's im, 1.7e308 + 1e308/3, overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                GridSpec(1.7e308j, 1e308, 1e308, 3, 3)
+
     def test_orientation_top_row_has_larger_imag(self):
         g = GridSpec(0, 2.0, 2.0, 4, 4)
         arr = g.samples()
@@ -187,6 +195,27 @@ class TestKernelIdentity:
         return want
 
 
+def check_first_kernel(alpha, grid, max_iter, mode, c=None):
+    """Render a locus (c None) or a Julia set at threads 1 and 2, with
+    warnings raised as errors, and compare status, value and final-modulus
+    bytes with the verbatim first kernel; return the reference."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if c is None:
+            want = classify_block_reference(alpha, grid.samples(), np.zeros((grid.ny, grid.nx)), max_iter, mode)
+        else:
+            want = classify_block_reference(alpha, c, grid.samples(), max_iter, mode)
+        for threads in (1, 2):
+            if c is None:
+                got = render_locus(alpha, grid, max_iter, mode, threads=threads)
+            else:
+                got = render_julia(MapParams(alpha, c), grid, max_iter, mode, threads=threads)
+            assert np.array_equal(got.status, want[0])
+            assert np.array_equal(got.value, want[1])
+            assert got.final_modulus.tobytes() == want[2].tobytes()
+    return want
+
+
 class TestParkedLanes:
     """Escaped lanes are parked (z set to NaN) and compacted away in batches.
 
@@ -196,24 +225,6 @@ class TestParkedLanes:
     blocks.
     """
 
-    @staticmethod
-    def _check(alpha, grid, max_iter, mode, c=None):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            if c is None:
-                want = classify_block_reference(alpha, grid.samples(), np.zeros((grid.ny, grid.nx)), max_iter, mode)
-            else:
-                want = classify_block_reference(alpha, c, grid.samples(), max_iter, mode)
-            for threads in (1, 2):
-                if c is None:
-                    got = render_locus(alpha, grid, max_iter, mode, threads=threads)
-                else:
-                    got = render_julia(MapParams(alpha, c), grid, max_iter, mode, threads=threads)
-                assert np.array_equal(got.status, want[0])
-                assert np.array_equal(got.value, want[1])
-                assert got.final_modulus.tobytes() == want[2].tobytes()
-        return want
-
     @pytest.mark.parametrize("alpha, c", [(0.75, 0.1483), (1.0, 0.2501)])
     def test_long_escape_tail(self, alpha, c):
         # c just right of where the locus leaves the positive real axis
@@ -222,7 +233,7 @@ class TestParkedLanes:
         # point leaves, so escapes spread over hundreds of steps and parked
         # lanes wait across many of them
         grid = GridSpec(0, 3.2, 3.2, 511, 131)
-        status, value, _ = self._check(alpha, grid, 400, ESCAPE_ONLY, c=c)
+        status, value, _ = check_first_kernel(alpha, grid, 400, ESCAPE_ONLY, c=c)
         steps = value[status == PointClass.ESCAPED]
         assert steps.min() <= 2 and steps.max() >= 300
         assert np.unique(steps).size >= 60
@@ -232,7 +243,7 @@ class TestParkedLanes:
         # are stored; orbits near the locus boundary escape before, during
         # and after the stored rows
         grid = GridSpec(-0.75 + 0.1j, 0.05, 0.05, 127, 131)
-        status, value, _ = self._check(1.0, grid, 900, ATTRACTOR_DETECT)
+        status, value, _ = check_first_kernel(1.0, grid, 900, ATTRACTOR_DETECT)
         steps = value[status == PointClass.ESCAPED]
         assert (steps < 322).any() and ((322 < steps) & (steps < 425)).any() and (steps > 425).any()
         assert (status == PointClass.ATTRACTED).any()
@@ -241,7 +252,7 @@ class TestParkedLanes:
     def test_half_alpha(self, mode):
         # the radius is infinite: nothing escapes and nothing is parked
         grid = GridSpec(0, 4.0, 4.0, *((127, 131) if mode == ATTRACTOR_DETECT else (511, 131)))
-        status, _, _ = self._check(0.5, grid, 300, mode, c=-0.7 + 0.2j)
+        status, _, _ = check_first_kernel(0.5, grid, 300, mode, c=-0.7 + 0.2j)
         assert not (status == PointClass.ESCAPED).any()
 
     @pytest.mark.parametrize("mode", [ESCAPE_ONLY, ATTRACTOR_DETECT])
@@ -257,6 +268,54 @@ class TestParkedLanes:
         assert np.array_equal(got.status, want[0])
         assert np.array_equal(got.value, want[1])
         assert got.final_modulus.tobytes() == want[2].tobytes()
+
+
+class TestLockedLanes:
+    """Escape mode retires lanes whose z repeats exactly after LOCK_EVERY steps.
+
+    Each case is compared with the verbatim first kernel, which iterates
+    every bounded lane to the end, at threads 1 and 2 with warnings raised as
+    errors.  Grids hold just over 65536 cells, so each render splits into two
+    row blocks.
+    """
+
+    @pytest.mark.parametrize("max_iter", range(1000, 1000 + LOCK_EVERY))
+    @pytest.mark.parametrize("alpha, c", [(1.5, -0.8 + 5e-4j), (1.0, -0.78 + 7e-4j)])
+    def test_locking_julia_set(self, alpha, c, max_iter):
+        # every bounded lane ends on an exact 2-cycle and retires; the budgets
+        # cover each residue of max_iter mod LOCK_EVERY, so each placement of
+        # the checkpoints relative to the last step
+        status, _, _ = check_first_kernel(alpha, GridSpec(0, 4.0, 4.0, 511, 131), max_iter, ESCAPE_ONLY, c=c)
+        assert (status == PointClass.BOUNDED).sum() > 8000
+
+    def test_real_c(self):
+        # no sample lies on the real axis, and none of the bounded orbits
+        # closes into an exact cycle within the budget
+        status, _, _ = check_first_kernel(1.5, GridSpec(0, 4.0, 4.0, 512, 130), 1000, ESCAPE_ONLY, c=-0.8)
+        assert (status == PointClass.BOUNDED).sum() > 8000
+
+    def test_locus(self):
+        status, _, _ = check_first_kernel(1.0, GridSpec(-0.3, 3.0, 3.0, 511, 131), 1003, ESCAPE_ONLY)
+        assert (status == PointClass.BOUNDED).sum() > 8000
+
+    def test_half_alpha_large_c(self):
+        # infinite radius, every lane bounded and live to the end
+        grid = GridSpec(6.5 * np.exp(0.3j), 1.0, 1.0, 511, 131)
+        status, _, _ = check_first_kernel(0.5, grid, 100, ESCAPE_ONLY)
+        assert (status == PointClass.BOUNDED).all()
+
+    def test_locked_orbits_return_at_once(self):
+        # interior points of a period-2 component: they retire within a few
+        # hundred steps, so a budget of 10**9 costs no more than 1204, which
+        # has the same residue mod LOCK_EVERY and so the same final state
+        c = -0.8 + 5e-4j
+        z0 = np.array([0, 0.1, -0.2 + 0.1j, 0.3j, 0.25 - 0.15j, -0.05j])
+        assert 10**9 % LOCK_EVERY == 1204 % LOCK_EVERY
+        want = classify_block_reference(1.5, c, z0, 1204, ESCAPE_ONLY)
+        for z, status, modulus in zip(z0, *want[::2]):
+            got = classify_point(MapParams(1.5, c), z, 10**9)
+            assert (got.status, got.value) == (PointClass.BOUNDED, 0) and status == PointClass.BOUNDED
+            assert np.float64(got.final_modulus).tobytes() == modulus.tobytes()
 
 
 class TestRenderJulia:
