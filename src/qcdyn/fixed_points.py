@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DomainError
-from .maps import MapParams, _radius_floor, jacobian, require_alpha
-from .maps import apply_map  # noqa: F401  (unused here; perfbench counts calls through this name)
+from .errors import ConvergenceWarning, DomainError, NoConvergence
+from .maps import BRANCH_POINT_DERIVATIVE, MapParams, _radius_floor, apply_map, jacobian, require_alpha
 
 __all__ = [
     "Polyline",
@@ -54,6 +53,7 @@ TOL_CLS = 1e-9
 _NEWTON_TOL = 1e-13
 _NEWTON_STEPS = 60
 NEWTON_BOUND = 1e6  # Newton iterates beyond this modulus count as diverged
+_SCALAR_LANES = 16  # _newton_lanes finishes on the scalar step once this few lanes are live
 MIN_SAMPLES = 16  # fewest samples trace_curve accepts
 _DEDUP = 1e-8
 _SEED_DIRECTIONS = [cmath.exp(2j * math.pi * j / 24.0) for j in range(24)]
@@ -70,14 +70,6 @@ class Polyline:
         if len(self.points) < 2:
             raise DomainError("a polyline needs at least two points")
         object.__setattr__(self, "points", tuple(complex(p) for p in self.points))
-
-    def diameter(self) -> float:
-        pts = np.asarray(self.points)
-        out = 0.0
-        for k in range(0, len(pts), 512):
-            chunk = pts[k : k + 512]
-            out = max(out, float(np.abs(chunk[:, None] - pts[None, :]).max()))
-        return out
 
 
 @dataclass(frozen=True)
@@ -183,7 +175,10 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
     parts in CPython's order, and z = 0 takes Df(0) = 0.  A lane stops as a
     root once |f(z) - z| < 1e-13; it fails when |z| > NEWTON_BOUND, z is not
     finite, a modulus or power overflows (where Python raises OverflowError)
-    or |det(Df - id)| < 1e-300; it stalls after 60 steps.
+    or |det(Df - id)| < 1e-300; it stalls after 60 steps.  Once at most
+    _SCALAR_LANES lanes are live, each finishes its remaining steps on the
+    scalar iteration itself (_scalar_newton): a numpy step costs about the
+    same whatever the lane count, some 30 scalar steps' worth.
 
     Returns (roots, converged, stalled): the root of each converged seed
     (nan elsewhere), the converged mask, and the number of stalled seeds.
@@ -198,13 +193,18 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
     drop = np.zeros(seeds.size, dtype=bool)
     stalled = 0
     with np.errstate(all="ignore"):
-        for _ in range(_NEWTON_STEPS):
+        for step in range(_NEWTON_STEPS):
             r = np.hypot(x, y)
             keep = ~drop & (r <= NEWTON_BOUND)  # False for nan and inf moduli
             if np.count_nonzero(keep) < keep.size:
                 x, y, r, idx = x[keep], y[keep], r[keep], idx[keep]
-                if not idx.size:
-                    break
+            if idx.size <= _SCALAR_LANES:
+                for k, zr, zi in zip(idx.tolist(), x.tolist(), y.tolist()):
+                    root, stall = _scalar_newton(p, complex(zr, zi), _NEWTON_STEPS - step)
+                    if root is not None:
+                        found[k] = root.real, root.imag
+                    stalled += stall
+                break
             zero = r == 0.0
             at_zero = np.count_nonzero(zero)
             # apply_map: u = |z|^(a-1) z (float times complex), f - z = u u + c - z
@@ -260,6 +260,24 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
         else:
             stalled = int(np.count_nonzero(~drop))
     return found.view(np.complex128).ravel(), ~np.isnan(found[:, 0]), stalled
+
+
+def _scalar_newton(p: MapParams, z: complex, steps: int) -> tuple[complex | None, bool]:
+    """At most `steps` Newton steps for f(z) = z from z, with the lanes' rules:
+    (root, False) on convergence, (None, True) when the steps run out, and
+    (None, False) on divergence, overflow or a singular step."""
+    try:
+        for _ in range(steps):
+            if abs(z) > NEWTON_BOUND or not cmath.isfinite(z):
+                return None, False
+            fval = apply_map(p, z) - z
+            if abs(fval) < _NEWTON_TOL:
+                return z, False
+            df = jacobian(p, z) if z != 0 else BRANCH_POINT_DERIVATIVE
+            z = z + df.newton_step(fval)
+    except (NoConvergence, OverflowError):
+        return None, False
+    return None, True
 
 
 def _overflowed(result: np.ndarray, *args: np.ndarray) -> np.ndarray:

@@ -79,10 +79,6 @@ class Jet3:
             c[j, k] = val
         return cls(c)
 
-    @classmethod
-    def identity(cls) -> "Jet3":
-        return cls.from_terms({(1, 0): 1.0})
-
     def __getitem__(self, jk: tuple[int, int]) -> complex:
         return complex(self.coeff[jk])
 
@@ -94,17 +90,6 @@ class Jet3:
 
     def scale(self, s: complex) -> "Jet3":
         return Jet3(self.coeff * s)
-
-    def evaluate(self, z: complex) -> complex:
-        """Evaluate the jet at (z, conj z)."""
-        w = z.conjugate()
-        total = 0j
-        for j in range(4):
-            for k in range(4 - j):
-                c = self.coeff[j, k]
-                if c != 0:
-                    total += c * z**j * w**k
-        return total
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

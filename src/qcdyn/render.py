@@ -124,10 +124,6 @@ class GridSpec:
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise DomainError("grid cell coordinates overflow the float range")
 
-    @property
-    def pixel_diag(self) -> float:
-        return float(np.hypot(self.width / self.nx, self.height / self.ny))
-
     def sample(self, i: int, j: int) -> complex:
         re = self.center.real + ((i + 0.5) / self.nx - 0.5) * self.width
         im = self.center.imag + (0.5 - (j + 0.5) / self.ny) * self.height

@@ -10,6 +10,8 @@ Kuznetsov's explicit Neimark-Sacker coefficient c1, not from the library's
 homological conjugation.  The census's lane-parallel Newton
 is checked bit for bit against the scalar per-seed loop it replaced, kept
 here over the scalar apply_map, jacobian and WirtingerPair.newton_step.
+The small helpers at the end (jet evaluation, polyline diameter, pixel
+diagonal) serve only the tests, so they live here rather than in the library.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from qcdyn.fixed_points import (
     _record,
     param_for_fixed_point,
 )
+from qcdyn.jets import Jet3
 from qcdyn.maps import BRANCH_POINT_DERIVATIVE, MapParams, _radius_floor, apply_map, jacobian, require_alpha
+from qcdyn.render import GridSpec
 
 
 def fd_jacobian(p: MapParams, z: complex, h: float | None = None) -> np.ndarray:
@@ -483,3 +487,35 @@ def classify_block_reference(
         value.reshape(z0.shape),
         finalmod.reshape(z0.shape),
     )
+
+
+def jet_identity() -> Jet3:
+    """The jet of the identity map, z."""
+    return Jet3.from_terms({(1, 0): 1.0})
+
+
+def evaluate_jet(jet: Jet3, z: complex) -> complex:
+    """The jet's polynomial at (z, conj z)."""
+    w = z.conjugate()
+    total = 0j
+    for j in range(4):
+        for k in range(4 - j):
+            c = jet.coeff[j, k]
+            if c != 0:
+                total += c * z**j * w**k
+    return total
+
+
+def polyline_diameter(points) -> float:
+    """The largest distance between two vertices, in row blocks of 512."""
+    pts = np.asarray(points)
+    out = 0.0
+    for k in range(0, len(pts), 512):
+        chunk = pts[k : k + 512]
+        out = max(out, float(np.abs(chunk[:, None] - pts[None, :]).max()))
+    return out
+
+
+def pixel_diag(grid: GridSpec) -> float:
+    """The diagonal of one grid cell."""
+    return float(np.hypot(grid.width / grid.nx, grid.height / grid.ny))

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import brute_force_fixed_points, census_signature, fd_jacobian, fd_jet
+from oracles import brute_force_fixed_points, census_signature, fd_jacobian, fd_jet, pixel_diag
 from qcdyn.errors import EigenvalueError, ResonanceError
 from qcdyn.fixed_points import (
     DELTA,
@@ -228,9 +228,9 @@ def test_criterion_5_escape_and_expansion():
         lower = (abs(p.c) - abs(2 * p.c) ** (1 / (2 * p.alpha))) ** (1 / (2 * p.alpha))
         for z in samples[bounded]:
             z = complex(z)
-            if not abs(z) >= lower - grid.pixel_diag:
+            if not abs(z) >= lower - pixel_diag(grid):
                 failures.append((p.alpha, p.c, z, "below annulus"))
-            if not abs(z) <= abs(p.c) + grid.pixel_diag:
+            if not abs(z) <= abs(p.c) + pixel_diag(grid):
                 failures.append((p.alpha, p.c, z, "outside annulus"))
             if not lambda_min(p, z) > 1.0:
                 failures.append((p.alpha, p.c, z, "not expanding"))

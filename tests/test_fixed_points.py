@@ -14,11 +14,13 @@ from oracles import (
     count_self_intersections,
     detect_cusps_sweep,
     label_minimum_positions,
+    polyline_diameter,
     residual_grid,
     scalar_census,
     scalar_census_seeds,
     scalar_newton_fixed_point,
 )
+from qcdyn import fixed_points
 from qcdyn.errors import ConvergenceWarning, DomainError
 from qcdyn.fixed_points import (
     DELTA,
@@ -217,7 +219,7 @@ class TestCurveImages:
     def test_gamma_collapse_at_conformal_case(self):
         for which, target in [(GAMMA_PLUS, 0.25), (GAMMA_MINUS, -0.75)]:
             pl = trace_curve_image(1.0, which, 64)
-            assert pl.diameter() < 1e-6
+            assert polyline_diameter(pl.points) < 1e-6
             assert abs(pl.points[0] - target) < 1e-9
 
     def test_minimum_sample_count(self):
@@ -360,6 +362,30 @@ def _bits(z: complex) -> bytes:
     return np.array([z], dtype=np.complex128).tobytes()
 
 
+def _assert_census_matches_scalar(p: MapParams, extra_seeds=()) -> None:
+    """find_fixed_points gives the scalar census's records and stall warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = find_fixed_points(p, extra_seeds)
+    want, stalled = scalar_census(p, extra_seeds)
+    assert records == want
+    stall_msgs = [str(w.message) for w in caught if w.category is ConvergenceWarning]
+    assert stall_msgs == ([f"{stalled} Newton starts stalled without converging or diverging"]
+                          if stalled else [])
+    assert not [w for w in caught if w.category is RuntimeWarning]
+
+
+# (alpha, c): |c| <= 1e3, and 1e3 <= |c| <= 1e300 in about a quarter of the
+# draws (one branch of four)
+_small_moduli = st.floats(0.0, 1e3)
+_CENSUS_PARAMS = st.builds(
+    lambda alpha, modulus, angle: (alpha, cmath.rect(modulus, angle)),
+    st.floats(0.5000001, 8.0),
+    st.one_of(_small_moduli, _small_moduli, _small_moduli, st.floats(1e3, 1e300)),
+    st.floats(-math.pi, math.pi),
+)
+
+
 class TestLaneNewton:
     """The census's lane Newton against the scalar per-seed loop it replaced."""
 
@@ -384,16 +410,47 @@ class TestLaneNewton:
 
     @pytest.mark.parametrize("alpha,c", _LANE_CASES[::3])
     def test_records_match_scalar_census(self, alpha, c):
+        _assert_census_matches_scalar(MapParams(alpha, c), _EXTRA_SEEDS)
+
+    @given(_CENSUS_PARAMS)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_census_property_matches_scalar_census(self, params):
+        _assert_census_matches_scalar(MapParams(*params))
+
+    @pytest.mark.parametrize("alpha,c", _LANE_CASES)
+    def test_scalar_finish_changes_no_bit(self, alpha, c, monkeypatch):
+        # numpy lanes only, the shipped handover, and the scalar step only
         p = MapParams(alpha, c)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            records = find_fixed_points(p, _EXTRA_SEEDS)
-        want, stalled = scalar_census(p, _EXTRA_SEEDS)
-        assert records == want
-        stall_msgs = [str(w.message) for w in caught if w.category is ConvergenceWarning]
-        assert stall_msgs == ([f"{stalled} Newton starts stalled without converging or diverging"]
-                              if stalled else [])
-        assert not [w for w in caught if w.category is RuntimeWarning]
+        seeds = _census_seeds(p, _EXTRA_SEEDS)
+        runs = []
+        for lanes in (0, fixed_points._SCALAR_LANES, seeds.size):
+            monkeypatch.setattr(fixed_points, "_SCALAR_LANES", lanes)
+            roots, converged, stalled = _newton_lanes(p, seeds)
+            runs.append((roots.tobytes(), converged.tobytes(), stalled))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_handover_at_exactly_the_threshold(self, monkeypatch):
+        # 1e7 leaves at the first bound check and the fixed point 0 converges
+        # at step 0, so T + 1 lanes take step 0 as numpy and T lanes, started
+        # around the fixed point 1, finish the other 59 steps on the scalar step
+        p = MapParams(2.0, 0)
+        lanes = fixed_points._SCALAR_LANES
+        around_one = [1.0 + 0.1 * cmath.exp(2j * math.pi * k / lanes) for k in range(lanes)]
+        seeds = np.array([1e7, 0j] + around_one)
+        handed = []
+        scalar_newton = fixed_points._scalar_newton
+
+        def spy(p, z, steps):
+            handed.append(steps)
+            return scalar_newton(p, z, steps)
+
+        monkeypatch.setattr(fixed_points, "_scalar_newton", spy)
+        roots, converged, stalled = _newton_lanes(p, seeds)
+        assert handed == [fixed_points._NEWTON_STEPS - 1] * lanes
+        assert converged.tolist() == [False] + [True] * (lanes + 1) and stalled == 0
+        for k, seed in enumerate(seeds.tolist()):
+            z, _ = scalar_newton_fixed_point(p, seed)
+            assert z is None if k == 0 else _bits(roots[k]) == _bits(z)
 
     def test_no_seeds(self):
         roots, converged, stalled = _newton_lanes(MapParams(1.0, 0.1), np.array([], dtype=complex))
@@ -450,7 +507,7 @@ class TestDataTypes:
         with pytest.raises(DomainError):
             Polyline((1 + 0j,))
         pl = Polyline((0, 1, 1j))
-        assert pl.closed and pl.diameter() == pytest.approx(math.sqrt(2))
+        assert pl.closed and polyline_diameter(pl.points) == pytest.approx(math.sqrt(2))
 
     def test_classify_bands(self):
         assert classify_eigenvalues((0.5, 0.9j)) == "attracting"

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import classify_block_reference, classify_reference
+from oracles import classify_block_reference, classify_reference, pixel_diag
 from qcdyn.errors import DomainError
 from qcdyn.maps import MapParams, apply_map, lambda_min, tip_parameter
 from qcdyn.render import (
@@ -330,7 +330,7 @@ class TestRenderJulia:
         bounded = raster.status == PointClass.BOUNDED
         inside = np.abs(samples) <= 1.0
         disagree = bounded != inside
-        near_edge = np.abs(np.abs(samples) - 1.0) <= g.pixel_diag
+        near_edge = np.abs(np.abs(samples) - 1.0) <= pixel_diag(g)
         assert not np.any(disagree & ~near_edge)
 
     def test_interval_tip_strip(self):
@@ -353,7 +353,7 @@ class TestRenderJulia:
             samples = g.samples()
             bounded = raster.status == PointClass.BOUNDED
             assert bounded.any()
-            limit = 2 ** (1 / (2 * alpha - 1)) + g.pixel_diag
+            limit = 2 ** (1 / (2 * alpha - 1)) + pixel_diag(g)
             assert np.abs(samples[bounded]).max() <= limit
 
 
@@ -519,6 +519,6 @@ class TestExpansionOnKBound:
             bounded = raster.status == PointClass.BOUNDED
             lower = (abs(p.c) - abs(2 * p.c) ** (1 / (2 * alpha))) ** (1 / (2 * alpha))
             for z in samples[bounded]:
-                assert abs(z) >= lower - g.pixel_diag
-                assert abs(z) <= abs(p.c) + g.pixel_diag
+                assert abs(z) >= lower - pixel_diag(g)
+                assert abs(z) <= abs(p.c) + pixel_diag(g)
                 assert lambda_min(p, complex(z)) > 1.0
