@@ -169,16 +169,18 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Newton for f(z) = z from every seed at once, one numpy lane per seed.
 
     Each lane repeats the scalar iteration z <- z + (Df(z) - id)^{-1} (z - f(z))
-    of apply_map, wirtinger and WirtingerPair.newton_step bit for bit: moduli
-    are np.hypot (Python's abs), real powers np.float_power (Python's **),
-    complex products and quotients are written out in real and imaginary
-    parts in CPython's order, and z = 0 takes Df(0) = 0.  A lane stops as a
-    root once |f(z) - z| < 1e-13; it fails when |z| > NEWTON_BOUND, z is not
-    finite, a modulus or power overflows (where Python raises OverflowError)
-    or |det(Df - id)| < 1e-300; it stalls after 60 steps.  Once at most
-    _SCALAR_LANES lanes are live, each finishes its remaining steps on the
-    scalar iteration itself (_scalar_newton): a numpy step costs about the
-    same whatever the lane count, some 30 scalar steps' worth.
+    of apply_map, wirtinger and WirtingerPair.newton_step bit for bit in the
+    finite case: moduli are np.hypot (Python's abs), real powers
+    np.float_power (Python's **), and complex products and quotients are
+    written out in real and imaginary parts in CPython's order.  A lane stops
+    as a root once |f(z) - z| < 1e-13 and fails when |z| > NEWTON_BOUND or z
+    is not finite.  A lane at the branch point z = 0, or whose step overflows
+    or is singular (|f(z) - z| or det(Df - id) not finite, or
+    |det(Df - id)| < 1e-300), finishes its remaining steps on the scalar
+    iteration itself (_scalar_newton), bit for bit by construction; so do
+    the live lanes once at most _SCALAR_LANES are left, as a numpy step costs
+    about the same whatever the lane count, some 30 scalar steps' worth.
+    A lane still live after 60 steps stalls.
 
     Returns (roots, converged, stalled): the root of each converged seed
     (nan elsewhere), the converged mask, and the number of stalled seeds.
@@ -191,6 +193,7 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
     k_z, k_zbar = p.alpha + 1.0, p.alpha - 1.0
     cr, ci = p.c.real, p.c.imag
     drop = np.zeros(seeds.size, dtype=bool)
+    handed = []  # (seed indices, x, y, steps left) of the lanes _scalar_newton finishes
     stalled = 0
     with np.errstate(all="ignore"):
         for step in range(_NEWTON_STEPS):
@@ -199,14 +202,8 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
             if np.count_nonzero(keep) < keep.size:
                 x, y, r, idx = x[keep], y[keep], r[keep], idx[keep]
             if idx.size <= _SCALAR_LANES:
-                for k, zr, zi in zip(idx.tolist(), x.tolist(), y.tolist()):
-                    root, stall = _scalar_newton(p, complex(zr, zi), _NEWTON_STEPS - step)
-                    if root is not None:
-                        found[k] = root.real, root.imag
-                    stalled += stall
+                handed.append((idx, x, y, _NEWTON_STEPS - step))
                 break
-            zero = r == 0.0
-            at_zero = np.count_nonzero(zero)
             # apply_map: u = |z|^(a-1) z (float times complex), f - z = u u + c - z
             zx, zy = 0.0 * x, 0.0 * y  # the zero parts' products, kept for signed zeros
             s = np.float_power(r, e_map)
@@ -214,14 +211,7 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
             ui = s * y + zx
             fr = ur * ur - ui * ui + cr - x
             fi = ur * ui + ui * ur + ci - y
-            if at_zero:  # f(0) = c
-                fr[zero] = cr - x[zero]
-                fi[zero] = ci - y[zero]
             fabs = np.hypot(fr, fi)
-            conv = fabs < _NEWTON_TOL
-            if np.count_nonzero(conv):
-                found[idx[conv], 0] = x[conv]
-                found[idx[conv], 1] = y[conv]
             # wirtinger: v = z / |z| (Smith's quotient by |z| + 0j),
             # fz = (a+1) s2 v, fzbar = (a-1) s2 v^3; newton_step takes a = fz - 1
             s2 = np.float_power(r, e_jac)
@@ -238,18 +228,22 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
             ai = k1 * vi + 0.0 * vr
             br = k2 * cube_r - 0.0 * cube_i
             bi = k2 * cube_i + 0.0 * cube_r
-            if at_zero:  # Df(0) = 0
-                ar[zero], ai[zero], br[zero], bi[zero] = -1.0, 0.0, 0.0, 0.0
             # newton_step: det = |a|^2 - |b|^2, v = (b conj(r) - conj(a) r) / (det + 0j)
             amod, bmod = np.hypot(ar, ai), np.hypot(br, bi)
-            amod2, bmod2 = np.float_power(amod, 2.0), np.float_power(bmod, 2.0)
-            det = amod2 - bmod2
-            drop = conv | (np.abs(det) < 1e-300)
-            # every overflow leaves fabs or det infinite or nan; check exactly only then
+            det = np.float_power(amod, 2.0) - np.float_power(bmod, 2.0)
+            hand = np.abs(det) < 1e-300
+            # every OverflowError of the scalar step leaves fabs or det infinite
+            # or nan, and so does z = 0, where v is 0/0
             if not math.isfinite((fabs + det).sum()):
-                over = _overflowed(s2, r) | _overflowed(amod, ar, ai) | _overflowed(bmod, br, bi)
-                over |= _overflowed(amod2, amod) | _overflowed(bmod2, bmod) | _overflowed(s, r)
-                drop |= over & ~zero | _overflowed(fabs, fr, fi)
+                hand |= ~(np.isfinite(fabs) & np.isfinite(det))
+            conv = fabs < _NEWTON_TOL
+            if np.count_nonzero(hand):
+                handed.append((idx[hand], x[hand], y[hand], _NEWTON_STEPS - step))
+                conv &= ~hand
+            if np.count_nonzero(conv):
+                found[idx[conv], 0] = x[conv]
+                found[idx[conv], 1] = y[conv]
+            drop = conv | hand
             # conj(r) and conj(a) negate exactly, so x - (-y) is x + y bit for bit;
             # the quotient's denominator det + 0 * ratio is det itself
             nr = (br * fr + bi * fi) - (ar * fr + ai * fi)
@@ -259,6 +253,12 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
             y = y + (ni - nr * ratio) / det
         else:
             stalled = int(np.count_nonzero(~drop))
+    for ids, xs, ys, steps in handed:
+        for k, zr, zi in zip(ids.tolist(), xs.tolist(), ys.tolist()):
+            root, stall = _scalar_newton(p, complex(zr, zi), steps)
+            if root is not None:
+                found[k] = root.real, root.imag
+            stalled += stall
     return found.view(np.complex128).ravel(), ~np.isnan(found[:, 0]), stalled
 
 
@@ -278,14 +278,6 @@ def _scalar_newton(p: MapParams, z: complex, steps: int) -> tuple[complex | None
     except (NoConvergence, OverflowError):
         return None, False
     return None, True
-
-
-def _overflowed(result: np.ndarray, *args: np.ndarray) -> np.ndarray:
-    """Lanes where Python would raise OverflowError: finite inputs, infinite result."""
-    out = np.isinf(result)
-    for a in args:
-        out &= np.isfinite(a)
-    return out
 
 
 def _record(p: MapParams, z: complex) -> FixedPointRecord:

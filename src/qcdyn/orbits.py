@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,18 +57,30 @@ class SmoothnessExponent:
 
 
 def critical_orbit(p: MapParams, n: int) -> OrbitTrace:
-    """[f(0), f^2(0), ..., f^n(0)], truncated at the first escape-radius crossing."""
+    """[f(0), f^2(0), ..., f^n(0)], truncated after the first point beyond the
+    escape radius, or before the first point past the float range (one that
+    is infinite or nan, or whose value or modulus raises OverflowError);
+    either truncation sets escaped.  A c whose modulus overflows gives (c,),
+    escaped."""
     if n < 1:
         raise DomainError("orbit length must be >= 1")
-    radius = escape_radius(p)
-    pts: list[complex] = []
-    z = 0j
-    for _ in range(n):
-        z = apply_map(p, z)
-        pts.append(z)
-        if abs(z) > radius:
-            return OrbitTrace(tuple(pts), True)
-    return OrbitTrace(tuple(pts), False)
+    z = p.c  # f(0), never beyond the escape radius max(|c|, ...)
+    pts = [z]
+    try:
+        # capped, so that an infinite |z| is beyond it where the radius is infinite
+        radius = min(escape_radius(p), sys.float_info.max)
+        for _ in range(n - 1):
+            z = apply_map(p, z)
+            if not abs(z) <= radius:  # beyond the radius, or infinite or nan
+                break
+            pts.append(z)
+        else:
+            return OrbitTrace(tuple(pts), False)
+        if cmath.isfinite(z):
+            pts.append(z)
+    except OverflowError:
+        pass
+    return OrbitTrace(tuple(pts), True)
 
 
 def _orbit_and_derivative(p: MapParams, z: complex, q: int) -> tuple[complex, WirtingerPair]:

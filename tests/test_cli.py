@@ -364,6 +364,11 @@ def _argvs(draw):
     """A small run of any subcommand; "OUT" marks the output path."""
     cmd = draw(st.sampled_from(["julia", "locus", "fixed-points", "hopf", "orbit", "curves", "leaf"]))
     argv = [cmd, "--alpha", repr(draw(_alphas))]
+
+    def c_flag(huge: bool) -> str:
+        # parts up to 1e300 half the time, where Newton, orbits and rasters overflow
+        return _flag(draw(_huge_cs if huge and draw(st.booleans()) else _cs))
+
     if cmd == "hopf":
         return argv + ["--theta", repr(draw(st.floats(0.0, 2.0 * math.pi)))]
     if cmd == "curves":
@@ -377,11 +382,9 @@ def _argvs(draw):
             argv += [f"--probe={draw(st.integers(-3, 200))}", f"--seed={draw(st.integers(-3, 99))}"]
         return argv + ["-o", "OUT"]
     if cmd != "locus":
-        # fixed-points: parts up to 1e300 half the time, where Newton overflows
-        cs = _huge_cs if cmd == "fixed-points" and draw(st.booleans()) else _cs
-        argv.append("--c" + _flag(draw(cs)))
+        argv.append("--c" + c_flag(cmd != "leaf"))
     if cmd in ("julia", "locus"):
-        argv += ["--center" + _flag(draw(_cs)), "--width", repr(draw(st.floats(1e-3, 10.0))),
+        argv += ["--center" + c_flag(True), "--width", repr(draw(st.floats(1e-3, 10.0))),
                  "--nx", str(draw(st.integers(1, 8))), "--ny", str(draw(st.integers(1, 8))),
                  "--max-iter", str(draw(st.integers(1, 50))),
                  "--mode", draw(st.sampled_from(["escape", "attractor"])),
@@ -425,8 +428,9 @@ def _assert_well_formed(argv, path: Path) -> None:
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_cli_never_shows_a_traceback(argv):
     # alpha down to 1/2 (where 2^{1/(2a-1)} overflows and the delta radius
-    # underflows), any |c| <= 1e3 (fixed-points: parts up to 1e300 half the
-    # time): the run succeeds with a well-formed file,
+    # underflows), any |c| <= 1e3 (fixed-points, orbit and julia c and the
+    # raster centers: parts up to 1e300 half the time): the run succeeds with
+    # a well-formed file,
     # fails with a one-line message (1) or rejects its arguments (2), and
     # never raises
     with tempfile.TemporaryDirectory() as tmp:
@@ -546,11 +550,13 @@ def run_module(args):
     [
         ["julia", "--alpha", "1.5", "--c=1e200,0", "--width", "4", "--nx", "3", "--ny", "2", "--format", "csv"],
         ["locus", "--alpha", "1", "--width", "1e300", "--nx", "15", "--ny", "9"],
+        ["orbit", "--alpha", "3", "--c=1e200,0", "--critical", "5"],
     ],
 )
 def test_overflowing_orbits_print_nothing(tmp_path, argv):
-    # orbits pass |z| ~ 1e154, where z*z overflows, before they leave the
-    # escape radius; the overflow is part of escaping and needs no warning
+    # orbits overflow before they leave the escape radius: raster orbits pass
+    # |z| ~ 1e154, where z*z overflows, and f(c) of the critical orbit is past
+    # the float range; the overflow is part of escaping and needs no warning
     proc = run_module([*argv, "-o", str(tmp_path / "out")])
     assert proc.returncode == 0
     assert proc.stderr == ""

@@ -419,7 +419,8 @@ class TestLaneNewton:
 
     @pytest.mark.parametrize("alpha,c", _LANE_CASES)
     def test_scalar_finish_changes_no_bit(self, alpha, c, monkeypatch):
-        # numpy lanes only, the shipped handover, and the scalar step only
+        # no scalar finish (only the exceptional lanes reach the scalar step),
+        # the shipped handover, and the scalar step only
         p = MapParams(alpha, c)
         seeds = _census_seeds(p, _EXTRA_SEEDS)
         runs = []
@@ -430,13 +431,13 @@ class TestLaneNewton:
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_handover_at_exactly_the_threshold(self, monkeypatch):
-        # 1e7 leaves at the first bound check and the fixed point 0 converges
+        # 1e7 leaves at the first bound check and the fixed point 1 converges
         # at step 0, so T + 1 lanes take step 0 as numpy and T lanes, started
-        # around the fixed point 1, finish the other 59 steps on the scalar step
+        # around that fixed point, finish the other 59 steps on the scalar step
         p = MapParams(2.0, 0)
         lanes = fixed_points._SCALAR_LANES
         around_one = [1.0 + 0.1 * cmath.exp(2j * math.pi * k / lanes) for k in range(lanes)]
-        seeds = np.array([1e7, 0j] + around_one)
+        seeds = np.array([1e7, 1.0] + around_one)
         handed = []
         scalar_newton = fixed_points._scalar_newton
 
@@ -451,6 +452,38 @@ class TestLaneNewton:
         for k, seed in enumerate(seeds.tolist()):
             z, _ = scalar_newton_fixed_point(p, seed)
             assert z is None if k == 0 else _bits(roots[k]) == _bits(z)
+
+    # (alpha, c, seed, steps the numpy lanes take first): the branch point,
+    # Df - id exactly 0 at 0.5, |f_z - 1|^2 overflowing at 4.63e5, and an
+    # overflow one step after a census grid seed
+    _EXCEPTIONAL_LANES = [
+        (0.75, 0.3 - 0.2j, 0j, 0),
+        (1.0, 0j, 0.5, 0),
+        _LANE_CASES[-1] + (4.63e5, 0),
+        (60.0, -0.3 + 0.1j, 0.681602634383267 + 0.6816026343832668j, 1),
+    ]
+
+    @pytest.mark.parametrize("alpha,c,seed,numpy_steps", _EXCEPTIONAL_LANES)
+    def test_exceptional_lanes_finish_on_the_scalar_step(self, alpha, c, seed, numpy_steps, monkeypatch):
+        p = MapParams(alpha, c)
+        z = complex(seed)
+        for _ in range(numpy_steps):
+            z = z + jacobian(p, z).newton_step(apply_map(p, z) - z)
+        handed = []
+        scalar_newton = fixed_points._scalar_newton
+
+        def spy(p, z, steps):
+            handed.append((_bits(z), steps))
+            return scalar_newton(p, z, steps)
+
+        monkeypatch.setattr(fixed_points, "_SCALAR_LANES", 0)
+        monkeypatch.setattr(fixed_points, "_scalar_newton", spy)
+        roots, converged, stalled = _newton_lanes(p, np.array([seed], dtype=np.complex128))
+        assert handed == [(_bits(z), fixed_points._NEWTON_STEPS - numpy_steps)]
+        want, stall = scalar_newton_fixed_point(p, seed)
+        assert converged[0] == (want is not None) and stalled == stall
+        if want is not None:
+            assert _bits(roots[0]) == _bits(want)
 
     def test_no_seeds(self):
         roots, converged, stalled = _newton_lanes(MapParams(1.0, 0.1), np.array([], dtype=complex))

@@ -55,6 +55,20 @@ class TestCriticalOrbit:
         with pytest.raises(DomainError):
             critical_orbit(MapParams(1, 0), 0)
 
+    @pytest.mark.parametrize(
+        "alpha,c",
+        [
+            (3.0, 1e200),  # |c|^(a-1) raises OverflowError
+            (3.0, 1e60 + 1e60j),  # f(c) comes out as nan+infj
+            (1.0, cmath.sqrt(1.3e308 * (1 + 1j))),  # f(c) is finite, |f(c)| raises
+            (3.0, 1.5e308 + 1.5e308j),  # |c| itself raises
+            (0.5, 1e308),  # the escape radius is infinite and f(c) = 2c is inf
+        ],
+    )
+    def test_points_past_the_float_range_end_the_trace(self, alpha, c):
+        p = MapParams(alpha, c)
+        assert critical_orbit(p, 5) == OrbitTrace((p.c,), True)
+
 
 class TestPeriodicOrbit:
     def test_superattracting_two_cycle(self):
