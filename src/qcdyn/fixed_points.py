@@ -302,6 +302,22 @@ def _census_seeds(p: MapParams, extra_seeds: tuple[complex, ...] = ()) -> np.nda
     return np.array(seeds, dtype=np.complex128)
 
 
+def _distinct_roots(lanes: np.ndarray) -> list[complex]:
+    """The lanes in order, less each one within _DEDUP of a lane kept before it.
+
+    Root by root: keep the first lane left and drop every lane within _DEDUP
+    of it, itself included.  A lane left over is farther than _DEDUP from
+    every kept root, so this keeps what the seed-order rule keeps.
+    """
+    roots = []
+    while lanes.size:
+        root = lanes[0]
+        roots.append(complex(root))
+        d = lanes - root
+        lanes = lanes[np.hypot(d.real, d.imag) > _DEDUP]
+    return roots
+
+
 def find_fixed_points(
     p: MapParams, extra_seeds: tuple[complex, ...] = ()
 ) -> list[FixedPointRecord]:
@@ -314,11 +330,8 @@ def find_fixed_points(
     ConvergenceWarning if some seeds stall without converging or diverging.
     """
     require_alpha(p.alpha, strict=True)
-    roots: list[complex] = []
     lanes, converged, stalled = _newton_lanes(p, _census_seeds(p, extra_seeds))
-    for z in lanes[converged].tolist():
-        if all(abs(z - r) > _DEDUP for r in roots):
-            roots.append(z)
+    roots = _distinct_roots(lanes[converged])
     if stalled:
         warnings.warn(
             f"{stalled} Newton starts stalled without converging or diverging",

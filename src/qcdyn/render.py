@@ -4,7 +4,7 @@ Dynamical-plane rasters fix (alpha, c) and vary the starting point; parameter
 rasters fix alpha, start at the critical point 0 and vary c.  Every cell is
 classified independently by the same kernel, so renders are deterministic:
 identical inputs give bit-identical rasters regardless of chunking or the
-thread count (workers only split the grid into fixed row blocks).
+thread count (workers only decide which lanes share a block).
 
 Inside a block the kernel iterates all live lanes at once.  A lane that
 escapes is recorded, parked (its z set to NaN) and dropped from the arrays
@@ -15,10 +15,23 @@ repeats exactly after LOCK_EVERY steps is retired the same way: its orbit
 is an exact floating-point cycle, so it can neither escape later nor end on
 another modulus (attractor mode retires no lanes).  None of this changes a
 live lane's arithmetic, so a cell's result is the same in any block, at any
-thread count and as if every lane ran to the end.  Renders split the grid
-into row blocks of at most 65536 lanes in escape mode and 16384 in
-attractor mode (one row where a row is longer), so an attractor block's
-window is at most 16384 x 103 x 16 B = 27.0 MB.
+thread count and as if every lane ran to the end.
+
+Escape-mode renders split the grid into row blocks of at most BLOCK_LANES
+= 65536 lanes (one row where a row is longer), each run from the first step
+to the last.  Attractor renders run in epochs instead.  At the steps
+POOL_STEPS = (8, 32, 128) and at the window's first step every block stops;
+the live lanes of all blocks are pooled and dealt out again, across the
+workers only when each gets at least POOL_MIN_LANES = 8192 lanes, else as
+one block on the calling thread.  After the first escapes a fixed attractor
+block keeps only a few thousand lanes for hundreds of steps, and two
+threads stepping arrays that small ran slower than one; pooled, the lanes
+run as one larger block.  A block holds at
+most BLOCK_LANES lanes, and from the window's first step on at most
+WINDOW_LANES = 16384, so its window is at most 16384 x 103 x 16 B = 27.0 MB.
+Driven by the same epochs, escape renders measured mixed (some Julia sets
+faster, the a = 1 locus slower every time), so escape mode keeps its fixed
+row blocks.
 
 The kernel is vectorised with numpy and is not bit-identical to iterating
 maps.apply_map in plain Python: numpy's SIMD routines for np.abs, the power
@@ -37,7 +50,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import IO, Iterable, Sequence
+from itertools import repeat
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,6 +84,17 @@ WINDOW_ROWS = min(CYCLE_WINDOW, MAX_PERIOD + CYCLE_RUNS)
 # escape mode compares each lane with its state LOCK_EVERY steps earlier and
 # retires the lanes that repeat exactly
 LOCK_EVERY = 12
+# lanes per block: every escape-mode block (one row where a row is longer)
+# and attractor blocks before the window; from the window's first step on,
+# an attractor block holds at most WINDOW_LANES, so its window is at most
+# 16384 x 103 x 16 B = 27.0 MB
+BLOCK_LANES = 65536
+WINDOW_LANES = 16384
+# attractor renders pool the live lanes of all blocks at these steps and at
+# the window's first step; a pool is split across the workers only when each
+# gets at least POOL_MIN_LANES lanes (4096 measured slower, 16384 the same)
+POOL_STEPS = (8, 32, 128)
+POOL_MIN_LANES = 8192
 
 ESCAPE_ONLY = "escape"
 ATTRACTOR_DETECT = "attractor"
@@ -175,35 +200,98 @@ def escape_radius(p: MapParams) -> float:
     At the boundary exponent alpha = 1/2 no modulus bound forces escape (the
     radial factor is an isometry), so the radius degenerates to infinity; so
     does the radius of any alpha close enough to 1/2 that 2^{1/(2a-1)}
-    overflows.
+    overflows, and of any finite c whose modulus overflows (the radius the
+    raster kernel's np.abs gives it).
     """
-    return max(abs(p.c), _radius_floor(p.alpha))
+    try:
+        modulus = abs(p.c)
+    except OverflowError:
+        modulus = math.inf
+    return max(modulus, _radius_floor(p.alpha))
 
 
-def _classify_block(
+class _Lanes(NamedTuple):
+    """Cells the kernel is iterating: flat cell index, current z, and c and
+    escape radius, per lane for loci or one value for a whole Julia set."""
+
+    idx: np.ndarray
+    z: np.ndarray
+    c: np.ndarray | complex
+    radius: np.ndarray | float
+
+    def select(self, key) -> _Lanes:
+        """The lanes at key, a mask or a slice."""
+        if isinstance(self.c, np.ndarray):
+            return _Lanes(self.idx[key], self.z[key], self.c[key], self.radius[key])
+        return _Lanes(self.idx[key], self.z[key], self.c, self.radius)
+
+    @staticmethod
+    def pool(parts: list[_Lanes]) -> _Lanes:
+        """The lanes of all parts, in order, as one set."""
+        if len(parts) == 1:
+            return parts[0]
+        idx = np.concatenate([p.idx for p in parts])
+        z = np.concatenate([p.z for p in parts])
+        if isinstance(parts[0].c, np.ndarray):
+            return _Lanes(idx, z, np.concatenate([p.c for p in parts]), np.concatenate([p.radius for p in parts]))
+        return _Lanes(idx, z, parts[0].c, parts[0].radius)
+
+
+def _start_lanes(alpha: float, c: np.ndarray | complex, z0: np.ndarray | complex, cells: range) -> _Lanes:
+    """The lanes of cells before step 0; c and z0 are flat arrays over all
+    cells or one value for every cell."""
+    part = slice(cells.start, cells.stop)
+    z = np.empty(len(cells), dtype=np.complex128)
+    z[...] = z0[part] if isinstance(z0, np.ndarray) else z0
+    carr = np.asarray(c[part] if isinstance(c, np.ndarray) else c, dtype=np.complex128)
+    # |c| comes from np.abs, like |z| below, so the step-1 tie |c| > |c| is false
+    radius = np.maximum(np.abs(carr.reshape(-1)), _radius_floor(alpha))
+    idx = np.arange(cells.start, cells.stop)
+    if carr.ndim:
+        return _Lanes(idx, z, carr, radius)
+    return _Lanes(idx, z, complex(carr), float(radius[0]))
+
+
+def _schedule(max_iter: int, mode: str) -> tuple[int, int]:
+    """(total, start): the last step, and the first step the attractor window records."""
+    warmup = max(200, max_iter // 4)
+    total = max(max_iter, warmup + CYCLE_WINDOW) if mode == ATTRACTOR_DETECT else max_iter
+    return total, warmup + CYCLE_WINDOW - WINDOW_ROWS
+
+
+def _iterate(
     alpha: float,
-    c: np.ndarray | complex,
-    z0: np.ndarray,
+    lanes: _Lanes,
     max_iter: int,
     mode: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Classify a flat block of starting points; c is a scalar or per-point array.
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+    n: int = 0,
+    stop: int | None = None,
+) -> _Lanes | None:
+    """Iterate lanes, which hold the state after n steps, up to step stop
+    (default: the last step) and classify them.
 
-    Returns (status, value, final_modulus) arrays of z0's shape.  Every lane
-    goes through the same numpy operations in the same order, so a cell's
-    result does not depend on the block it sits in.
+    Results go into out = (status, value, final_modulus), flat arrays indexed
+    by lanes.idx.  With stop before the last step, the lanes still live at
+    step stop are returned, compacted, before anything of that step is done
+    (None when none is); iterating them from n = stop gives every lane the
+    result it gets in one run.  stop may not lie past the attractor window's
+    first step when n is before it, nor n inside the window: the window
+    lives in one call.  Every lane goes through the same numpy operations in
+    the same order, so a cell's result does not depend on the block it sits
+    in.
 
     An escaped lane is parked: its z becomes NaN, which never exceeds the
     radius, raises no floating-point warning and so is never recorded again,
     and a gone mask marks it.  Parked lanes are compacted away once they
     have wasted one full step's worth of lane-steps, at the step the cycle
-    window starts (so it is allocated for live lanes only) and before the
-    final moduli are read.  Of the CYCLE_WINDOW steps after the warm-up the
-    window keeps only the last WINDOW_ROWS = MAX_PERIOD + CYCLE_RUNS, the
-    rows the period search compares.  It is stored (WINDOW_ROWS, lanes) so
-    each step writes one contiguous row, and the period search drops each
-    lane once its smallest period is found.  An attractor block of 16384
-    lanes thus holds at most 16384 x 103 x 16 B = 27.0 MB of window.
+    window starts (so it is allocated for live lanes only) and at stop; the
+    final moduli and the period search skip the lanes parked since.  Of the
+    CYCLE_WINDOW steps after the warm-up the window keeps only the last
+    WINDOW_ROWS = MAX_PERIOD + CYCLE_RUNS, the rows the period search
+    compares.  It is stored (WINDOW_ROWS, lanes) so each step writes one
+    contiguous row, and the period search drops each lane once its smallest
+    period is found.
 
     Escape mode also retires lanes that have closed into an exact cycle.
     Checkpoints are the steps n < total with (total - n) % LOCK_EVERY == 0;
@@ -226,40 +314,29 @@ def _classify_block(
     escapes; numpy still reports that as an invalid value (it happens at
     alpha = 1/2, whose radius is infinite).
     """
-    z0 = np.asarray(z0, dtype=np.complex128)
-    n_pts = z0.size
-    z = z0.ravel().copy()
-    carr = np.asarray(c, dtype=np.complex128)
-    # |c| comes from np.abs, like |z| below, so the step-1 tie |c| > |c| is false
-    radius = np.maximum(np.abs(carr.reshape(-1)), _radius_floor(alpha))
-    per_point = carr.ndim > 0
-    if per_point:
-        carr = carr.ravel().copy()
-    else:
-        carr, radius = complex(carr), float(radius[0])
-
-    status = np.zeros(n_pts, dtype=np.int8)
-    value = np.zeros(n_pts, dtype=np.int32)
-    finalmod = np.zeros(n_pts, dtype=np.float64)
-
+    status, value, finalmod = out
+    idx, z, carr, radius = lanes
+    per_point = isinstance(carr, np.ndarray)
     detect = mode == ATTRACTOR_DETECT
-    warmup = max(200, max_iter // 4)
-    total = max(max_iter, warmup + CYCLE_WINDOW) if detect else max_iter
-    start = warmup + CYCLE_WINDOW - WINDOW_ROWS  # first step the window records
+    total, start = _schedule(max_iter, mode)
+    if stop is None:
+        stop = total
 
-    idx = np.arange(n_pts)
     s = alpha - 1.0
     window = None
-    mod = np.empty(n_pts)
-    flag = np.empty(n_pts, dtype=bool)
-    u = np.empty(n_pts, dtype=np.complex128)
-    gone = np.zeros(n_pts, dtype=bool)
+    mod = np.empty(idx.size)
+    flag = np.empty(idx.size, dtype=bool)
+    u = np.empty(idx.size, dtype=np.complex128)
+    gone = np.zeros(idx.size, dtype=bool)
     parked = waste = 0
     ref = None  # escape mode: z at the previous checkpoint
 
-    n = 0
     with np.errstate(over="ignore"):
         while True:
+            if n == stop < total:
+                # parked lanes are told apart by gone, not by isnan: at
+                # alpha = 1/2 a live lane can overflow to NaN
+                return _Lanes(idx, z, carr, radius).select(~gone)
             np.abs(z, out=mod)
             esc = np.greater(mod, radius, out=flag)
             if esc.any():
@@ -270,14 +347,12 @@ def _classify_block(
                 # past the escape budget the point merely leaves the disk; it
                 # stays BOUNDED but is dropped from further iteration
                 finalmod[hit] = mod[esc]
-                # NaN never exceeds the radius, so a parked lane is never recorded
-                # again.  Parked lanes are told apart by gone, not by isnan: at
-                # alpha = 1/2 a live lane can overflow to NaN
+                # NaN never exceeds the radius, so a parked lane is never recorded again
                 z[esc] = np.nan
                 gone |= esc
                 parked += hit.size
             waste += parked
-            if parked and (parked == idx.size or waste >= idx.size or n == total or (detect and n == start)):
+            if parked and (parked == idx.size or waste >= idx.size or (detect and n == start)):
                 keep = ~gone
                 idx, z, mod = idx[keep], z[keep], mod[keep]
                 flag, u, gone = flag[: idx.size], u[: idx.size], gone[: idx.size]
@@ -290,7 +365,7 @@ def _classify_block(
                 if ref is not None:
                     ref = ref[keep]
                 if idx.size == 0:
-                    break
+                    return None
             if not detect and n < total and (total - n) % LOCK_EVERY == 0:
                 # a lane equal to its state LOCK_EVERY steps ago is on an exact
                 # cycle whose period divides LOCK_EVERY, and total - n is a
@@ -306,7 +381,7 @@ def _classify_block(
                 ref = z.copy()
             if detect and n == start:
                 window = np.empty((WINDOW_ROWS, idx.size), dtype=np.complex128)
-            if detect and start <= n < warmup + CYCLE_WINDOW:
+            if detect and start <= n < start + WINDOW_ROWS:
                 window[n - start] = z
             if n == total:
                 break
@@ -326,29 +401,35 @@ def _classify_block(
             z += carr
             n += 1
 
-    if idx.size:
-        finalmod[idx] = mod
-        if detect and window is not None:
-            # smallest period first; a lane leaves the search once it has one
-            qfound = np.zeros(idx.size, dtype=np.int32)
-            pending = np.arange(idx.size)
-            for q in range(1, MAX_PERIOD + 1):
-                m0 = WINDOW_ROWS - q - CYCLE_RUNS
-                if m0 < 0 or pending.size == 0:
-                    break
-                delta = window[m0 + q : m0 + q + CYCLE_RUNS, pending] - window[m0 : m0 + CYCLE_RUNS, pending]
-                close = (np.abs(delta) < TOL_CYCLE).all(axis=0)
-                qfound[pending[close]] = q
-                pending = pending[~close]
-            att = qfound > 0
-            status[idx[att]] = PointClass.ATTRACTED
-            value[idx[att]] = qfound[att]
+    # the lanes parked since the last compaction keep their results: a full
+    # compaction here would copy the whole window
+    live = np.flatnonzero(~gone)
+    finalmod[idx[live]] = mod[live]
+    if detect and window is not None:
+        # smallest period first; a lane leaves the search once it has one
+        qfound = np.zeros(idx.size, dtype=np.int32)
+        pending = live
+        for q in range(1, MAX_PERIOD + 1):
+            m0 = WINDOW_ROWS - q - CYCLE_RUNS
+            if m0 < 0 or pending.size == 0:
+                break
+            delta = window[m0 + q : m0 + q + CYCLE_RUNS, pending] - window[m0 : m0 + CYCLE_RUNS, pending]
+            close = (np.abs(delta) < TOL_CYCLE).all(axis=0)
+            qfound[pending[close]] = q
+            pending = pending[~close]
+        att = qfound > 0
+        status[idx[att]] = PointClass.ATTRACTED
+        value[idx[att]] = qfound[att]
+    return None
 
-    return (
-        status.reshape(z0.shape),
-        value.reshape(z0.shape),
-        finalmod.reshape(z0.shape),
-    )
+
+def _deal(size: int, workers: int, cap: int) -> list[tuple[int, int]]:
+    """Bounds of the blocks that size pooled lanes are dealt into: one per
+    worker when each worker gets at least POOL_MIN_LANES lanes, else one
+    block, in as many rounds as keep every block within cap lanes."""
+    share = max(1, min(workers, size // POOL_MIN_LANES))
+    k = share * -(-size // (share * cap))
+    return [(size * i // k, size * (i + 1) // k) for i in range(k)]
 
 
 def _check_run(max_iter: int, mode: str) -> None:
@@ -371,10 +452,9 @@ def classify_point(
     TOL_CYCLE.  Everything else is BOUNDED.
     """
     _check_run(max_iter, mode)
-    status, value, finalmod = _classify_block(
-        p.alpha, p.c, np.array([z0], dtype=np.complex128), max_iter, mode
-    )
-    return CellResult(PointClass(int(status[0])), int(value[0]), float(finalmod[0]))
+    out = (np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int32), np.zeros(1))
+    _iterate(p.alpha, _start_lanes(p.alpha, p.c, z0, range(1)), max_iter, mode, out)
+    return CellResult(PointClass(int(out[0][0])), int(out[1][0]), float(out[2][0]))
 
 
 def _thread_count(threads: int | None) -> int:
@@ -398,30 +478,49 @@ def _render(
     mode: str,
     threads: int | None,
 ) -> Raster:
+    """Classify every cell; c and z0 are (ny, nx) arrays or one value for all.
+
+    Escape mode runs fixed row blocks of at most BLOCK_LANES cells from the
+    first step to the last.  Attractor mode runs in epochs that end at the
+    steps POOL_STEPS and at the window's first step: there every block
+    stops, the live lanes of all blocks are pooled and dealt out again (see
+    _deal), within BLOCK_LANES per block and, from the window on, within
+    WINDOW_LANES.
+    """
     _check_run(max_iter, mode)
-    status = np.empty((grid.ny, grid.nx), dtype=np.int8)
-    value = np.empty((grid.ny, grid.nx), dtype=np.int32)
-    finalmod = np.empty((grid.ny, grid.nx), dtype=np.float64)
-
-    block_rows = max(1, (16384 if mode == ATTRACTOR_DETECT else 65536) // grid.nx)
-    blocks = [(j, min(j + block_rows, grid.ny)) for j in range(0, grid.ny, block_rows)]
-
-    def run(block):
-        j0, j1 = block
-        cblk = c[j0:j1] if isinstance(c, np.ndarray) else c
-        zblk = z0[j0:j1] if isinstance(z0, np.ndarray) else np.broadcast_to(z0, cblk.shape)
-        s, v, fm = _classify_block(alpha, cblk, zblk, max_iter, mode)
-        status[j0:j1] = s
-        value[j0:j1] = v
-        finalmod[j0:j1] = fm
-
+    size = grid.nx * grid.ny
+    out = (np.zeros(size, dtype=np.int8), np.zeros(size, dtype=np.int32), np.zeros(size))
+    cells, starts = (np.reshape(v, -1) if isinstance(v, np.ndarray) else v for v in (c, z0))
+    total, start = _schedule(max_iter, mode)
     workers = _thread_count(threads)
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, blocks))
+
+    def run(block, n, stop):
+        if isinstance(block, range):  # cells not started yet
+            block = _start_lanes(alpha, cells, starts, block)
+        return _iterate(alpha, block, max_iter, mode, out, n, stop)
+
+    if mode == ATTRACTOR_DETECT:
+        blocks = [range(a, b) for a, b in _deal(size, workers, BLOCK_LANES)]
+        stops = (*POOL_STEPS, start, total)
     else:
-        for b in blocks:
-            run(b)
+        rows = max(1, BLOCK_LANES // grid.nx) * grid.nx
+        blocks = [range(a, min(a + rows, size)) for a in range(0, size, rows)]
+        stops = (total,)
+    n = 0
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for stop in stops:
+            if workers > 1 and len(blocks) > 1:
+                left = list(pool.map(run, blocks, repeat(n), repeat(stop)))
+            else:
+                left = [run(block, n, stop) for block in blocks]
+            live = [lanes for lanes in left if lanes is not None]
+            if not live:
+                break
+            live = _Lanes.pool(live)
+            cap = WINDOW_LANES if stop == start else BLOCK_LANES
+            blocks = [live.select(slice(a, b)) for a, b in _deal(live.idx.size, workers, cap)]
+            n = stop
+    status, value, finalmod = (a.reshape(grid.ny, grid.nx) for a in out)
     return Raster(grid, status, value, finalmod, max_iter, mode)
 
 

@@ -162,17 +162,27 @@ def scalar_census_seeds(p: MapParams, extra_seeds=()) -> list[complex]:
     return seeds
 
 
+def distinct_roots_in_seed_order(zs) -> list[complex]:
+    """The census's dedup as a plain loop: each z in turn, kept when it is
+    farther than _DEDUP from every root kept before it."""
+    roots: list[complex] = []
+    for z in zs:
+        if all(abs(z - r) > _DEDUP for r in roots):
+            roots.append(z)
+    return roots
+
+
 def scalar_census(p: MapParams, extra_seeds=()):
     """find_fixed_points over scalar_newton_fixed_point: (records, stalled count)."""
-    roots: list[complex] = []
+    converged: list[complex] = []
     stalled = 0
     for seed in scalar_census_seeds(p, extra_seeds):
         z, stall = scalar_newton_fixed_point(p, seed)
         if z is None:
             stalled += stall
             continue
-        if all(abs(z - r) > _DEDUP for r in roots):
-            roots.append(z)
+        converged.append(z)
+    roots = distinct_roots_in_seed_order(converged)
     roots.sort(key=lambda w: (w.real, w.imag))
     return [_record(p, z) for z in roots], stalled
 
@@ -396,7 +406,8 @@ def classify_block_reference(
     max_iter: int,
     mode: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vectorised escape kernel as render._classify_block first shipped it.
+    """The vectorised escape kernel as render._classify_block (now
+    render._iterate) first shipped it.
 
     Kept verbatim (only the constants are imported) so the tuned kernel can be
     checked for bit identity in status, value and final modulus.

@@ -1,6 +1,8 @@
 import cmath
 import math
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from oracles import (
     census_signature,
     count_self_intersections,
     detect_cusps_sweep,
+    distinct_roots_in_seed_order,
     label_minimum_positions,
     polyline_diameter,
     residual_grid,
@@ -40,7 +43,7 @@ from qcdyn.fixed_points import (
     trace_curve,
     trace_curve_image,
 )
-from qcdyn.fixed_points import _census_seeds, _newton_lanes, _param_jacobian_norm
+from qcdyn.fixed_points import _census_seeds, _distinct_roots, _newton_lanes, _param_jacobian_norm
 from qcdyn.maps import MapParams, apply_map, jacobian
 
 RNG = np.random.default_rng(11)
@@ -386,6 +389,13 @@ _CENSUS_PARAMS = st.builds(
 )
 
 
+def _bench_census_params(seed: int):
+    """The (alpha, c) of the benchmark's 120 census calls for seed, built by
+    perfbench/inputs.py, which imports no qcdyn code."""
+    bench_inputs = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"))
+    return bench_inputs["census_inputs"](seed).fixed_points
+
+
 class TestLaneNewton:
     """The census's lane Newton against the scalar per-seed loop it replaced."""
 
@@ -411,6 +421,15 @@ class TestLaneNewton:
     @pytest.mark.parametrize("alpha,c", _LANE_CASES[::3])
     def test_records_match_scalar_census(self, alpha, c):
         _assert_census_matches_scalar(MapParams(alpha, c), _EXTRA_SEEDS)
+
+    @pytest.mark.parametrize("seed", [3, 5, 7, 11])
+    def test_dedup_matches_seed_order_loop(self, seed):
+        for alpha, c in _bench_census_params(seed):
+            p = MapParams(alpha, c)
+            lanes, converged, _ = _newton_lanes(p, _census_seeds(p))
+            got = _distinct_roots(lanes[converged])
+            want = distinct_roots_in_seed_order(lanes[converged].tolist())
+            assert [_bits(z) for z in got] == [_bits(z) for z in want], (alpha, c)
 
     @given(_CENSUS_PARAMS)
     @settings(max_examples=150, deadline=None, derandomize=True)

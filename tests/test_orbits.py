@@ -62,6 +62,7 @@ class TestCriticalOrbit:
             (3.0, 1e60 + 1e60j),  # f(c) comes out as nan+infj
             (1.0, cmath.sqrt(1.3e308 * (1 + 1j))),  # f(c) is finite, |f(c)| raises
             (3.0, 1.5e308 + 1.5e308j),  # |c| itself raises
+            (1.0, 1.5e308 + 1.5e308j),  # likewise; the escape radius is infinite
             (0.5, 1e308),  # the escape radius is infinite and f(c) = 2c is inf
         ],
     )

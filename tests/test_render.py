@@ -1,17 +1,23 @@
 import io
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from oracles import classify_block_reference, classify_reference, pixel_diag
+from qcdyn import render
 from qcdyn.errors import DomainError
 from qcdyn.maps import MapParams, apply_map, lambda_min, tip_parameter
 from qcdyn.render import (
     ATTRACTOR_DETECT,
+    CYCLE_WINDOW,
     ESCAPE_ONLY,
     LOCK_EVERY,
+    POOL_STEPS,
+    WINDOW_LANES,
+    WINDOW_ROWS,
     CellResult,
     GridSpec,
     PointClass,
@@ -56,6 +62,8 @@ class TestEscapeRadius:
 
     def test_saturates_where_the_power_overflows(self):
         assert escape_radius(MapParams(0.5000001, 1)) == math.inf
+        # likewise where |c| overflows, as np.abs gives it in the kernel
+        assert escape_radius(MapParams(1, 1.5e308 + 1.5e308j)) == math.inf
         raster = render_julia(MapParams(0.5000001, -0.5), GridSpec(0, 3.0, 3.0, 4, 4), 20)
         assert np.all(raster.status == PointClass.BOUNDED)
 
@@ -145,10 +153,11 @@ class TestKernelIdentity:
     """The escape kernel is bit-identical to the verbatim first version,
     tests/oracles.classify_block_reference, for any thread count.
 
-    Escape grids hold just over 65536 cells and attractor grids just over
-    16384, so each render splits into two row blocks.  Julia grids have odd
-    sides centred on 0, so one lane starts at the branch point; locus grids
-    start every lane there.
+    Escape grids hold just over 65536 cells, so each render splits into two
+    row blocks; attractor grids hold just over 16384, so at 2 and 3 threads
+    the first steps run on two blocks before the live lanes are pooled.
+    Julia grids have odd sides centred on 0, so one lane starts at the
+    branch point; locus grids start every lane there.
     """
 
     @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75, 1.0, 1.5, 2.0])
@@ -184,7 +193,7 @@ class TestKernelIdentity:
                 assert np.abs(grid.samples()).min() > floor
             c, z0 = grid.samples(), np.zeros((ny, nx), dtype=np.complex128)
         want = classify_block_reference(alpha, c, z0, max_iter, mode)
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
             if kind == "julia":
                 got = render_julia(MapParams(alpha, c), grid, max_iter, mode, threads=threads)
             else:
@@ -196,7 +205,7 @@ class TestKernelIdentity:
 
 
 def check_first_kernel(alpha, grid, max_iter, mode, c=None):
-    """Render a locus (c None) or a Julia set at threads 1 and 2, with
+    """Render a locus (c None) or a Julia set at threads 1, 2 and 3, with
     warnings raised as errors, and compare status, value and final-modulus
     bytes with the verbatim first kernel; return the reference."""
     with warnings.catch_warnings():
@@ -205,7 +214,7 @@ def check_first_kernel(alpha, grid, max_iter, mode, c=None):
             want = classify_block_reference(alpha, grid.samples(), np.zeros((grid.ny, grid.nx)), max_iter, mode)
         else:
             want = classify_block_reference(alpha, c, grid.samples(), max_iter, mode)
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
             if c is None:
                 got = render_locus(alpha, grid, max_iter, mode, threads=threads)
             else:
@@ -219,10 +228,10 @@ def check_first_kernel(alpha, grid, max_iter, mode, c=None):
 class TestParkedLanes:
     """Escaped lanes are parked (z set to NaN) and compacted away in batches.
 
-    Each case is compared with the verbatim first kernel at threads 1 and 2,
-    with warnings raised as errors.  Escape grids hold just over 65536 cells
-    and attractor grids just over 16384, so each render splits into two row
-    blocks.
+    Each case is compared with the verbatim first kernel at threads 1, 2
+    and 3, with warnings raised as errors.  Escape grids hold just over 65536
+    cells, so each render splits into two row blocks; attractor grids hold
+    just over 16384.
     """
 
     @pytest.mark.parametrize("alpha, c", [(0.75, 0.1483), (1.0, 0.2501)])
@@ -258,25 +267,71 @@ class TestParkedLanes:
     @pytest.mark.parametrize("mode", [ESCAPE_ONLY, ATTRACTOR_DETECT])
     def test_half_alpha_overflow_stays_live(self, mode):
         # parameters near the largest double overflow to inf and then NaN
-        # while still live; only escapes may park a lane
-        grid = GridSpec(0, 1.6e308, 1.6e308, 15, 9)
-        c, z0 = grid.samples(), np.zeros((9, 15))
-        with np.errstate(over="ignore", invalid="ignore"):
+        # while still live, and so cross every step where attractor renders
+        # pool the live lanes; only escapes may park a lane.  The overflow
+        # warnings are expected, also from worker threads, which np.errstate
+        # does not reach
+        grid = GridSpec(0, 1.6e308, 1.6e308, 131, 131)
+        c, z0 = grid.samples(), np.zeros((131, 131))
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             want = classify_block_reference(0.5, c, z0, 300, mode)
-            got = render_locus(0.5, grid, 300, mode, threads=1)
-        assert np.isnan(want[2]).any()
-        assert np.array_equal(got.status, want[0])
-        assert np.array_equal(got.value, want[1])
-        assert got.final_modulus.tobytes() == want[2].tobytes()
+            assert np.isnan(want[2]).sum() > 1000
+            for threads in (1, 2, 3):
+                got = render_locus(0.5, grid, 300, mode, threads=threads)
+                assert np.array_equal(got.status, want[0])
+                assert np.array_equal(got.value, want[1])
+                assert got.final_modulus.tobytes() == want[2].tobytes()
+
+
+class TestPooledLanes:
+    """Attractor renders stop every block at POOL_STEPS and at the window's
+    first step, pool the live lanes and deal them out again.  Each case is
+    compared with the verbatim first kernel at threads 1, 2 and 3, with
+    warnings raised as errors."""
+
+    @pytest.mark.parametrize("alpha, center, width, max_iter", [(0.75, -0.35, 2.6, 848), (1.0, -0.3, 3.0, 968)])
+    def test_escapes_on_the_pool_steps(self, alpha, center, width, max_iter):
+        # max_iter puts the window's first step, max_iter // 4 + 97, on a
+        # step where some orbits escape (found by a scan of these grids)
+        grid = GridSpec(center, width, width, 127, 131)
+        status, value, _ = check_first_kernel(alpha, grid, max_iter, ATTRACTOR_DETECT)
+        start = max_iter // 4 + CYCLE_WINDOW - WINDOW_ROWS
+        steps = value[status == PointClass.ESCAPED]
+        for step in (*POOL_STEPS, start):
+            assert (steps == step).any(), step
+
+    @pytest.mark.parametrize("c", [None, -0.1 + 0.1j])
+    def test_window_splits(self, monkeypatch, c):
+        # 25600 cells inside the main cardioid (locus) or the filled Julia
+        # set: nearly all are live at the window's first step, more than one
+        # window block may hold, so the window is split
+        iterate, start = render._iterate, 200 + CYCLE_WINDOW - WINDOW_ROWS
+        sizes = []
+
+        def spy(alpha, lanes, max_iter, mode, out, n=0, stop=None):
+            if n == start:
+                sizes.append(lanes.idx.size)
+            return iterate(alpha, lanes, max_iter, mode, out, n, stop)
+
+        monkeypatch.setattr(render, "_iterate", spy)
+        grid = GridSpec(-0.2 if c is None else 0, 0.8, 0.8, 160, 160)
+        status, _, _ = check_first_kernel(1.0, grid, 256, ATTRACTOR_DETECT, c=c)
+        attracted = (status == PointClass.ATTRACTED).sum()
+        assert attracted > WINDOW_LANES
+        # at each thread count, every attracted lane is in a window block and
+        # no block holds more than WINDOW_LANES
+        assert len(sizes) >= 6 and max(sizes) <= WINDOW_LANES
+        assert sum(sizes) >= 3 * attracted
 
 
 class TestLockedLanes:
     """Escape mode retires lanes whose z repeats exactly after LOCK_EVERY steps.
 
     Each case is compared with the verbatim first kernel, which iterates
-    every bounded lane to the end, at threads 1 and 2 with warnings raised as
-    errors.  Grids hold just over 65536 cells, so each render splits into two
-    row blocks.
+    every bounded lane to the end, at threads 1, 2 and 3 with warnings raised
+    as errors.  Grids hold just over 65536 cells, so each render splits into
+    two row blocks.
     """
 
     @pytest.mark.parametrize("max_iter", range(1000, 1000 + LOCK_EVERY))
@@ -401,6 +456,21 @@ class TestDeterminism:
         assert np.array_equal(outs[0][0], outs[1][0])
         assert np.array_equal(outs[0][1], outs[1][1])
         assert np.array_equal(outs[0][2], outs[1][2])
+
+    def test_threads_share_the_outputs_under_fast_switching(self):
+        # blocks on several threads write disjoint cells of the same output
+        # arrays; a thread switch every microsecond must lose no write
+        g = GridSpec(-0.5, 3.0, 3.0, 160, 160)
+        want = render_locus(1.3, g, 200, ATTRACTOR_DETECT, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = render_locus(1.3, g, 200, ATTRACTOR_DETECT, threads=7)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got.status, want.status)
+        assert np.array_equal(got.value, want.value)
+        assert got.final_modulus.tobytes() == want.final_modulus.tobytes()
 
     def test_repeat_runs_identical(self):
         g = GridSpec(0, 3.0, 3.0, 64, 64)
