@@ -17,21 +17,16 @@ another modulus (attractor mode retires no lanes).  None of this changes a
 live lane's arithmetic, so a cell's result is the same in any block, at any
 thread count and as if every lane ran to the end.
 
-Escape-mode renders split the grid into row blocks of at most BLOCK_LANES
-= 65536 lanes (one row where a row is longer), each run from the first step
-to the last.  Attractor renders run in epochs instead.  At the steps
-POOL_STEPS = (8, 32, 128) and at the window's first step every block stops;
-the live lanes of all blocks are pooled and dealt out again, across the
-workers only when each gets at least POOL_MIN_LANES = 8192 lanes, else as
-one block on the calling thread.  After the first escapes a fixed attractor
-block keeps only a few thousand lanes for hundreds of steps, and two
-threads stepping arrays that small ran slower than one; pooled, the lanes
-run as one larger block.  A block holds at
-most BLOCK_LANES lanes, and from the window's first step on at most
-WINDOW_LANES = 16384, so its window is at most 16384 x 103 x 16 B = 27.0 MB.
-Driven by the same epochs, escape renders measured mixed (some Julia sets
-faster, the a = 1 locus slower every time), so escape mode keeps its fixed
-row blocks.
+Every render runs on one schedule.  The cells are dealt into blocks of at
+most BLOCK_LANES = 65536 lanes, and every block stops at step POOL_STEP = 32
+and, in attractor mode, at the window's first step.  There the live lanes of
+all blocks are pooled and dealt out again: across the workers only when each
+gets at least POOL_MIN_LANES = 8192 lanes, else as one block on the calling
+thread.  Most escapes come early, and the lanes left after them run as a few
+larger blocks instead of many small ones, which two threads stepping small
+arrays ran slower than one.  From the window's first step on a block holds
+at most WINDOW_LANES = 16384 lanes, so its window is at most 16384 x 103 x
+16 B = 27.0 MB.
 
 The kernel is vectorised with numpy and is not bit-identical to iterating
 maps.apply_map in plain Python: numpy's SIMD routines for np.abs, the power
@@ -44,13 +39,13 @@ costs about 14x the time of np.abs and np.float_power about 5x that of **.
 from __future__ import annotations
 
 import cmath
+import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import repeat
 from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -84,16 +79,15 @@ WINDOW_ROWS = min(CYCLE_WINDOW, MAX_PERIOD + CYCLE_RUNS)
 # escape mode compares each lane with its state LOCK_EVERY steps earlier and
 # retires the lanes that repeat exactly
 LOCK_EVERY = 12
-# lanes per block: every escape-mode block (one row where a row is longer)
-# and attractor blocks before the window; from the window's first step on,
-# an attractor block holds at most WINDOW_LANES, so its window is at most
-# 16384 x 103 x 16 B = 27.0 MB
+# lanes per block; from the window's first step on, an attractor block holds
+# at most WINDOW_LANES, so its window is at most 16384 x 103 x 16 B = 27.0 MB
 BLOCK_LANES = 65536
 WINDOW_LANES = 16384
-# attractor renders pool the live lanes of all blocks at these steps and at
-# the window's first step; a pool is split across the workers only when each
-# gets at least POOL_MIN_LANES lanes (4096 measured slower, 16384 the same)
-POOL_STEPS = (8, 32, 128)
+# renders pool the live lanes of all blocks at POOL_STEP (and attractor
+# renders at the window's first step); a pool is split across the workers
+# only when each gets at least POOL_MIN_LANES lanes (4096 measured slower,
+# 16384 the same)
+POOL_STEP = 32
 POOL_MIN_LANES = 8192
 
 ESCAPE_ONLY = "escape"
@@ -275,18 +269,18 @@ def _iterate(
     by lanes.idx.  With stop before the last step, the lanes still live at
     step stop are returned, compacted, before anything of that step is done
     (None when none is); iterating them from n = stop gives every lane the
-    result it gets in one run.  stop may not lie past the attractor window's
-    first step when n is before it, nor n inside the window: the window
-    lives in one call.  Every lane goes through the same numpy operations in
-    the same order, so a cell's result does not depend on the block it sits
-    in.
+    result it gets in one run.  The attractor window lives in one call, so
+    a call that starts before the window's first step may stop only at or
+    before it, or at the last step, and one that starts inside the window
+    runs to the last step.  Every lane goes through the same numpy
+    operations in the same order, so a cell's result does not depend on the
+    block it sits in.
 
     An escaped lane is parked: its z becomes NaN, which never exceeds the
     radius, raises no floating-point warning and so is never recorded again,
     and a gone mask marks it.  Parked lanes are compacted away once they
-    have wasted one full step's worth of lane-steps, at the step the cycle
-    window starts (so it is allocated for live lanes only) and at stop; the
-    final moduli and the period search skip the lanes parked since.  Of the
+    have wasted one full step's worth of lane-steps and at stop; the final
+    moduli and the period search skip the lanes parked since.  Of the
     CYCLE_WINDOW steps after the warm-up the window keeps only the last
     WINDOW_ROWS = MAX_PERIOD + CYCLE_RUNS, the rows the period search
     compares.  It is stored (WINDOW_ROWS, lanes) so each step writes one
@@ -308,11 +302,11 @@ def _iterate(
     no lanes, because its period search reads the window rows a retired
     lane would skip.
 
-    Overflow raises no warning: an orbit that overflows is on its way out,
-    and a lane at |z| = inf exceeds any finite radius at the next check.  A
-    product with an infinite factor can give NaN instead, which never
-    escapes; numpy still reports that as an invalid value (it happens at
-    alpha = 1/2, whose radius is infinite).
+    Overflow raises no warning, in the steps or in the period search: an
+    orbit that overflows is on its way out, and a lane at |z| = inf exceeds
+    any finite radius at the next check.  A product with an infinite factor
+    can give NaN instead, which never escapes; numpy still reports that as
+    an invalid value (it happens at alpha = 1/2, whose radius is infinite).
     """
     status, value, finalmod = out
     idx, z, carr, radius = lanes
@@ -352,7 +346,7 @@ def _iterate(
                 gone |= esc
                 parked += hit.size
             waste += parked
-            if parked and (parked == idx.size or waste >= idx.size or (detect and n == start)):
+            if parked and (parked == idx.size or waste >= idx.size):
                 keep = ~gone
                 idx, z, mod = idx[keep], z[keep], mod[keep]
                 flag, u, gone = flag[: idx.size], u[: idx.size], gone[: idx.size]
@@ -401,25 +395,25 @@ def _iterate(
             z += carr
             n += 1
 
-    # the lanes parked since the last compaction keep their results: a full
-    # compaction here would copy the whole window
-    live = np.flatnonzero(~gone)
-    finalmod[idx[live]] = mod[live]
-    if detect and window is not None:
-        # smallest period first; a lane leaves the search once it has one
-        qfound = np.zeros(idx.size, dtype=np.int32)
-        pending = live
-        for q in range(1, MAX_PERIOD + 1):
-            m0 = WINDOW_ROWS - q - CYCLE_RUNS
-            if m0 < 0 or pending.size == 0:
-                break
-            delta = window[m0 + q : m0 + q + CYCLE_RUNS, pending] - window[m0 : m0 + CYCLE_RUNS, pending]
-            close = (np.abs(delta) < TOL_CYCLE).all(axis=0)
-            qfound[pending[close]] = q
-            pending = pending[~close]
-        att = qfound > 0
-        status[idx[att]] = PointClass.ATTRACTED
-        value[idx[att]] = qfound[att]
+        # the lanes parked since the last compaction keep their results: a full
+        # compaction here would copy the whole window
+        live = np.flatnonzero(~gone)
+        finalmod[idx[live]] = mod[live]
+        if detect and window is not None:
+            # smallest period first; a lane leaves the search once it has one
+            qfound = np.zeros(idx.size, dtype=np.int32)
+            pending = live
+            for q in range(1, MAX_PERIOD + 1):
+                m0 = WINDOW_ROWS - q - CYCLE_RUNS
+                if m0 < 0 or pending.size == 0:
+                    break
+                delta = window[m0 + q : m0 + q + CYCLE_RUNS, pending] - window[m0 : m0 + CYCLE_RUNS, pending]
+                close = (np.abs(delta) < TOL_CYCLE).all(axis=0)
+                qfound[pending[close]] = q
+                pending = pending[~close]
+            att = qfound > 0
+            status[idx[att]] = PointClass.ATTRACTED
+            value[idx[att]] = qfound[att]
     return None
 
 
@@ -480,12 +474,13 @@ def _render(
 ) -> Raster:
     """Classify every cell; c and z0 are (ny, nx) arrays or one value for all.
 
-    Escape mode runs fixed row blocks of at most BLOCK_LANES cells from the
-    first step to the last.  Attractor mode runs in epochs that end at the
-    steps POOL_STEPS and at the window's first step: there every block
-    stops, the live lanes of all blocks are pooled and dealt out again (see
-    _deal), within BLOCK_LANES per block and, from the window on, within
-    WINDOW_LANES.
+    The cells are dealt into blocks (see _deal) of at most BLOCK_LANES.  The
+    blocks run in epochs that end at POOL_STEP, at the attractor window's
+    first step and at the last step: there every block stops, and the live
+    lanes of all blocks are pooled and dealt out again, within BLOCK_LANES
+    per block and, from the window on, within WINDOW_LANES.  Blocks on
+    worker threads run in a copy of the caller's context, so they keep its
+    floating-point error state (np.errstate).
     """
     _check_run(max_iter, mode)
     size = grid.nx * grid.ny
@@ -499,18 +494,14 @@ def _render(
             block = _start_lanes(alpha, cells, starts, block)
         return _iterate(alpha, block, max_iter, mode, out, n, stop)
 
-    if mode == ATTRACTOR_DETECT:
-        blocks = [range(a, b) for a, b in _deal(size, workers, BLOCK_LANES)]
-        stops = (*POOL_STEPS, start, total)
-    else:
-        rows = max(1, BLOCK_LANES // grid.nx) * grid.nx
-        blocks = [range(a, min(a + rows, size)) for a in range(0, size, rows)]
-        stops = (total,)
+    stops = (POOL_STEP, start, total) if mode == ATTRACTOR_DETECT else (POOL_STEP, total)
+    blocks = [range(a, b) for a, b in _deal(size, workers, BLOCK_LANES)]
     n = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for stop in stops:
             if workers > 1 and len(blocks) > 1:
-                left = list(pool.map(run, blocks, repeat(n), repeat(stop)))
+                jobs = [pool.submit(contextvars.copy_context().run, run, block, n, stop) for block in blocks]
+                left = [job.result() for job in jobs]
             else:
                 left = [run(block, n, stop) for block in blocks]
             live = [lanes for lanes in left if lanes is not None]

@@ -560,3 +560,15 @@ def test_overflowing_orbits_print_nothing(tmp_path, argv):
     proc = run_module([*argv, "-o", str(tmp_path / "out")])
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_half_alpha_attractor_overflow_prints_no_overflow_warning(tmp_path):
+    # at alpha = 1/2 the radius is infinite, so orbits that overflow stay live
+    # into the cycle window; the period search compares their overflowed
+    # entries, and that overflow needs no warning either.  What may remain is
+    # the invalid value of a product with an infinite factor in the step
+    proc = run_module(["locus", "--alpha", "0.5", "--width", "1.6e308", "--nx", "15", "--ny", "9",
+                       "--max-iter", "300", "--mode", "attractor", "-o", str(tmp_path / "l.pgm")])
+    assert proc.returncode == 0
+    warned = [line for line in proc.stderr.splitlines() if "Warning" in line]
+    assert all("invalid value encountered in multiply" in line for line in warned), proc.stderr

@@ -15,7 +15,7 @@ from qcdyn.render import (
     CYCLE_WINDOW,
     ESCAPE_ONLY,
     LOCK_EVERY,
-    POOL_STEPS,
+    POOL_STEP,
     WINDOW_LANES,
     WINDOW_ROWS,
     CellResult,
@@ -153,8 +153,8 @@ class TestKernelIdentity:
     """The escape kernel is bit-identical to the verbatim first version,
     tests/oracles.classify_block_reference, for any thread count.
 
-    Escape grids hold just over 65536 cells, so each render splits into two
-    row blocks; attractor grids hold just over 16384, so at 2 and 3 threads
+    Escape grids hold just over 65536 cells, so each render starts on two or
+    three blocks; attractor grids hold just over 16384, so at 2 and 3 threads
     the first steps run on two blocks before the live lanes are pooled.
     Julia grids have odd sides centred on 0, so one lane starts at the
     branch point; locus grids start every lane there.
@@ -230,7 +230,7 @@ class TestParkedLanes:
 
     Each case is compared with the verbatim first kernel at threads 1, 2
     and 3, with warnings raised as errors.  Escape grids hold just over 65536
-    cells, so each render splits into two row blocks; attractor grids hold
+    cells, so each render starts on two or three blocks; attractor grids hold
     just over 16384.
     """
 
@@ -267,39 +267,81 @@ class TestParkedLanes:
     @pytest.mark.parametrize("mode", [ESCAPE_ONLY, ATTRACTOR_DETECT])
     def test_half_alpha_overflow_stays_live(self, mode):
         # parameters near the largest double overflow to inf and then NaN
-        # while still live, and so cross every step where attractor renders
-        # pool the live lanes; only escapes may park a lane.  The overflow
-        # warnings are expected, also from worker threads, which np.errstate
-        # does not reach
+        # while still live, and so cross every step where renders pool the
+        # live lanes; only escapes may park a lane.  Blocks on worker threads
+        # run under the caller's np.errstate, so silencing the warnings here
+        # silences them at every thread count
         grid = GridSpec(0, 1.6e308, 1.6e308, 131, 131)
         c, z0 = grid.samples(), np.zeros((131, 131))
-        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with np.errstate(over="ignore", invalid="ignore"):
             want = classify_block_reference(0.5, c, z0, 300, mode)
-            assert np.isnan(want[2]).sum() > 1000
-            for threads in (1, 2, 3):
+        assert np.isnan(want[2]).sum() > 1000
+        for threads in (1, 2, 3):
+            with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 got = render_locus(0.5, grid, 300, mode, threads=threads)
-                assert np.array_equal(got.status, want[0])
-                assert np.array_equal(got.value, want[1])
-                assert got.final_modulus.tobytes() == want[2].tobytes()
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], threads
+            assert np.array_equal(got.status, want[0])
+            assert np.array_equal(got.value, want[1])
+            assert got.final_modulus.tobytes() == want[2].tobytes()
 
 
 class TestPooledLanes:
-    """Attractor renders stop every block at POOL_STEPS and at the window's
-    first step, pool the live lanes and deal them out again.  Each case is
-    compared with the verbatim first kernel at threads 1, 2 and 3, with
-    warnings raised as errors."""
+    """Every render stops its blocks at POOL_STEP, and attractor renders also
+    at the window's first step; there the live lanes of all blocks are pooled
+    and dealt out again.  Each case is compared with the verbatim first
+    kernel at threads 1, 2 and 3, with warnings raised as errors."""
 
     @pytest.mark.parametrize("alpha, center, width, max_iter", [(0.75, -0.35, 2.6, 848), (1.0, -0.3, 3.0, 968)])
     def test_escapes_on_the_pool_steps(self, alpha, center, width, max_iter):
         # max_iter puts the window's first step, max_iter // 4 + 97, on a
         # step where some orbits escape (found by a scan of these grids)
         grid = GridSpec(center, width, width, 127, 131)
-        status, value, _ = check_first_kernel(alpha, grid, max_iter, ATTRACTOR_DETECT)
         start = max_iter // 4 + CYCLE_WINDOW - WINDOW_ROWS
+        for mode, stops in ((ESCAPE_ONLY, [POOL_STEP]), (ATTRACTOR_DETECT, [POOL_STEP, start])):
+            status, value, _ = check_first_kernel(alpha, grid, max_iter, mode)
+            steps = value[status == PointClass.ESCAPED]
+            for step in stops:
+                assert (steps == step).any(), (mode, step)
+
+    @pytest.mark.parametrize("mode", [ESCAPE_ONLY, ATTRACTOR_DETECT])
+    def test_more_than_two_full_blocks(self, mode):
+        # 133120 cells start on three or four blocks, and the lanes still
+        # live at POOL_STEP are dealt out again
+        status, _, _ = check_first_kernel(1.5, GridSpec(0, 3.0, 3.0, 512, 260), 100, mode, c=-0.8 + 5e-4j)
+        assert (status == PointClass.ESCAPED).any() and (status != PointClass.ESCAPED).any()
+
+    @pytest.mark.parametrize("mode", [ESCAPE_ONLY, ATTRACTOR_DETECT])
+    @pytest.mark.parametrize("max_iter", [2, POOL_STEP - 1, POOL_STEP])
+    def test_budget_below_the_pool_step(self, mode, max_iter):
+        # in escape mode the last step comes at or before POOL_STEP, so every
+        # block runs to the end in its first epoch; in attractor mode the
+        # orbits that leave the disk after the budget stay bounded
+        status, value, _ = check_first_kernel(1.0, GridSpec(-0.3, 3.0, 3.0, 127, 131), max_iter, mode)
         steps = value[status == PointClass.ESCAPED]
-        for step in (*POOL_STEPS, start):
-            assert (steps == step).any(), step
+        assert steps.size and steps.max() <= max_iter
+
+    @pytest.mark.parametrize("mode", [ESCAPE_ONLY, ATTRACTOR_DETECT])
+    @pytest.mark.parametrize("max_iter", [200, 206])
+    def test_lanes_lock_at_the_first_checkpoint_after_the_pool(self, mode, max_iter):
+        # interior points of the main cardioid near c = 0.1 land exactly on
+        # their fixed point within a few dozen steps.  The checkpoints are the
+        # steps n with (max_iter - n) % LOCK_EVERY == 0; at the first one at
+        # or after POOL_STEP (32 for max_iter 200, 38 for 206) many lanes
+        # first equal their state LOCK_EVERY steps earlier.  A block resumed
+        # at POOL_STEP holds no earlier state there, so in escape mode it
+        # retires those lanes one checkpoint later, with the same result
+        grid = GridSpec(0.1, 0.2, 0.2, 131, 131)
+        first = next(n for n in range(POOL_STEP, max_iter) if (max_iter - n) % LOCK_EVERY == 0)
+        c = grid.samples().reshape(-1)
+        z, states = np.zeros_like(c), {}
+        for n in range(first + 1):
+            states[n] = z
+            z = z * z + c  # the kernel's step at alpha = 1
+        earlier, mid, last = (states[first - k * LOCK_EVERY] for k in (2, 1, 0))
+        assert ((last == mid) & (mid != earlier)).sum() > 1000
+        status, _, _ = check_first_kernel(1.0, grid, max_iter, mode)
+        assert (status != PointClass.ESCAPED).all()
 
     @pytest.mark.parametrize("c", [None, -0.1 + 0.1j])
     def test_window_splits(self, monkeypatch, c):
@@ -330,8 +372,8 @@ class TestLockedLanes:
 
     Each case is compared with the verbatim first kernel, which iterates
     every bounded lane to the end, at threads 1, 2 and 3 with warnings raised
-    as errors.  Grids hold just over 65536 cells, so each render splits into
-    two row blocks.
+    as errors.  Grids hold just over 65536 cells, so each render starts on two
+    or three blocks.
     """
 
     @pytest.mark.parametrize("max_iter", range(1000, 1000 + LOCK_EVERY))
