@@ -284,8 +284,11 @@ def _iterate(
     CYCLE_WINDOW steps after the warm-up the window keeps only the last
     WINDOW_ROWS = MAX_PERIOD + CYCLE_RUNS, the rows the period search
     compares.  It is stored (WINDOW_ROWS, lanes) so each step writes one
-    contiguous row, and the period search drops each lane once its smallest
-    period is found.
+    contiguous row.  The period search (_periods) prunes pair by pair: for
+    each q it tests the last aligned pair first, taking one row at a time
+    for the lanes still in the running, and tests the next pair only on the
+    lanes that passed, so most lanes cost one pair per q; a lane leaves the
+    search once its smallest period is found.
 
     Escape mode also retires lanes that have closed into an exact cycle.
     Checkpoints are the steps n < total with (total - n) % LOCK_EVERY == 0;
@@ -400,21 +403,40 @@ def _iterate(
         live = np.flatnonzero(~gone)
         finalmod[idx[live]] = mod[live]
         if detect and window is not None:
-            # smallest period first; a lane leaves the search once it has one
-            qfound = np.zeros(idx.size, dtype=np.int32)
-            pending = live
-            for q in range(1, MAX_PERIOD + 1):
-                m0 = WINDOW_ROWS - q - CYCLE_RUNS
-                if m0 < 0 or pending.size == 0:
-                    break
-                delta = window[m0 + q : m0 + q + CYCLE_RUNS, pending] - window[m0 : m0 + CYCLE_RUNS, pending]
-                close = (np.abs(delta) < TOL_CYCLE).all(axis=0)
-                qfound[pending[close]] = q
-                pending = pending[~close]
+            qfound = _periods(window, live)
             att = qfound > 0
             status[idx[att]] = PointClass.ATTRACTED
             value[idx[att]] = qfound[att]
     return None
+
+
+def _periods(window: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """The smallest period of each lane whose column of the attractor window
+    is listed in lanes, or 0; one entry per window column (0 off lanes).
+
+    A lane has period q when each of the window's last CYCLE_RUNS aligned
+    pairs (row m, row m + q) differs by less than TOL_CYCLE in modulus.  For
+    each q, smallest first, the pairs are tested from the last one back,
+    taking one row at a time for the lanes still in the running: a lane
+    leaves q's test at the first pair it fails and the search once it has a
+    period.  Every lane tested gets the same subtractions as the full
+    conjunction, so the result is the same; NaN fails every pair.
+    """
+    qfound = np.zeros(window.shape[1], dtype=np.int32)
+    pending = lanes
+    for q in range(1, MAX_PERIOD + 1):
+        m0 = WINDOW_ROWS - q - CYCLE_RUNS
+        if m0 < 0 or pending.size == 0:
+            break
+        cand = pending
+        for m in range(m0 + CYCLE_RUNS - 1, m0 - 1, -1):
+            cand = cand[np.abs(window[m + q].take(cand) - window[m].take(cand)) < TOL_CYCLE]
+            if cand.size == 0:
+                break
+        else:
+            qfound[cand] = q
+            pending = pending[qfound.take(pending) == 0]
+    return qfound
 
 
 def _deal(size: int, workers: int, cap: int) -> list[tuple[int, int]]:
@@ -591,14 +613,26 @@ def write_cells_csv(raster: Raster, out: str | os.PathLike | IO[str]) -> None:
     value is the escape iteration count for escaped cells, the detected
     period for attracted cells and 0 for bounded cells.  re and im are the
     shortest round-tripping reprs of the cell center; a column shares its re
-    and a row its im (see GridSpec.samples), so each is formatted once.
+    and a row its im (see GridSpec.samples), so each is formatted once, and
+    so is each distinct (status, value) pair.  A row is the join of one list
+    of pieces whose column pieces are fixed and whose j, im and cell pieces
+    each row fills in.
     """
     re, im = raster.grid.axes()
-    cols = [(f"{i},", f",{x!r},") for i, x in enumerate(re.tolist())]
-    names = {int(pc): pc.name.lower() for pc in PointClass}
+    nx = raster.grid.nx
+    # distinct pairs have distinct keys, as |value| < 2^31
+    key = raster.status.astype(np.int64).ravel() * 2**32 + raster.value.ravel()
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    pairs = zip(raster.status.flat[first].tolist(), raster.value.flat[first].tolist())
+    cells = np.array([f",{PointClass(st).name.lower()},{val}\n" for st, val in pairs], dtype=object)
+    inv = inv.reshape(raster.status.shape)
+    pieces = [""] * (5 * nx)
+    pieces[0::5] = [f"{i}," for i in range(nx)]
+    pieces[2::5] = [f",{x!r}," for x in re.tolist()]
     with _sink(out, "w") as fh:
         fh.write("i,j,re,im,status,value\n")
         for j, y in enumerate(im.tolist()):
-            tail = f"{y!r},"
-            cells = zip(cols, raster.status[j].tolist(), raster.value[j].tolist())
-            fh.write("".join(f"{head}{j}{mid}{tail}{names[st]},{val}\n" for (head, mid), st, val in cells))
+            pieces[1::5] = [str(j)] * nx
+            pieces[3::5] = [repr(y)] * nx
+            pieces[4::5] = cells.take(inv[j]).tolist()
+            fh.write("".join(pieces))

@@ -10,6 +10,8 @@ Kuznetsov's explicit Neimark-Sacker coefficient c1, not from the library's
 homological conjugation.  The census's lane-parallel Newton
 is checked bit for bit against the scalar per-seed loop it replaced, kept
 here over the scalar apply_map, jacobian and WirtingerPair.newton_step.
+The raster's attractor period search and its cell CSV writer are checked
+against the versions they replaced, kept here verbatim.
 The small helpers at the end (jet evaluation, polyline diameter, pixel
 diagonal) serve only the tests, so they live here rather than in the library.
 """
@@ -498,6 +500,46 @@ def classify_block_reference(
         value.reshape(z0.shape),
         finalmod.reshape(z0.shape),
     )
+
+
+def period_search_reference(window: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The attractor period search as render._iterate ran it before
+    render._periods: each q gathers the CYCLE_RUNS pair rows of all pending
+    lanes at once and reduces the whole (CYCLE_RUNS, lanes) block.
+
+    Kept verbatim (only the constants are imported, and qfound is sized by
+    the window) so the pair-by-pair search can be checked for equal periods.
+    """
+    from qcdyn.render import CYCLE_RUNS, MAX_PERIOD, TOL_CYCLE, WINDOW_ROWS
+
+    # smallest period first; a lane leaves the search once it has one
+    qfound = np.zeros(window.shape[1], dtype=np.int32)
+    pending = live
+    for q in range(1, MAX_PERIOD + 1):
+        m0 = WINDOW_ROWS - q - CYCLE_RUNS
+        if m0 < 0 or pending.size == 0:
+            break
+        delta = window[m0 + q : m0 + q + CYCLE_RUNS, pending] - window[m0 : m0 + CYCLE_RUNS, pending]
+        close = (np.abs(delta) < TOL_CYCLE).all(axis=0)
+        qfound[pending[close]] = q
+        pending = pending[~close]
+    return qfound
+
+
+def write_cells_csv_reference(raster, fh) -> None:
+    """render.write_cells_csv as it formatted every cell with one f-string,
+    before it joined pre-formatted pieces.  Kept verbatim (fh is a file
+    handle here) so the new writer can be checked for equal bytes."""
+    from qcdyn.render import PointClass
+
+    re, im = raster.grid.axes()
+    cols = [(f"{i},", f",{x!r},") for i, x in enumerate(re.tolist())]
+    names = {int(pc): pc.name.lower() for pc in PointClass}
+    fh.write("i,j,re,im,status,value\n")
+    for j, y in enumerate(im.tolist()):
+        tail = f"{y!r},"
+        cells = zip(cols, raster.status[j].tolist(), raster.value[j].tolist())
+        fh.write("".join(f"{head}{j}{mid}{tail}{names[st]},{val}\n" for (head, mid), st, val in cells))
 
 
 def jet_identity() -> Jet3:

@@ -6,16 +6,25 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import classify_block_reference, classify_reference, pixel_diag
+from oracles import (
+    classify_block_reference,
+    classify_reference,
+    period_search_reference,
+    pixel_diag,
+    write_cells_csv_reference,
+)
 from qcdyn import render
 from qcdyn.errors import DomainError
 from qcdyn.maps import MapParams, apply_map, lambda_min, tip_parameter
 from qcdyn.render import (
     ATTRACTOR_DETECT,
+    CYCLE_RUNS,
     CYCLE_WINDOW,
     ESCAPE_ONLY,
     LOCK_EVERY,
+    MAX_PERIOD,
     POOL_STEP,
+    TOL_CYCLE,
     WINDOW_LANES,
     WINDOW_ROWS,
     CellResult,
@@ -415,6 +424,70 @@ class TestLockedLanes:
             assert np.float64(got.final_modulus).tobytes() == modulus.tobytes()
 
 
+class TestPeriodSearch:
+    """render._periods, the pair-by-pair period search, gives every lane the
+    period of the search it replaced, tests/oracles.period_search_reference,
+    on synthetic windows of WINDOW_ROWS rows, one column per lane."""
+
+    @staticmethod
+    def _window():
+        rows = np.arange(WINDOW_ROWS)[:, None]
+        cols = []
+        # every period, as q distinct points on a circle, exact and with
+        # noise well inside and around the tolerance
+        for q in range(1, MAX_PERIOD + 1):
+            cycle = 0.3 + 0.5 * np.exp(2j * np.pi * np.arange(q) / q)
+            exact = cycle[rows % q]
+            cols += [exact, exact + 0.1 * TOL_CYCLE * RNG.standard_normal((WINDOW_ROWS, 1))]
+            cols += [exact + 0.6 * TOL_CYCLE * (RNG.uniform(-1, 1, (WINDOW_ROWS, 1)) + 0j) for _ in range(4)]
+        # no period: a wandering orbit
+        cols += [RNG.standard_normal((WINDOW_ROWS, 1)) + 1j * RNG.standard_normal((WINDOW_ROWS, 1)) for _ in range(8)]
+        # a fixed point with one row moved: each row in turn, so for some q
+        # only the first, the middle or the last pair fails
+        for r in range(WINDOW_ROWS):
+            col = np.full((WINDOW_ROWS, 1), 0.25 - 0.5j)
+            col[r] += 1.0
+            cols.append(col)
+        # non-finite entries, in every row or in one
+        for bad in (np.nan, np.inf, -np.inf, complex(np.inf, np.inf), complex(0, -np.inf)):
+            cols.append(np.full((WINDOW_ROWS, 1), bad, dtype=np.complex128))
+            for r in (0, WINDOW_ROWS - 4, WINDOW_ROWS - 1):
+                col = np.full((WINDOW_ROWS, 1), 0.1 + 0j)
+                col[r] = bad
+                cols.append(col)
+        # the last row off by exactly TOL_CYCLE (rejected) and by just less
+        for d in (TOL_CYCLE, np.nextafter(TOL_CYCLE, 0.0)):
+            col = np.zeros((WINDOW_ROWS, 1), dtype=np.complex128)
+            col[-1] = d
+            cols.append(col)
+        return np.hstack(cols).astype(np.complex128)
+
+    def test_matches_the_block_search(self):
+        window = self._window()
+        every = np.arange(window.shape[1])
+        for lanes in (every, np.flatnonzero(RNG.random(window.shape[1]) < 0.5)):
+            with np.errstate(invalid="ignore"):
+                want = period_search_reference(window, lanes)
+                got = render._periods(window, lanes)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            if lanes is every:
+                # every period is found, on the exact cycles at least
+                assert set(range(MAX_PERIOD + 1)) == set(got.tolist())
+        # the lanes left out get none
+        assert not got[np.setdiff1d(every, lanes)].any()
+
+    def test_strict_tolerance_and_single_failing_pair(self):
+        last = np.zeros((WINDOW_ROWS, 3), dtype=np.complex128)
+        last[-1] = (TOL_CYCLE, np.nextafter(TOL_CYCLE, 0.0), 0.0)
+        # row WINDOW_ROWS - 4 is the earlier row of q = 1's first pair, of
+        # q = 2's middle pair and of q = 3's last pair only
+        last[WINDOW_ROWS - 4, 2] = 1.0
+        got = render._periods(last, np.arange(3))
+        assert got.tolist() == [0, 1, CYCLE_RUNS + 1]
+        assert np.array_equal(got, period_search_reference(last, np.arange(3)))
+
+
 class TestRenderJulia:
     def test_rejects_non_finite_c(self):
         with pytest.raises(DomainError):
@@ -584,6 +657,30 @@ class TestOutputs:
             assert (int(i), int(j)) == (k % g.nx, k // g.nx)
             z = samples[int(j), int(i)]
             assert (re, im) == (repr(float(z.real)), repr(float(z.imag)))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            GridSpec(0, 2.0, 2.0, 1, 1),
+            GridSpec(-0.0, 1e-300, 1e-300, 1, 9),
+            GridSpec(complex(-0.0, -0.0), 1e300, 1e300, 9, 1),
+            GridSpec(0.3 - 1.2j, 1e-300, 1e300, 17, 5),
+            *EDGE_GRIDS,
+        ],
+    )
+    def test_csv_matches_the_per_cell_writer(self, g, tmp_path):
+        max_iter = 1000
+        shape = (g.ny, g.nx)
+        status = RNG.integers(0, 3, shape).astype(np.int8)
+        value = np.where(status == PointClass.BOUNDED, 0, RNG.integers(1, max_iter + 1, shape)).astype(np.int32)
+        status.flat[-1], value.flat[-1] = PointClass.ESCAPED, max_iter
+        raster = Raster(g, status, value, np.zeros(shape), max_iter, ATTRACTOR_DETECT)
+        want, got = io.StringIO(), io.StringIO()
+        write_cells_csv_reference(raster, want)
+        write_cells_csv(raster, got)
+        assert got.getvalue() == want.getvalue()
+        write_cells_csv(raster, tmp_path / "cells.csv")
+        assert (tmp_path / "cells.csv").read_bytes() == want.getvalue().encode()
 
     def test_cell_accessor(self):
         g = GridSpec(0, 2.0, 2.0, 3, 2)
