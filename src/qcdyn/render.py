@@ -17,16 +17,20 @@ another modulus (attractor mode retires no lanes).  None of this changes a
 live lane's arithmetic, so a cell's result is the same in any block, at any
 thread count and as if every lane ran to the end.
 
-Every render runs on one schedule.  The cells are dealt into blocks of at
-most BLOCK_LANES = 65536 lanes, and every block stops at step POOL_STEP = 32
-and, in attractor mode, at the window's first step.  There the live lanes of
-all blocks are pooled and dealt out again: across the workers only when each
-gets at least POOL_MIN_LANES = 8192 lanes, else as one block on the calling
-thread.  Most escapes come early, and the lanes left after them run as a few
-larger blocks instead of many small ones, which two threads stepping small
-arrays ran slower than one.  From the window's first step on a block holds
-at most WINDOW_LANES = 16384 lanes, so its window is at most 16384 x 103 x
-16 B = 27.0 MB.
+Every render runs on one schedule.  The lanes of all cells are built once,
+before step 0, as one lane record.  The steps run in epochs that end at step
+POOL_STEP = 32, in attractor mode at the window's first step, and at the
+last step.  Each epoch deals slices of the lane record into blocks of at
+most BLOCK_LANES = 65536 lanes, across the workers only when each gets at
+least POOL_MIN_LANES = 8192 lanes, else as one block.  The blocks are dealt
+round-robin to the calling thread and threads - 1 pool workers, so a
+one-block epoch runs on the calling thread.  At the end of an epoch the
+live lanes of all blocks are pooled into the next epoch's record.  Most
+escapes come early, and the lanes left after them run as a few larger
+blocks instead of many small ones, which two threads stepping small arrays
+ran slower than one.  From the window's first step on a block holds at most
+WINDOW_LANES = 16384 lanes, so its window is at most 16384 x 103 x 16 B =
+27.0 MB.
 
 The kernel is vectorised with numpy and is not bit-identical to iterating
 maps.apply_map in plain Python: numpy's SIMD routines for np.abs, the power
@@ -180,13 +184,6 @@ class Raster:
     max_iter: int
     mode: str
 
-    def cell(self, i: int, j: int) -> CellResult:
-        return CellResult(
-            PointClass(int(self.status[j, i])),
-            int(self.value[j, i]),
-            float(self.final_modulus[j, i]),
-        )
-
 
 def escape_radius(p: MapParams) -> float:
     """R = max(|c|, 2^{1/(2a-1)}); any |z| > R has |f(z)| >= 2|z| - |c| > |z|.
@@ -231,16 +228,15 @@ class _Lanes(NamedTuple):
         return _Lanes(idx, z, parts[0].c, parts[0].radius)
 
 
-def _start_lanes(alpha: float, c: np.ndarray | complex, z0: np.ndarray | complex, cells: range) -> _Lanes:
-    """The lanes of cells before step 0; c and z0 are flat arrays over all
+def _start_lanes(alpha: float, c: np.ndarray | complex, z0: np.ndarray | complex, size: int) -> _Lanes:
+    """The lanes of size cells before step 0; c and z0 are arrays over all
     cells or one value for every cell."""
-    part = slice(cells.start, cells.stop)
-    z = np.empty(len(cells), dtype=np.complex128)
-    z[...] = z0[part] if isinstance(z0, np.ndarray) else z0
-    carr = np.asarray(c[part] if isinstance(c, np.ndarray) else c, dtype=np.complex128)
+    z = np.empty(size, dtype=np.complex128)
+    z[...] = np.reshape(z0, -1) if isinstance(z0, np.ndarray) else z0
+    carr = np.asarray(np.reshape(c, -1) if isinstance(c, np.ndarray) else c, dtype=np.complex128)
     # |c| comes from np.abs, like |z| below, so the step-1 tie |c| > |c| is false
     radius = np.maximum(np.abs(carr.reshape(-1)), _radius_floor(alpha))
-    idx = np.arange(cells.start, cells.stop)
+    idx = np.arange(size)
     if carr.ndim:
         return _Lanes(idx, z, carr, radius)
     return _Lanes(idx, z, complex(carr), float(radius[0]))
@@ -313,7 +309,6 @@ def _iterate(
     """
     status, value, finalmod = out
     idx, z, carr, radius = lanes
-    per_point = isinstance(carr, np.ndarray)
     detect = mode == ATTRACTOR_DETECT
     total, start = _schedule(max_iter, mode)
     if stop is None:
@@ -351,12 +346,11 @@ def _iterate(
             waste += parked
             if parked and (parked == idx.size or waste >= idx.size):
                 keep = ~gone
-                idx, z, mod = idx[keep], z[keep], mod[keep]
+                idx, z, carr, radius = _Lanes(idx, z, carr, radius).select(keep)
+                mod = mod[keep]
                 flag, u, gone = flag[: idx.size], u[: idx.size], gone[: idx.size]
                 gone[:] = False
                 parked = waste = 0
-                if per_point:
-                    carr, radius = carr[keep], radius[keep]
                 if window is not None:
                     window = np.compress(keep, window, axis=1)
                 if ref is not None:
@@ -384,11 +378,12 @@ def _iterate(
                 break
             # same evaluation order as apply_map: u = |z|^(a-1) z, f = u u + c.
             # A lane at the branch point z = 0 has u = 0 and so lands on c, as in
-            # apply_map; only the infinite 0^(a-1) of a < 1 needs patching
+            # apply_map; only the infinite 0^(a-1) of a < 1 needs a clamp.
+            # 5e-324 is the smallest positive double, so only mod = 0 changes;
+            # its power is finite for every a - 1 >= -1/2, and finite times a
+            # zero z gives the same signed zeros as 1 did
             if s < 0.0:
-                zero = np.equal(mod, 0.0, out=flag)
-                if zero.any():
-                    mod[zero] = 1.0
+                np.maximum(mod, 5e-324, out=mod)
             if s == 0.0:
                 np.multiply(z, z, out=u)
                 z, u = u, z
@@ -469,7 +464,7 @@ def classify_point(
     """
     _check_run(max_iter, mode)
     out = (np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int32), np.zeros(1))
-    _iterate(p.alpha, _start_lanes(p.alpha, p.c, z0, range(1)), max_iter, mode, out)
+    _iterate(p.alpha, _start_lanes(p.alpha, p.c, z0, 1), max_iter, mode, out)
     return CellResult(PointClass(int(out[0][0])), int(out[1][0]), float(out[2][0]))
 
 
@@ -496,42 +491,44 @@ def _render(
 ) -> Raster:
     """Classify every cell; c and z0 are (ny, nx) arrays or one value for all.
 
-    The cells are dealt into blocks (see _deal) of at most BLOCK_LANES.  The
-    blocks run in epochs that end at POOL_STEP, at the attractor window's
-    first step and at the last step: there every block stops, and the live
-    lanes of all blocks are pooled and dealt out again, within BLOCK_LANES
-    per block and, from the window on, within WINDOW_LANES.  Blocks on
-    worker threads run in a copy of the caller's context, so they keep its
-    floating-point error state (np.errstate).
+    The lanes of every cell are built once, before step 0.  The steps run in
+    epochs that end at POOL_STEP, at the attractor window's first step and
+    at the last step.  Each epoch deals slices of one lane record into
+    blocks (see _deal) of at most BLOCK_LANES lanes, and from the window on
+    at most WINDOW_LANES; at its end the live lanes of all blocks are pooled
+    into the next epoch's record.  Block k runs on thread k % workers:
+    thread 0 is the calling thread, the others are pool workers, which run
+    in a copy of the caller's context and so keep its floating-point error
+    state (np.errstate).  A one-block epoch thus stays on the calling thread,
+    and its memory in that thread's malloc arena: run on a pool worker
+    instead, the bench rasters' peak RSS rose from about 101 to 120 MB
+    (glibc, two threads).
     """
     _check_run(max_iter, mode)
     size = grid.nx * grid.ny
     out = (np.zeros(size, dtype=np.int8), np.zeros(size, dtype=np.int32), np.zeros(size))
-    cells, starts = (np.reshape(v, -1) if isinstance(v, np.ndarray) else v for v in (c, z0))
     total, start = _schedule(max_iter, mode)
     workers = _thread_count(threads)
-
-    def run(block, n, stop):
-        if isinstance(block, range):  # cells not started yet
-            block = _start_lanes(alpha, cells, starts, block)
-        return _iterate(alpha, block, max_iter, mode, out, n, stop)
-
     stops = (POOL_STEP, start, total) if mode == ATTRACTOR_DETECT else (POOL_STEP, total)
-    blocks = [range(a, b) for a, b in _deal(size, workers, BLOCK_LANES)]
+    live = _start_lanes(alpha, c, z0, size)
+    cap = BLOCK_LANES
     n = 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+
+    def run(blocks, n, stop):
+        return [_iterate(alpha, block, max_iter, mode, out, n, stop) for block in blocks]
+
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         for stop in stops:
-            if workers > 1 and len(blocks) > 1:
-                jobs = [pool.submit(contextvars.copy_context().run, run, block, n, stop) for block in blocks]
-                left = [job.result() for job in jobs]
-            else:
-                left = [run(block, n, stop) for block in blocks]
-            live = [lanes for lanes in left if lanes is not None]
-            if not live:
-                break
-            live = _Lanes.pool(live)
-            cap = WINDOW_LANES if stop == start else BLOCK_LANES
             blocks = [live.select(slice(a, b)) for a, b in _deal(live.idx.size, workers, cap)]
+            jobs = [
+                pool.submit(contextvars.copy_context().run, run, blocks[w::workers], n, stop) for w in range(1, workers)
+            ]
+            parts = [run(blocks[::workers], n, stop)] + [job.result() for job in jobs]
+            left = [lanes for part in parts for lanes in part if lanes is not None]
+            if not left:
+                break
+            live = _Lanes.pool(left)
+            cap = WINDOW_LANES if stop == start else BLOCK_LANES
             n = stop
     status, value, finalmod = (a.reshape(grid.ny, grid.nx) for a in out)
     return Raster(grid, status, value, finalmod, max_iter, mode)

@@ -13,7 +13,8 @@ here over the scalar apply_map, jacobian and WirtingerPair.newton_step.
 The raster's attractor period search and its cell CSV writer are checked
 against the versions they replaced, kept here verbatim.
 The small helpers at the end (jet evaluation, polyline diameter, pixel
-diagonal) serve only the tests, so they live here rather than in the library.
+diagonal, one raster cell) serve only the tests, so they live here rather
+than in the library.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from qcdyn.fixed_points import (
 )
 from qcdyn.jets import Jet3
 from qcdyn.maps import BRANCH_POINT_DERIVATIVE, MapParams, _radius_floor, apply_map, jacobian, require_alpha
-from qcdyn.render import GridSpec
+from qcdyn.render import CellResult, GridSpec, PointClass, Raster
 
 
 def fd_jacobian(p: MapParams, z: complex, h: float | None = None) -> np.ndarray:
@@ -572,3 +573,12 @@ def polyline_diameter(points) -> float:
 def pixel_diag(grid: GridSpec) -> float:
     """The diagonal of one grid cell."""
     return float(np.hypot(grid.width / grid.nx, grid.height / grid.ny))
+
+
+def raster_cell(raster: Raster, i: int, j: int) -> CellResult:
+    """The result of cell (i, j), column i and row j, of a raster."""
+    return CellResult(
+        PointClass(int(raster.status[j, i])),
+        int(raster.value[j, i]),
+        float(raster.final_modulus[j, i]),
+    )

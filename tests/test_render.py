@@ -11,6 +11,7 @@ from oracles import (
     classify_reference,
     period_search_reference,
     pixel_diag,
+    raster_cell,
     write_cells_csv_reference,
 )
 from qcdyn import render
@@ -166,15 +167,24 @@ class TestKernelIdentity:
     three blocks; attractor grids hold just over 16384, so at 2 and 3 threads
     the first steps run on two blocks before the live lanes are pooled.
     Julia grids have odd sides centred on 0, so one lane starts at the
-    branch point; locus grids start every lane there.
+    branch point; locus grids start every lane there.  The branch grid is a
+    locus centred exactly on c = -1, whose centre cell's orbit 0 -> -1 -> 0
+    comes back to the branch point every other step.
     """
 
     @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("mode", [ESCAPE_ONLY, ATTRACTOR_DETECT])
-    @pytest.mark.parametrize("kind", ["julia", "locus", "large_c"])
+    @pytest.mark.parametrize("kind", ["julia", "locus", "large_c", "branch"])
     def test_matches_first_kernel(self, alpha, mode, kind):
         max_iter = 40 if mode == ESCAPE_ONLY else 60
-        self._check(alpha, mode, kind, max_iter)
+        status, value, finalmod = self._check(alpha, mode, kind, max_iter)
+        if kind == "branch":
+            # |-1|^(a-1) = 1, so the centre cell's orbit is 0, -1, 0, ... for every a
+            j, i = status.shape[0] // 2, status.shape[1] // 2
+            if mode == ESCAPE_ONLY:
+                assert (status[j, i], finalmod[j, i]) == (PointClass.BOUNDED, 0.0)
+            else:
+                assert (status[j, i], value[j, i]) == (PointClass.ATTRACTED, 2)
 
     def test_escape_budget_past_the_window(self):
         # max_iter 1000: warm-up 250, window steps 250..449 of which only
@@ -194,6 +204,9 @@ class TestKernelIdentity:
         else:
             if kind == "locus":
                 grid = GridSpec(-0.3, 3.0, 3.0, nx, ny)
+            elif kind == "branch":
+                grid = GridSpec(-1.0, 0.5, 0.5, nx, ny)
+                assert grid.samples()[ny // 2, nx // 2] == -1.0
             else:
                 # every |c| above 2^{1/(2a-1)}, so the radius is |c| itself
                 # (a = 1/2 has no finite floor; its radius stays infinite)
@@ -685,7 +698,7 @@ class TestOutputs:
     def test_cell_accessor(self):
         g = GridSpec(0, 2.0, 2.0, 3, 2)
         raster = render_julia(MapParams(1, 0), g, 50)
-        cell = raster.cell(1, 1)
+        cell = raster_cell(raster, 1, 1)
         assert isinstance(cell, CellResult)
         assert cell.status is PointClass(int(raster.status[1, 1]))
 
