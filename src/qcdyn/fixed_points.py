@@ -42,6 +42,7 @@ __all__ = [
     "trace_curve",
     "trace_curve_image",
     "detect_cusps",
+    "saddle_node_parameter",
     "injectivity_probe",
 ]
 
@@ -281,7 +282,7 @@ def _scalar_newton(p: MapParams, z: complex, steps: int) -> tuple[complex | None
 
 
 def _record(p: MapParams, z: complex) -> FixedPointRecord:
-    jac = jacobian(p, z)
+    jac = jacobian(p, z) if z != 0 else BRANCH_POINT_DERIVATIVE
     return FixedPointRecord(
         z=z,
         eigenvalues=jac.eigenvalues,
@@ -326,12 +327,17 @@ def find_fixed_points(
 
     Seeds: a 24x24 polar grid over the disk |z| <= 2^{1/(2a-1)} (which contains
     every fixed point of locus parameters) capped at NEWTON_BOUND, the two
-    quadratic-case roots of z^2 - z + c, and any extra_seeds.  Emits
-    ConvergenceWarning if some seeds stall without converging or diverging.
+    quadratic-case roots of z^2 - z + c, and any extra_seeds.  At c = 0 the
+    branch point is listed as exactly 0 in place of any root within _DEDUP
+    of it, and classified from BRANCH_POINT_DERIVATIVE (attracting: |f(z)| =
+    |z|^{2a}).  Emits ConvergenceWarning if some seeds stall without
+    converging or diverging.
     """
     require_alpha(p.alpha, strict=True)
     lanes, converged, stalled = _newton_lanes(p, _census_seeds(p, extra_seeds))
     roots = _distinct_roots(lanes[converged])
+    if p.c == 0:  # the branch point is fixed exactly; Newton only comes near it
+        roots = [0j] + [z for z in roots if abs(z) > _DEDUP]
     if stalled:
         warnings.warn(
             f"{stalled} Newton starts stalled without converging or diverging",
@@ -423,6 +429,23 @@ def detect_cusps(alpha: float, which: str = GAMMA_PLUS) -> list[complex]:
     if not cmath.isfinite(c):
         raise DomainError(f"the cusp formula overflows at alpha = {alpha!r}")
     return sorted([complex(real, 0.0), c, c.conjugate()], key=lambda v: (v.real, v.imag))
+
+
+def saddle_node_parameter(alpha: float) -> tuple[float, float, float]:
+    """The saddle-node of x -> |x|^{2a} + c on the real axis: (x*, c*, A).
+
+    x* = (2a)^{-1/(2a-1)} is where the multiplier along the axis, 2a x^{2a-1},
+    is 1; c* = x* (1 - 1/(2a)) makes it fixed, and A = f''(x*)/2 =
+    a (2a-1) x*^{2a-2}.  Just past it, at c* + eps, an orbit needs about
+    pi / sqrt(A eps) steps to pass the bottleneck (Pomeau-Manneville; at
+    a = 1, where (x*, c*, A) = (1/2, 1/4, 1), this is Boll's pi).  For
+    a != 1 c* is not the real cusp of p(gamma+): there the unit multiplier
+    is transverse to the axis.
+    """
+    require_alpha(alpha, strict=True)
+    d = 2.0 * alpha - 1.0  # exact near 1/2, as in detect_cusps
+    x = math.exp(-math.log1p(d) / d)
+    return x, x * d / (2.0 * alpha), alpha * d * x ** (d - 1.0)
 
 
 def injectivity_probe(alpha: float, n_pairs: int, rng_seed: int) -> bool:

@@ -43,6 +43,17 @@ TOL_RES = 1e-3  # exclusion radius (in angle) around 1st..4th roots of unity
 
 _ABOVE_DEG = np.add.outer(np.arange(4), np.arange(4)) > DEG  # z^j w^k with j + k > DEG
 
+# coord_change1's binomial sum, one entry per term (35 in all): g_jk times
+# binom(j, m) binom(k, n) C^m conj(C)^(k-n) goes to zeta^(m+n) omega^(j-m+k-n),
+# stored as (j, k, m + n, j - m + k - n, m, k - n, binom(j, m) binom(k, n))
+_SUBSTITUTION_TERMS = tuple(
+    (j, k, m + n, j - m + k - n, m, k - n, float(math.comb(j, m) * math.comb(k, n)))
+    for j in range(DEG + 1)
+    for k in range(DEG + 1 - j)
+    for m in range(j + 1)
+    for n in range(k + 1)
+)
+
 # angles of all roots of unity of order <= 4
 _RESONANT_ANGLES = (
     0.0,
@@ -204,6 +215,16 @@ def coord_change1(jet: Jet3) -> Jet3:
     (principal square root, + branch); the change exists when the linear part
     has complex-conjugate eigenvalues, i.e. |b| < |Im a|.  Jets with |b| below
     1e-14 are returned unchanged.
+
+    With omega = conj(zeta) the substitution z = C zeta + omega,
+    w = zeta + conj(C) omega is linear, so it is a binomial sum: each term
+    g_jk z^j w^k adds
+
+        g_jk binom(j, m) binom(k, n) C^m conj(C)^(k-n)
+
+    to the coefficient of zeta^(m+n) omega^(j-m+k-n), for 0 <= m <= j and
+    0 <= n <= k (35 terms).  The sum h becomes
+    (conj(C) h - conj_jet(h)) / (|C|^2 - 1).
     """
     a = jet[1, 0]
     b = jet[0, 1]
@@ -219,11 +240,15 @@ def coord_change1(jet: Jet3) -> Jet3:
     )
     if abs(abs(croot) - 1.0) < 1e-10:
         raise ResonanceError("coordinate change lies on the unit circle; not invertible")
-    lin = Jet3.from_terms({(1, 0): croot, (0, 1): 1.0})
-    new = compose_jets(jet, lin)
-    new = (new.scale(croot.conjugate()) - conj_jet(new)).scale(
-        1.0 / (croot * croot.conjugate() - 1.0)
-    )
+    cbar = croot.conjugate()
+    cpow = (1.0, croot, croot * croot, croot * croot * croot)
+    cbpow = (1.0, cbar, cbar * cbar, cbar * cbar * cbar)
+    g = jet.coeff.tolist()
+    h = [[0j] * 4 for _ in range(4)]
+    for j, k, row, col, m, e, weight in _SUBSTITUTION_TERMS:
+        h[row][col] += g[j][k] * weight * cpow[m] * cbpow[e]
+    new = Jet3(np.array(h))
+    new = (new.scale(cbar) - conj_jet(new)).scale(1.0 / (croot * cbar - 1.0))
     return chop_jet3(new)
 
 

@@ -7,7 +7,9 @@ exhaustive residual grid scan polished by a Newton iteration of its own that
 solves with the real 2x2 Jacobian matrix, and cusps from a sign-change sweep
 of the pushed-forward tangent with bisection.  The Hopf number comes from
 Kuznetsov's explicit Neimark-Sacker coefficient c1, not from the library's
-homological conjugation.  The census's lane-parallel Newton
+homological conjugation.  coord_change1's binomial sum is checked against
+the jet composition it replaced, kept here verbatim.  The census's
+lane-parallel Newton
 is checked bit for bit against the scalar per-seed loop it replaced, kept
 here over the scalar apply_map, jacobian and WirtingerPair.newton_step.
 The raster's attractor period search and its cell CSV writer are checked
@@ -25,7 +27,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from qcdyn.errors import DomainError, NoConvergence
+from qcdyn.errors import DomainError, NoConvergence, ResonanceError
 from qcdyn.fixed_points import (
     _DEDUP,
     _NEWTON_STEPS,
@@ -37,7 +39,7 @@ from qcdyn.fixed_points import (
     _record,
     param_for_fixed_point,
 )
-from qcdyn.jets import Jet3
+from qcdyn.jets import Jet3, chop_jet3, compose_jets, conj_jet
 from qcdyn.maps import BRANCH_POINT_DERIVATIVE, MapParams, _radius_floor, apply_map, jacobian, require_alpha
 from qcdyn.render import CellResult, GridSpec, PointClass, Raster
 
@@ -186,6 +188,8 @@ def scalar_census(p: MapParams, extra_seeds=()):
             continue
         converged.append(z)
     roots = distinct_roots_in_seed_order(converged)
+    if p.c == 0:  # the branch point, exactly, in place of the roots near it
+        roots = [0j] + [z for z in roots if abs(z) > _DEDUP]
     roots.sort(key=lambda w: (w.real, w.imag))
     return [_record(p, z) for z in roots], stalled
 
@@ -341,6 +345,31 @@ def detect_cusps_sweep(
             cusps.append(c)
     cusps.sort(key=lambda w: (w.real, w.imag))
     return cusps
+
+
+def coord_change1_reference(jet: Jet3) -> Jet3:
+    """coord_change1 through compose_jets: substitute C zeta + conj(zeta) for
+    z, with the same checks, root and final step."""
+    a = jet[1, 0]
+    b = jet[0, 1]
+    if abs(b) < 1e-14:
+        return Jet3(jet.coeff.copy())
+    if abs(b) >= abs(a.imag):
+        raise ResonanceError(
+            "linear part has real eigenvalues (|b| >= |Im a|); no conjugate pair"
+        )
+    temp = a - a.conjugate()
+    croot = (temp + cmath.sqrt(temp * temp + 4.0 * b * b.conjugate())) / (
+        2.0 * b.conjugate()
+    )
+    if abs(abs(croot) - 1.0) < 1e-10:
+        raise ResonanceError("coordinate change lies on the unit circle; not invertible")
+    lin = Jet3.from_terms({(1, 0): croot, (0, 1): 1.0})
+    new = compose_jets(jet, lin)
+    new = (new.scale(croot.conjugate()) - conj_jet(new)).scale(
+        1.0 / (croot * croot.conjugate() - 1.0)
+    )
+    return chop_jet3(new)
 
 
 def kuznetsov_hopf_number(alpha: float, theta: float) -> float:

@@ -40,6 +40,7 @@ from qcdyn.fixed_points import (
     injectivity_probe,
     param_for_fixed_point,
     param_jacobian,
+    saddle_node_parameter,
     trace_curve,
     trace_curve_image,
 )
@@ -185,6 +186,15 @@ class TestFindFixedPoints:
                   ("attracting", "repelling", "saddle")}
         assert counts == {"attracting": 1, "repelling": 2, "saddle": 1}
 
+    @pytest.mark.parametrize("alpha", [0.51, 0.6, 0.75, 1.0, 1.5, 3.0])
+    def test_branch_point_at_c_zero(self, alpha):
+        # Newton only comes within about 1e-13 of 0, and for alpha < 1 Df there
+        # is far from Df(0) = 0: at alpha = 0.51 it reads as a saddle
+        recs = find_fixed_points(MapParams(alpha, 0))
+        assert [r.cls for r in recs] == ["attracting", "repelling"]
+        assert recs[0] == FixedPointRecord(0j, (0j, 0j), "attracting", 0.0, 0.0)
+        assert recs[1].z == pytest.approx(1.0, abs=1e-12)
+
     def test_alpha_just_above_half(self):
         # 2^{1/(2a-1)} overflows (0.5000001) or dwarfs the Newton bound
         # (0.5001); the seed disk is capped at NEWTON_BOUND either way
@@ -295,6 +305,19 @@ class TestCusps:
             t = _gamma_plus_tangent(alpha, z)
             assert abs(t - (jac.fz * t + jac.fzbar * t.conjugate())) < 1e-9 * abs(t)
             assert min(abs(param_for_fixed_point(alpha, z) - c) for c in images) < 1e-12
+
+    def test_saddle_node_parameter_at_one(self):
+        assert saddle_node_parameter(1.0) == pytest.approx((0.5, 0.25, 1.0), rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.51, 0.6, 0.75, 1.5, 3.0, 20.0])
+    def test_saddle_node_parameter(self, alpha):
+        x, c, a2 = saddle_node_parameter(alpha)
+        assert param_for_fixed_point(alpha, x) == pytest.approx(c, rel=1e-13)
+        jac = jacobian(MapParams(alpha, 0), x)
+        assert jac.fz + jac.fzbar == pytest.approx(1.0, rel=1e-13)  # the multiplier along the axis
+        h = 1e-4 * x
+        second = (abs(x + h) ** (2 * alpha) - 2 * x ** (2 * alpha) + abs(x - h) ** (2 * alpha)) / h**2
+        assert a2 == pytest.approx(second / 2, rel=1e-5)
 
     def test_gamma_minus_has_no_cusps(self):
         assert detect_cusps(0.8, GAMMA_MINUS) == []

@@ -1,12 +1,15 @@
 import cmath
 import math
+import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import evaluate_jet, fd_jet, jet_identity, kuznetsov_hopf_number
+from oracles import coord_change1_reference, evaluate_jet, fd_jet, jet_identity, kuznetsov_hopf_number
 from qcdyn.errors import ContractError, DomainError, ResonanceError
 from qcdyn.jets import (
     Jet3,
@@ -20,7 +23,7 @@ from qcdyn.jets import (
     normal_form3,
     write_sweep_csv,
 )
-from qcdyn.jets import _normal_form3_full, _quad_cubic_residual
+from qcdyn.jets import _delta_point, _normal_form3_full, _quad_cubic_residual
 from qcdyn.maps import MapParams, wirtinger
 
 RNG = np.random.default_rng(5)
@@ -158,11 +161,31 @@ class TestAlgebra:
             assert abs(evaluate_jet(jet, d) - direct) < 1e-7
 
 
+_REAL_EIGENVALUES = "linear part has real eigenvalues (|b| >= |Im a|); no conjugate pair"
+_UNIT_CIRCLE = "coordinate change lies on the unit circle; not invertible"
+
+
+def _assert_matches_reference(jet: Jet3) -> None:
+    """coord_change1 raises what the compose_jets reference raises, or agrees
+    with it to 1e-13 of the largest coefficient."""
+    try:
+        want = coord_change1_reference(jet).coeff
+    except ResonanceError as exc:
+        with pytest.raises(ResonanceError, match=re.escape(str(exc))):
+            coord_change1(jet)
+        return
+    got = coord_change1(jet).coeff
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestCoordChange:
     def test_holomorphic_untouched(self):
-        jet = Jet3.from_terms({(1, 0): 1j, (3, 0): 2.0})
-        out = coord_change1(jet)
-        assert np.array_equal(out.coeff, jet.coeff)
+        # |b| below 1e-14 passes through as an equal copy
+        for b in (0.0, 9e-15):
+            jet = Jet3.from_terms({(1, 0): 1j, (0, 1): b, (3, 0): 2.0})
+            out = coord_change1(jet)
+            assert np.array_equal(out.coeff, jet.coeff)
+            assert not np.shares_memory(out.coeff, jet.coeff)
 
     def test_kills_antilinear_term(self):
         for _ in range(100):
@@ -186,8 +209,34 @@ class TestCoordChange:
 
     def test_real_eigenvalues_rejected(self):
         jet = Jet3.from_terms({(1, 0): 2.0 + 0.1j, (0, 1): 1.0})
-        with pytest.raises(ResonanceError):
+        with pytest.raises(ResonanceError, match=re.escape(_REAL_EIGENVALUES)):
             coord_change1(jet)
+
+    def test_unit_circle_change_rejected(self):
+        # |b| is an ulp below |Im a|: the discriminant rounds to >= 0 and |C| to 1
+        jet = Jet3.from_terms(
+            {(1, 0): 0.3 + 0.7301818495469707j, (0, 1): -0.11124565379939823 - 0.7216577706354858j}
+        )
+        assert abs(jet[0, 1]) < abs(jet[1, 0].imag)
+        for change in (coord_change1, coord_change1_reference):
+            with pytest.raises(ResonanceError, match=re.escape(_UNIT_CIRCLE)):
+                change(jet)
+
+    @given(jets_st(zero_const=False))
+    @settings(max_examples=150, deadline=None)
+    def test_binomial_sum_matches_composition(self, jet):
+        assume(abs(jet[0, 1]) < abs(jet[1, 0].imag))
+        _assert_matches_reference(jet)
+
+    def test_bench_surface_matches_composition(self):
+        # every point of the benchmark's Hopf surface (63 exponents x 64
+        # angles), built by perfbench/inputs.py, which imports no qcdyn code
+        bench_inputs = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"))
+        surface = bench_inputs["hopf_inputs"](7)
+        points = [(a, t) for a in surface.alphas for t in surface.thetas]
+        assert len(points) == 4032
+        for alpha, theta in points:
+            _assert_matches_reference(jet_of_map(alpha, _delta_point(alpha, theta)))
 
 
 class TestNormalForm:
@@ -265,7 +314,6 @@ class TestHopfNumber:
             hopf_number(0.5, 2.0)
 
     def test_delta_point_has_unit_circle_conjugate_eigenvalues(self):
-        from qcdyn.jets import _delta_point
         from qcdyn.maps import jacobian
 
         for alpha in (0.6, 0.75, 1.5, 6.0):

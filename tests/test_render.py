@@ -16,6 +16,7 @@ from oracles import (
 )
 from qcdyn import render
 from qcdyn.errors import DomainError
+from qcdyn.fixed_points import saddle_node_parameter
 from qcdyn.maps import MapParams, apply_map, lambda_min, tip_parameter
 from qcdyn.render import (
     ATTRACTOR_DETECT,
@@ -103,6 +104,17 @@ class TestClassifyPoint:
             classify_point(MapParams(1, 0), 0, 0)
         with pytest.raises(DomainError):
             classify_point(MapParams(1, 0), 0, 10, "nope")
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0, 1.5, 3.0])
+    def test_escape_time_past_the_saddle_node(self, alpha):
+        # Pomeau-Manneville: from 0 at c* + eps the orbit escapes after about
+        # pi / sqrt(A eps) steps (up to 31,000 here).  The measured offsets
+        # N - pi / sqrt(A eps) lie in [-2.8, -0.8] steps, so K = 3
+        _, c_star, a2 = saddle_node_parameter(alpha)
+        for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+            res = classify_point(MapParams(alpha, c_star + eps), 0, 200000)
+            assert res.status is PointClass.ESCAPED
+            assert abs(res.value - math.pi / math.sqrt(a2 * eps)) <= 3.0, (eps, res.value)
 
     def test_matches_reference_loop(self):
         for _ in range(60):
