@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -265,21 +265,6 @@ def _check_nonresonant(u: complex) -> None:
         )
 
 
-def _quad_cubic_residual(
-    rjet: Jet3, u: complex, avec: Sequence[complex], b2: complex
-) -> Jet3:
-    """The homological mismatch rjet o L1 - L1 o N for the candidate changes.
-
-    L1 = 2z + a1 z^2 + a2 z w + a3 w^2 and N = u z + b2 z^2 w; the z^j w^k
-    quadratic coefficient of the mismatch is 4 g_jk + (u - u^j ubar^k) a_jk,
-    and its z^2 w coefficient falls by 2 b2 from its value at b2 = 0.
-    """
-    a1, a2, a3 = avec
-    l1 = Jet3.from_terms({(1, 0): 2.0, (2, 0): a1, (1, 1): a2, (0, 2): a3})
-    normal = Jet3.from_terms({(1, 0): u, (2, 1): b2})
-    return compose_jets(rjet, l1) - compose_jets(l1, normal)
-
-
 def _normal_form3_full(jet: Jet3) -> tuple[complex, tuple[complex, complex, complex], complex, Jet3]:
     """Resolve the degree-3 normal form; returns (u, (a1,a2,a3), b2, reduced jet).
 
@@ -288,7 +273,13 @@ def _normal_form3_full(jet: Jet3) -> tuple[complex, tuple[complex, complex, comp
     (a1, a2, a3) = (a_20, a_11, a_02) with a_jk = 4 g_jk / (u^j ubar^k - u),
     g = rjet and the 4 from L1's 2z.  The denominators vanish only at u in
     {0, 1} or at u^3 = 1 with |u| = 1, which _check_nonresonant rejects.
-    L1 o N has the z^2 w coefficient 2 b2.
+
+    b2 is half the z^2 w coefficient of the mismatch rjet o L1 - L1 o N with
+    N = u z + b2 z^2 w, taken at b2 = 0.  There N is linear, so
+    L1 o N = 2u z + a1 u^2 z^2 + a2 |u|^2 z w + a3 ubar^2 w^2 has no z^2 w
+    term.  compose_jets only adds onto zeros, so that coefficient is an
+    exact +0, and x - 0 is x bit for bit (signed zeros too).
+    So b2 is read off rjet o L1 alone, one compose_jets call.
     """
     rjet = coord_change1(chop_jet3(jet))
     u = rjet[1, 0]
@@ -299,7 +290,9 @@ def _normal_form3_full(jet: Jet3) -> tuple[complex, tuple[complex, complex, comp
         4.0 * rjet[1, 1] / (u * ub - u),
         4.0 * rjet[0, 2] / (ub * ub - u),
     )
-    b2 = _quad_cubic_residual(rjet, u, avec, 0.0)[2, 1] / 2.0
+    a1, a2, a3 = avec
+    l1 = Jet3.from_terms({(1, 0): 2.0, (2, 0): a1, (1, 1): a2, (0, 2): a3})
+    b2 = compose_jets(rjet, l1)[2, 1] / 2.0
     return u, avec, b2, rjet
 
 
@@ -310,8 +303,9 @@ def normal_form3(jet: Jet3) -> complex:
     clear of 1st..4th roots of unity (ResonanceError otherwise).  Quadratic
     terms are removed by a conjugation L1 = 2z + a1 z^2 + a2 zw + a3 w^2 with
     a_jk = 4 g_jk / (u^j ubar^k - u), one division each since no denominator
-    vanishes on a nonresonant u; the z^2 w coefficient of the remaining
-    mismatch yields b2.
+    vanishes on a nonresonant u.  b2 is half the z^2 w coefficient of
+    rjet o L1: the mismatch's other term, L1 o (u z), has degree 2 and no
+    z^2 w term.
     """
     u, _, b2, _ = _normal_form3_full(jet)
     return b2 / u

@@ -8,7 +8,9 @@ solves with the real 2x2 Jacobian matrix, and cusps from a sign-change sweep
 of the pushed-forward tangent with bisection.  The Hopf number comes from
 Kuznetsov's explicit Neimark-Sacker coefficient c1, not from the library's
 homological conjugation.  coord_change1's binomial sum is checked against
-the jet composition it replaced, kept here verbatim.  The census's
+the jet composition it replaced, kept here verbatim, and normal_form3's b2
+against the full homological mismatch rjet o L1 - L1 o N it was read off,
+also kept here verbatim.  The census's
 lane-parallel Newton
 is checked bit for bit against the scalar per-seed loop it replaced, kept
 here over the scalar apply_map, jacobian and WirtingerPair.newton_step.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -370,6 +373,21 @@ def coord_change1_reference(jet: Jet3) -> Jet3:
         1.0 / (croot * croot.conjugate() - 1.0)
     )
     return chop_jet3(new)
+
+
+def _quad_cubic_residual(
+    rjet: Jet3, u: complex, avec: Sequence[complex], b2: complex
+) -> Jet3:
+    """The homological mismatch rjet o L1 - L1 o N for the candidate changes.
+
+    L1 = 2z + a1 z^2 + a2 z w + a3 w^2 and N = u z + b2 z^2 w; the z^j w^k
+    quadratic coefficient of the mismatch is 4 g_jk + (u - u^j ubar^k) a_jk,
+    and its z^2 w coefficient falls by 2 b2 from its value at b2 = 0.
+    """
+    a1, a2, a3 = avec
+    l1 = Jet3.from_terms({(1, 0): 2.0, (2, 0): a1, (1, 1): a2, (0, 2): a3})
+    normal = Jet3.from_terms({(1, 0): u, (2, 1): b2})
+    return compose_jets(rjet, l1) - compose_jets(l1, normal)
 
 
 def kuznetsov_hopf_number(alpha: float, theta: float) -> float:

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import coord_change1_reference, evaluate_jet, fd_jet, jet_identity, kuznetsov_hopf_number
+from oracles import (
+    _quad_cubic_residual,
+    coord_change1_reference,
+    evaluate_jet,
+    fd_jet,
+    jet_identity,
+    kuznetsov_hopf_number,
+)
 from qcdyn.errors import ContractError, DomainError, ResonanceError
 from qcdyn.jets import (
     Jet3,
@@ -23,7 +30,7 @@ from qcdyn.jets import (
     normal_form3,
     write_sweep_csv,
 )
-from qcdyn.jets import _delta_point, _normal_form3_full, _quad_cubic_residual
+from qcdyn.jets import _delta_point, _normal_form3_full
 from qcdyn.maps import MapParams, wirtinger
 
 RNG = np.random.default_rng(5)
@@ -36,6 +43,22 @@ def jets_st(zero_const=True):
     if zero_const:
         keys.remove((0, 0))
     return st.fixed_dictionaries({k: coeff_st for k in keys}).map(Jet3.from_terms)
+
+
+def _with_linear_part(jet: Jet3, a: complex, b: complex) -> Jet3:
+    c = jet.coeff.copy()
+    c[1, 0], c[0, 1] = a, b
+    return Jet3(c)
+
+
+# jets whose linear part a z + b w has a conjugate eigenvalue pair:
+# |b| <= 0.3 sqrt 2 < 1 <= |Im a|, as in random_conjugate_pair_jet
+conjugate_pair_jets_st = st.builds(
+    _with_linear_part,
+    jets_st(),
+    st.builds(complex, st.floats(-0.5, 0.5), st.floats(1.0, 2.0) | st.floats(-2.0, -1.0)),
+    st.builds(complex, st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+)
 
 
 def random_conjugate_pair_jet():
@@ -161,6 +184,14 @@ class TestAlgebra:
             assert abs(evaluate_jet(jet, d) - direct) < 1e-7
 
 
+def bench_hopf_points(seed: int) -> list[tuple[float, float]]:
+    """Every point (alpha, theta) of the benchmark's Hopf surface (63 exponents
+    x 64 angles), built by perfbench/inputs.py, which imports no qcdyn code."""
+    bench_inputs = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"))
+    surface = bench_inputs["hopf_inputs"](seed)
+    return [(a, t) for a in surface.alphas for t in surface.thetas]
+
+
 _REAL_EIGENVALUES = "linear part has real eigenvalues (|b| >= |Im a|); no conjugate pair"
 _UNIT_CIRCLE = "coordinate change lies on the unit circle; not invertible"
 
@@ -229,14 +260,27 @@ class TestCoordChange:
         _assert_matches_reference(jet)
 
     def test_bench_surface_matches_composition(self):
-        # every point of the benchmark's Hopf surface (63 exponents x 64
-        # angles), built by perfbench/inputs.py, which imports no qcdyn code
-        bench_inputs = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"))
-        surface = bench_inputs["hopf_inputs"](7)
-        points = [(a, t) for a in surface.alphas for t in surface.thetas]
+        points = bench_hopf_points(7)
         assert len(points) == 4032
         for alpha, theta in points:
             _assert_matches_reference(jet_of_map(alpha, _delta_point(alpha, theta)))
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _assert_b2_matches_mismatch(jet: Jet3) -> bool:
+    """normal_form3 gives exactly the bits of b2 / u with b2 read off the full
+    mismatch rjet o L1 - L1 o N at b2 = 0 (signed zeros count); False where
+    the jet is resonant."""
+    try:
+        u, avec, _, rjet = _normal_form3_full(jet)
+    except ResonanceError:
+        return False
+    want = _quad_cubic_residual(rjet, u, avec, 0.0)[2, 1] / 2.0 / u
+    assert _bits(normal_form3(jet)) == _bits(want)
+    return True
 
 
 class TestNormalForm:
@@ -257,6 +301,19 @@ class TestNormalForm:
             big = _quad_cubic_residual(rjet, u, avec, b2)
             assert max(abs(big[2, 0]), abs(big[1, 1]), abs(big[0, 2])) < 1e-9
             assert abs(big[2, 1]) < 1e-9
+
+    def test_b2_bits_match_full_mismatch_on_bench_surface(self):
+        # the seed-7 bench surface, plus its 64 angles at alpha = 1, where
+        # the jet is holomorphic and coord_change1 passes it through
+        points = bench_hopf_points(7)
+        points += [(1.0, theta) for _, theta in points[:64]]
+        admissible = sum(_assert_b2_matches_mismatch(jet_of_map(a, _delta_point(a, t))) for a, t in points)
+        assert admissible == 3863  # of 4,096; the rest are resonant
+
+    @given(conjugate_pair_jets_st)
+    @settings(max_examples=200, deadline=None)
+    def test_b2_bits_match_full_mismatch(self, jet):
+        _assert_b2_matches_mismatch(jet)
 
     def test_rotation_invariance(self):
         phi = 0.7

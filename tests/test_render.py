@@ -109,12 +109,19 @@ class TestClassifyPoint:
     def test_escape_time_past_the_saddle_node(self, alpha):
         # Pomeau-Manneville: from 0 at c* + eps the orbit escapes after about
         # pi / sqrt(A eps) steps (up to 31,000 here).  The measured offsets
-        # N - pi / sqrt(A eps) lie in [-2.8, -0.8] steps, so K = 3
+        # N - pi / sqrt(A eps) lie in [-2.8, -0.8] steps, so K = 3.  The
+        # reference kernel, one block of the five eps (0.07-0.28 s), escapes
+        # on the same steps, so its offsets are the same
         _, c_star, a2 = saddle_node_parameter(alpha)
         for eps in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
             res = classify_point(MapParams(alpha, c_star + eps), 0, 200000)
             assert res.status is PointClass.ESCAPED
             assert abs(res.value - math.pi / math.sqrt(a2 * eps)) <= 3.0, (eps, res.value)
+        eps = np.array([1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+        status, value, _ = classify_block_reference(alpha, c_star + eps, np.zeros(5), 200000, ESCAPE_ONLY)
+        assert np.all(status == PointClass.ESCAPED)
+        offsets = value - np.pi / np.sqrt(a2 * eps)
+        assert np.all(np.abs(offsets) <= 3.0), offsets
 
     def test_matches_reference_loop(self):
         for _ in range(60):
