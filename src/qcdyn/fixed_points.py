@@ -263,18 +263,33 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return found.view(np.complex128).ravel(), ~np.isnan(found[:, 0]), stalled
 
 
-def _scalar_newton(p: MapParams, z: complex, steps: int) -> tuple[complex | None, bool]:
-    """At most `steps` Newton steps for f(z) = z from z, with the lanes' rules:
-    (root, False) on convergence, (None, True) when the steps run out, and
-    (None, False) on divergence, overflow or a singular step."""
+def _scalar_newton(p: MapParams, z: complex, steps: int, q: int = 1) -> tuple[complex | None, bool]:
+    """At most `steps` undamped Newton steps for f^q(z) = z from z: the
+    package's one Newton, which finishes the census lanes (q = 1) and runs
+    orbits.find_periodic_orbit.
+
+    A step gives up once |z| > NEWTON_BOUND or z is not finite, maps z
+    forward q times, returns z as a root once |f^q(z) - z| < _NEWTON_TOL,
+    and else moves z by (D f^q(z) - id)^{-1} (z - f^q(z)), with D f^q
+    chained along the orbit from Df(0) = BRANCH_POINT_DERIVATIVE.  At q = 1
+    this is apply_map, the tolerance test, jacobian and newton_step, the
+    operations the lanes reproduce bit for bit.  Returns (root, False) on
+    convergence, (None, True) when the steps run out, and (None, False) on
+    divergence, overflow or a singular step."""
     try:
         for _ in range(steps):
             if abs(z) > NEWTON_BOUND or not cmath.isfinite(z):
                 return None, False
-            fval = apply_map(p, z) - z
+            w, later = apply_map(p, z), []  # later: f(z), ..., f^{q-1}(z)
+            for _ in range(q - 1):
+                later.append(w)
+                w = apply_map(p, w)
+            fval = w - z
             if abs(fval) < _NEWTON_TOL:
                 return z, False
             df = jacobian(p, z) if z != 0 else BRANCH_POINT_DERIVATIVE
+            for w in later:
+                df = (jacobian(p, w) if w != 0 else BRANCH_POINT_DERIVATIVE) @ df
             z = z + df.newton_step(fval)
     except (NoConvergence, OverflowError):
         return None, False

@@ -126,8 +126,7 @@ class WirtingerPair:
         return (b * r.conjugate() - a.conjugate() * r) / det
 
 
-IDENTITY = WirtingerPair(1 + 0j, 0j)
-BRANCH_POINT_DERIVATIVE = WirtingerPair(0j, 0j)  # the Newton solvers' Df(0), for every alpha
+BRANCH_POINT_DERIVATIVE = WirtingerPair(0j, 0j)  # the Newton step's Df(0), for every alpha
 
 
 def _radius_floor(alpha: float) -> float:

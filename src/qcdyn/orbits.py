@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchDegenerate, DomainError, NoConvergence
-from .fixed_points import NEWTON_BOUND, Polyline, classify_eigenvalues
-from .maps import BRANCH_POINT_DERIVATIVE, IDENTITY, MapParams, WirtingerPair, apply_map, jacobian, require_alpha
+from .fixed_points import Polyline, _scalar_newton, classify_eigenvalues
+from .maps import BRANCH_POINT_DERIVATIVE, MapParams, apply_map, jacobian, require_alpha
 from .render import escape_radius
 
 __all__ = [
@@ -83,61 +83,25 @@ def critical_orbit(p: MapParams, n: int) -> OrbitTrace:
     return OrbitTrace(tuple(pts), True)
 
 
-def _orbit_and_derivative(p: MapParams, z: complex, q: int) -> tuple[complex, WirtingerPair]:
-    """f^q(z) and its derivative, chained along the orbit (Df(0) = 0)."""
-    d = IDENTITY
-    w = z
-    for _ in range(q):
-        d = (jacobian(p, w) if w != 0 else BRANCH_POINT_DERIVATIVE) @ d
-        w = apply_map(p, w)
-    return w, d
-
-
-def _trial_residual(p: MapParams, z: complex, q: int) -> float:
-    """|f^q(z) - z|, or infinity when the orbit of z overflows on the way."""
-    w = z
-    try:
-        for _ in range(q):
-            w = apply_map(p, w)
-        return abs(w - z)
-    except OverflowError:
-        return math.inf
-
-
 def find_periodic_orbit(p: MapParams, q: int, seed: complex) -> PeriodicOrbit:
-    """Newton on f^q(z) = z with forward-chained derivatives.
+    """A period-q cycle through Newton on f^q(z) = z from seed.
 
-    Steps are halved while they increase the residual (f^q is stiff near
-    multipliers close to 1).  The returned orbit carries its minimal period
-    (a divisor of q) and the eigenvalues of the derivative of f^period along
-    one minimal cycle.  Raises NoConvergence if the seed does not lead to a
-    root, including when the orbit of an iterate overflows; a trial step whose
-    orbit overflows counts as one that increases the residual.
+    The search is the fixed-point census's own undamped step
+    (fixed_points._scalar_newton) for at most 100 steps, so it stops at the
+    same roots under the same rules: |f^q(z) - z| < 1e-13, divergence past
+    NEWTON_BOUND, Df(0) = 0.  The returned orbit carries its minimal period
+    (the least divisor d of q with |f^d(z) - z| < TOL_FP) and the
+    eigenvalues of the derivative of f^period chained along one minimal
+    cycle.  Raises NoConvergence if the seed does not lead to a root: the
+    steps run out, an iterate diverges or its orbit overflows, or a step is
+    singular.
     """
     if q < 1:
         raise DomainError("period must be >= 1")
-    z = complex(seed)
-    resid = None
-    try:
-        for _ in range(100):
-            if abs(z) > NEWTON_BOUND or not cmath.isfinite(z):
-                raise NoConvergence(f"orbit search diverged from seed {seed}")
-            w, df = _orbit_and_derivative(p, z, q)
-            fval = w - z
-            resid = abs(fval)
-            if resid < 1e-12:
-                break
-            step = df.newton_step(fval)
-            for _ in range(30):
-                if _trial_residual(p, z + step, q) <= resid or abs(step) < 1e-16:
-                    break
-                step *= 0.5
-            z = z + step
-        else:
-            raise NoConvergence(f"no period-{q} orbit reached from seed {seed}")
-    except OverflowError:
-        raise NoConvergence(f"orbit search diverged from seed {seed}") from None
-    if not resid < 1e-12:
+    z, stalled = _scalar_newton(p, complex(seed), 100, q)
+    if z is None:
+        if stalled:
+            raise NoConvergence(f"no period-{q} orbit reached from seed {seed} in 100 Newton steps")
         raise NoConvergence(f"no period-{q} orbit reached from seed {seed}")
 
     cycle = [z]
@@ -148,8 +112,10 @@ def find_periodic_orbit(p: MapParams, q: int, seed: complex) -> PeriodicOrbit:
         if q % d == 0 and abs(cycle[d % q] - z) < TOL_FP:
             period = d
             break
-    eigs = _orbit_and_derivative(p, z, period)[1].eigenvalues
-    return PeriodicOrbit(tuple(cycle[:period]), period, eigs, classify_eigenvalues(eigs))
+    df = jacobian(p, z) if z != 0 else BRANCH_POINT_DERIVATIVE
+    for w in cycle[1:period]:
+        df = (jacobian(p, w) if w != 0 else BRANCH_POINT_DERIVATIVE) @ df
+    return PeriodicOrbit(tuple(cycle[:period]), period, df.eigenvalues, classify_eigenvalues(df.eigenvalues))
 
 
 def pullback_leaf(p: MapParams, leaf: Polyline, branch_word: list[int]) -> Polyline:

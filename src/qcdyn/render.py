@@ -521,7 +521,8 @@ def _render(
         for stop in stops:
             blocks = [live.select(slice(a, b)) for a, b in _deal(live.idx.size, workers, cap)]
             jobs = [
-                pool.submit(contextvars.copy_context().run, run, blocks[w::workers], n, stop) for w in range(1, workers)
+                pool.submit(contextvars.copy_context().run, run, blocks[w::workers], n, stop)
+                for w in range(1, min(workers, len(blocks)))
             ]
             parts = [run(blocks[::workers], n, stop)] + [job.result() for job in jobs]
             left = [lanes for part in parts for lanes in part if lanes is not None]

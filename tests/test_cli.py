@@ -277,7 +277,7 @@ class TestPointTables:
         out = tmp_path / "per.csv"
         assert run_cli(["orbit", "--alpha", "1", "--c=-1", "--periodic", "2",
                         "--seed-point", "0.1", "-o", str(out)]) == 0
-        assert out.read_bytes() == b"index,re,im\r\n0,1.608918629052054e-13,0.0\r\n1,-1.0,0.0\r\n"
+        assert out.read_bytes() == b"index,re,im\r\n0,1.035490378629309e-25,0.0\r\n1,-1.0,0.0\r\n"
 
     def test_leaf_bytes(self, tmp_path):
         out = tmp_path / "leaf.csv"

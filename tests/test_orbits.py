@@ -1,9 +1,12 @@
 import cmath
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import scalar_census_seeds, scalar_newton_fixed_point
 from qcdyn.errors import BranchDegenerate, DomainError, NoConvergence
 from qcdyn.fixed_points import Polyline, find_fixed_points
 from qcdyn.maps import MapParams, apply_map, jacobian
@@ -17,6 +20,17 @@ from qcdyn.orbits import (
 )
 
 RNG = np.random.default_rng(23)
+
+
+def _bench_census_inputs(seed: int):
+    """The benchmark's census inputs for seed, built by perfbench/inputs.py,
+    which imports no qcdyn code."""
+    bench_inputs = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"))
+    return bench_inputs["census_inputs"](seed)
+
+
+def _bits(z: complex) -> bytes:
+    return np.array([z], dtype=np.complex128).tobytes()
 
 
 def circle(radius, n=128, center=0j):
@@ -114,13 +128,42 @@ class TestPeriodicOrbit:
             (MapParams(3.0, -0.9), 2, 0.2 + 0.1j),
         ]
         for p, q, seed in cases:
-            orb = find_periodic_orbit(p, q, seed)
-            m = np.eye(2)
-            for z in orb.points:
-                m = jacobian(p, z).m @ m
-            (g0, g1), (r0, r1) = orb.multipliers, np.linalg.eigvals(m)
-            err = min(abs(g0 - r0) + abs(g1 - r1), abs(g0 - r1) + abs(g1 - r0))
-            assert err < 1e-9 * max(1.0, float(np.abs(m).max())), (p, q, orb)
+            self._check_cycle(p, q, find_periodic_orbit(p, q, seed))
+        # the benchmark's 200 periodic starts (q = 1-4) for seed 7, each of
+        # which reaches a cycle
+        for alpha, c, q, start in _bench_census_inputs(7).periodic:
+            p = MapParams(alpha, c)
+            self._check_cycle(p, q, find_periodic_orbit(p, q, start))
+
+    @staticmethod
+    def _check_cycle(p, q, orb):
+        """The cycle closes under f to 1e-9, its period divides q, and its
+        multipliers are the eigenvalues of the product of the real 2x2
+        matrices along it."""
+        assert q % orb.period == 0 and len(orb.points) == orb.period, (p, q, orb)
+        for a, b in zip(orb.points, orb.points[1:] + orb.points[:1]):
+            assert abs(apply_map(p, a) - b) < 1e-9, (p, q, orb)
+        m = np.eye(2)
+        for z in orb.points:
+            m = jacobian(p, z).m @ m
+        (g0, g1), (r0, r1) = orb.multipliers, np.linalg.eigvals(m)
+        err = min(abs(g0 - r0) + abs(g1 - r1), abs(g0 - r1) + abs(g1 - r0))
+        assert err < 1e-9 * max(1.0, float(np.abs(m).max())), (p, q, orb)
+
+    def test_period_one_search_is_the_census_step(self):
+        # at q = 1 the search is the census's scalar Newton: from the seed-7
+        # benchmark parameters and every 29th census seed, it returns the
+        # oracle's root bit for bit wherever the oracle converges in its 60
+        # steps (2,391 of 2,400 starts; the other 9 stall)
+        checked = 0
+        for alpha, c in _bench_census_inputs(7).fixed_points:
+            p = MapParams(alpha, c)
+            for seed in scalar_census_seeds(p)[::29]:
+                want, _ = scalar_newton_fixed_point(p, seed)
+                if want is not None:
+                    assert _bits(find_periodic_orbit(p, 1, seed).points[0]) == _bits(want), (p, seed)
+                    checked += 1
+        assert checked == 2391
 
     def test_period_two_attractor_coexists_with_saddle(self):
         # real parameter just inside the gamma- image: the cycle attracts but
@@ -147,7 +190,8 @@ class TestPeriodicOrbit:
             find_periodic_orbit(MapParams(3.0, 0.3), 4, 100.0)
 
     def test_overflowing_trial_step_is_halved(self):
-        # from these starts a full Newton step lands where f^q overflows
+        # from these starts a full Newton step lands where f^q overflows; the
+        # search takes it undamped, so it ends as NoConvergence or as a valid cycle
         for c, q, seed in [
             (0.24671813919360353 + 0.6883541033080989j, 3, -0.6244969414347191 - 0.29084581781007784j),
             (0.8698983219429763 - 0.10293034450181904j, 4, 0.29546871508001427 + 0.3541799113945634j),

@@ -2,6 +2,7 @@ import io
 import math
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -121,6 +122,21 @@ class TestClassifyPoint:
         status, value, _ = classify_block_reference(alpha, c_star + eps, np.zeros(5), 200000, ESCAPE_ONLY)
         assert np.all(status == PointClass.ESCAPED)
         offsets = value - np.pi / np.sqrt(a2 * eps)
+        assert np.all(np.abs(offsets) <= 3.0), offsets
+
+    def test_escape_time_at_the_cardioid_half_root(self):
+        # Boll's pi: at alpha = 1 and c = -3/4 + i eps, where the period-1 and
+        # period-2 components meet, N eps -> pi (Klebanoff 2001).  The
+        # measured offsets N - pi / eps are +0.84, +1.41 and +1.07 steps; the
+        # reference kernel, one block of the three eps, escapes on the same steps
+        eps = np.array([1e-2, 1e-3, 1e-4])
+        for e in eps.tolist():
+            res = classify_point(MapParams(1.0, complex(-0.75, e)), 0, 40000)
+            assert res.status is PointClass.ESCAPED
+            assert abs(res.value - math.pi / e) <= 3.0, (e, res.value)
+        status, value, _ = classify_block_reference(1.0, -0.75 + 1j * eps, np.zeros(3), 40000, ESCAPE_ONLY)
+        assert np.all(status == PointClass.ESCAPED)
+        offsets = value - np.pi / eps
         assert np.all(np.abs(offsets) <= 3.0), offsets
 
     def test_matches_reference_loop(self):
@@ -617,6 +633,27 @@ class TestDeterminism:
             sys.setswitchinterval(interval)
         assert np.array_equal(got.status, want.status)
         assert np.array_equal(got.value, want.value)
+        assert got.final_modulus.tobytes() == want.final_modulus.tobytes()
+
+    @pytest.mark.parametrize("mode", [ESCAPE_ONLY, ATTRACTOR_DETECT])
+    def test_one_block_render_submits_no_pool_job(self, mode, monkeypatch):
+        # 64 cells make one block per epoch, which runs on the calling thread:
+        # no worker's share holds a block, so nothing goes to the pool
+        submitted = []
+        submit = ThreadPoolExecutor.submit
+
+        def spy(pool, *args, **kwargs):
+            submitted.append(args)
+            return submit(pool, *args, **kwargs)
+
+        g = GridSpec(0, 3.0, 3.0, 8, 8)
+        p = MapParams(1.3, -0.12 + 0.75j)
+        want = render_julia(p, g, 300, mode, threads=1)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
+        got = render_julia(p, g, 300, mode, threads=8)
+        assert submitted == []
+        assert got.status.tobytes() == want.status.tobytes()
+        assert got.value.tobytes() == want.value.tobytes()
         assert got.final_modulus.tobytes() == want.final_modulus.tobytes()
 
     def test_repeat_runs_identical(self):
