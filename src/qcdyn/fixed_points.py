@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceWarning, DomainError, NoConvergence
-from .maps import BRANCH_POINT_DERIVATIVE, MapParams, _radius_floor, apply_map, jacobian, require_alpha
+# apply_map and jacobian are called through this module's names, which the
+# census bench wraps to count the calls
+from .maps import MapParams, WirtingerPair, _radius_floor, apply_map, jacobian, require_alpha
 
 __all__ = [
     "Polyline",
@@ -256,48 +258,54 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
             stalled = int(np.count_nonzero(~drop))
     for ids, xs, ys, steps in handed:
         for k, zr, zi in zip(ids.tolist(), xs.tolist(), ys.tolist()):
-            root, stall = _scalar_newton(p, complex(zr, zi), steps)
-            if root is not None:
-                found[k] = root.real, root.imag
+            orbit, stall = _scalar_newton(p, complex(zr, zi), steps)
+            if orbit is not None:
+                found[k] = orbit[0].real, orbit[0].imag
             stalled += stall
     return found.view(np.complex128).ravel(), ~np.isnan(found[:, 0]), stalled
 
 
-def _scalar_newton(p: MapParams, z: complex, steps: int, q: int = 1) -> tuple[complex | None, bool]:
+def _chain(p: MapParams, orbit: list[complex]) -> WirtingerPair:
+    """D f^k at orbit[0], chained along orbit = [z, f(z), ..., f^{k-1}(z)]."""
+    df = jacobian(p, orbit[0])
+    for w in orbit[1:]:
+        df = jacobian(p, w) @ df
+    return df
+
+
+def _scalar_newton(p: MapParams, z: complex, steps: int, q: int = 1) -> tuple[list[complex] | None, bool]:
     """At most `steps` undamped Newton steps for f^q(z) = z from z: the
     package's one Newton, which finishes the census lanes (q = 1) and runs
     orbits.find_periodic_orbit.
 
     A step gives up once |z| > NEWTON_BOUND or z is not finite, maps z
-    forward q times, returns z as a root once |f^q(z) - z| < _NEWTON_TOL,
-    and else moves z by (D f^q(z) - id)^{-1} (z - f^q(z)), with D f^q
-    chained along the orbit from Df(0) = BRANCH_POINT_DERIVATIVE.  At q = 1
+    forward q times, stops at a root once |f^q(z) - z| < _NEWTON_TOL, and
+    else moves z by (D f^q(z) - id)^{-1} (z - f^q(z)), with D f^q chained
+    along the orbit by _chain (Df(0) = 0, see maps.wirtinger).  At q = 1
     this is apply_map, the tolerance test, jacobian and newton_step, the
-    operations the lanes reproduce bit for bit.  Returns (root, False) on
-    convergence, (None, True) when the steps run out, and (None, False) on
-    divergence, overflow or a singular step."""
+    operations the lanes reproduce bit for bit.  Returns (orbit, False) on
+    convergence, orbit being the root's [z, f(z), ..., f^{q-1}(z)],
+    (None, True) when the steps run out, and (None, False) on divergence,
+    overflow or a singular step."""
     try:
         for _ in range(steps):
             if abs(z) > NEWTON_BOUND or not cmath.isfinite(z):
                 return None, False
-            w, later = apply_map(p, z), []  # later: f(z), ..., f^{q-1}(z)
+            orbit, w = [z], apply_map(p, z)
             for _ in range(q - 1):
-                later.append(w)
+                orbit.append(w)
                 w = apply_map(p, w)
             fval = w - z
             if abs(fval) < _NEWTON_TOL:
-                return z, False
-            df = jacobian(p, z) if z != 0 else BRANCH_POINT_DERIVATIVE
-            for w in later:
-                df = (jacobian(p, w) if w != 0 else BRANCH_POINT_DERIVATIVE) @ df
-            z = z + df.newton_step(fval)
+                return orbit, False
+            z = z + _chain(p, orbit).newton_step(fval)
     except (NoConvergence, OverflowError):
         return None, False
     return None, True
 
 
 def _record(p: MapParams, z: complex) -> FixedPointRecord:
-    jac = jacobian(p, z) if z != 0 else BRANCH_POINT_DERIVATIVE
+    jac = jacobian(p, z)
     return FixedPointRecord(
         z=z,
         eigenvalues=jac.eigenvalues,
@@ -344,9 +352,9 @@ def find_fixed_points(
     every fixed point of locus parameters) capped at NEWTON_BOUND, the two
     quadratic-case roots of z^2 - z + c, and any extra_seeds.  At c = 0 the
     branch point is listed as exactly 0 in place of any root within _DEDUP
-    of it, and classified from BRANCH_POINT_DERIVATIVE (attracting: |f(z)| =
-    |z|^{2a}).  Emits ConvergenceWarning if some seeds stall without
-    converging or diverging.
+    of it, and classified from Df(0) = 0 (attracting: |f(z)| = |z|^{2a}).
+    Emits ConvergenceWarning if some seeds stall without converging or
+    diverging.
     """
     require_alpha(p.alpha, strict=True)
     lanes, converged, stalled = _newton_lanes(p, _census_seeds(p, extra_seeds))

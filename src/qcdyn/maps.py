@@ -126,9 +126,6 @@ class WirtingerPair:
         return (b * r.conjugate() - a.conjugate() * r) / det
 
 
-BRANCH_POINT_DERIVATIVE = WirtingerPair(0j, 0j)  # the Newton step's Df(0), for every alpha
-
-
 def _radius_floor(alpha: float) -> float:
     """2^{1/(2a-1)}: the escape radius for |c| below it, and the modulus of
     the tip parameter.
@@ -169,12 +166,13 @@ def wirtinger(p: MapParams, z: complex) -> WirtingerPair:
 
     In polar form these are (a+1) r^{2a-1} e^{it} and (a-1) r^{2a-1} e^{3it},
     which is how they are computed (branch-consistent and continuous off 0).
-    At the branch point z = 0 the derivative exists only as a limit; it is 0
-    for alpha > 1 and singular otherwise.
+    At the branch point z = 0 both are 0 for every alpha >= 1/2.  For
+    alpha > 1/2 this is the derivative: |f(z) - c| = |z|^{2a} = o(|z|).  At
+    alpha = 1/2, where |f(z) - c| = |z|, f has no derivative at 0, and 0 is
+    the mean of its limiting derivatives over all directions, an element of
+    Clarke's generalized Jacobian.
     """
     if z == 0:
-        if p.alpha <= 1.0:
-            raise DomainError("derivative at the branch point requires alpha > 1")
         return WirtingerPair(0j, 0j)
     u = z / abs(z)
     s = abs(z) ** (2.0 * p.alpha - 1.0)

@@ -10,8 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchDegenerate, DomainError, NoConvergence
-from .fixed_points import Polyline, _scalar_newton, classify_eigenvalues
-from .maps import BRANCH_POINT_DERIVATIVE, MapParams, apply_map, jacobian, require_alpha
+from .fixed_points import Polyline, _chain, _scalar_newton, classify_eigenvalues
+
+# the census bench wraps orbits.apply_map and orbits.jacobian to count calls,
+# so both names stay bound here although the derivative chain is _chain's
+from .maps import MapParams, apply_map, jacobian, require_alpha
 from .render import escape_radius
 
 __all__ = [
@@ -89,33 +92,27 @@ def find_periodic_orbit(p: MapParams, q: int, seed: complex) -> PeriodicOrbit:
     The search is the fixed-point census's own undamped step
     (fixed_points._scalar_newton) for at most 100 steps, so it stops at the
     same roots under the same rules: |f^q(z) - z| < 1e-13, divergence past
-    NEWTON_BOUND, Df(0) = 0.  The returned orbit carries its minimal period
-    (the least divisor d of q with |f^d(z) - z| < TOL_FP) and the
-    eigenvalues of the derivative of f^period chained along one minimal
-    cycle.  Raises NoConvergence if the seed does not lead to a root: the
-    steps run out, an iterate diverges or its orbit overflows, or a step is
-    singular.
+    NEWTON_BOUND, Df(0) = 0.  The returned orbit is the cycle that search
+    converged on, cut to its minimal period (the least divisor d of q with
+    |f^d(z) - z| < TOL_FP), with the eigenvalues of D f^period chained along
+    it by the search's own fixed_points._chain.  Raises NoConvergence if the
+    seed does not lead to a root: the steps run out, an iterate diverges or
+    its orbit overflows, or a step is singular.
     """
     if q < 1:
         raise DomainError("period must be >= 1")
-    z, stalled = _scalar_newton(p, complex(seed), 100, q)
-    if z is None:
+    cycle, stalled = _scalar_newton(p, complex(seed), 100, q)
+    if cycle is None:
         if stalled:
             raise NoConvergence(f"no period-{q} orbit reached from seed {seed} in 100 Newton steps")
         raise NoConvergence(f"no period-{q} orbit reached from seed {seed}")
-
-    cycle = [z]
-    for _ in range(q - 1):
-        cycle.append(apply_map(p, cycle[-1]))
     period = q
     for d in range(1, q):
-        if q % d == 0 and abs(cycle[d % q] - z) < TOL_FP:
+        if q % d == 0 and abs(cycle[d] - cycle[0]) < TOL_FP:
             period = d
             break
-    df = jacobian(p, z) if z != 0 else BRANCH_POINT_DERIVATIVE
-    for w in cycle[1:period]:
-        df = (jacobian(p, w) if w != 0 else BRANCH_POINT_DERIVATIVE) @ df
-    return PeriodicOrbit(tuple(cycle[:period]), period, df.eigenvalues, classify_eigenvalues(df.eigenvalues))
+    eigs = _chain(p, cycle[:period]).eigenvalues
+    return PeriodicOrbit(tuple(cycle[:period]), period, eigs, classify_eigenvalues(eigs))
 
 
 def pullback_leaf(p: MapParams, leaf: Polyline, branch_word: list[int]) -> Polyline:

@@ -43,7 +43,7 @@ from qcdyn.fixed_points import (
     param_for_fixed_point,
 )
 from qcdyn.jets import Jet3, chop_jet3, compose_jets, conj_jet
-from qcdyn.maps import BRANCH_POINT_DERIVATIVE, MapParams, _radius_floor, apply_map, jacobian, require_alpha
+from qcdyn.maps import MapParams, WirtingerPair, _radius_floor, apply_map, jacobian, require_alpha
 from qcdyn.render import CellResult, GridSpec, PointClass, Raster
 
 
@@ -149,7 +149,8 @@ def scalar_newton_fixed_point(p: MapParams, z0: complex) -> tuple[complex | None
             fval = apply_map(p, z) - z
             if abs(fval) < _NEWTON_TOL:
                 return z, False
-            df = jacobian(p, z) if z != 0 else BRANCH_POINT_DERIVATIVE
+            # Df(0) = 0 spelled out here, not taken from the wirtinger under test
+            df = jacobian(p, z) if z != 0 else WirtingerPair(0j, 0j)
             z = z + df.newton_step(fval)
     except (NoConvergence, OverflowError):
         return None, False

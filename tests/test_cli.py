@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -571,3 +572,24 @@ def test_half_alpha_attractor_overflow_prints_no_overflow_warning(tmp_path):
     assert proc.returncode == 0
     warned = [line for line in proc.stderr.splitlines() if "Warning" in line]
     assert all("invalid value encountered in multiply" in line for line in warned), proc.stderr
+
+
+def _readme_command_lines() -> list[str]:
+    """The qcdyn lines of the README's "Command line" code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("qcdyn ")]
+
+
+def test_readme_examples_run_cleanly(tmp_path, monkeypatch, capsys):
+    # every documented command runs as printed: exit 0, nothing on stderr
+    # and no warning (which a shell run would print to stderr)
+    lines = _readme_command_lines()
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(shlex.split(line)[1:])
+        err = capsys.readouterr().err
+        assert (code, err, [str(w.message) for w in caught]) == (0, "", []), line

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -58,6 +58,28 @@ conjugate_pair_jets_st = st.builds(
     jets_st(),
     st.builds(complex, st.floats(-0.5, 0.5), st.floats(1.0, 2.0) | st.floats(-2.0, -1.0)),
     st.builds(complex, st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+)
+
+
+def _in_coord_change_domain(jet: Jet3, im_a: float, s: float, phi: float) -> Jet3:
+    """jet with Im a = im_a and b = s |Im a| e^{i phi}, s in [0, 1): inside
+    coord_change1's domain |b| < |Im a| by construction.  Where rounding puts
+    b on the circle (s within ulps of 1, or a subnormal Im a) it is halved
+    back inside."""
+    m = abs(im_a)
+    b = s * m * cmath.exp(1j * phi)
+    while not abs(b) < m:
+        b *= 0.5
+    return _with_linear_part(jet, complex(jet[1, 0].real, im_a), b)
+
+
+# the jets of jets_st(zero_const=False) with |b| < |Im a|, drawn there
+coord_change_domain_jets_st = st.builds(
+    _in_coord_change_domain,
+    jets_st(zero_const=False),
+    st.floats(0.0, 2.0, exclude_min=True) | st.floats(-2.0, 0.0, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(-math.pi, math.pi),
 )
 
 
@@ -253,10 +275,9 @@ class TestCoordChange:
             with pytest.raises(ResonanceError, match=re.escape(_UNIT_CIRCLE)):
                 change(jet)
 
-    @given(jets_st(zero_const=False))
-    @settings(max_examples=150, deadline=None)
+    @given(coord_change_domain_jets_st)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def test_binomial_sum_matches_composition(self, jet):
-        assume(abs(jet[0, 1]) < abs(jet[1, 0].imag))
         _assert_matches_reference(jet)
 
     def test_bench_surface_matches_composition(self):

@@ -172,13 +172,28 @@ class TestWirtinger:
             assert jac.trace == pytest.approx(expect, rel=1e-12)
             assert jac.trace == pytest.approx(2 * (a + 1) * r ** (2 * a - 1) * math.cos(t), rel=1e-12)
 
-    def test_branch_point_errors(self):
-        with pytest.raises(DomainError):
-            wirtinger(MapParams(0.8, 0), 0)
-        with pytest.raises(DomainError):
-            wirtinger(MapParams(1.0, 0), 0)
-        w = wirtinger(MapParams(1.5, 0), 0)
-        assert w.fz == 0 and w.fzbar == 0
+    def test_branch_point_derivative_is_zero(self):
+        dirs = [cmath.exp(2j * math.pi * j / 12) for j in range(12)]
+        ts = [10.0**-k for k in range(1, 13)]
+        for alpha in (0.5, 0.5000001, 0.8, 1.0, 1.5):
+            p = MapParams(alpha, 0.3 - 0.2j)
+            for deriv in (wirtinger, jacobian):
+                w = deriv(p, 0)
+                assert w.fz == 0 and w.fzbar == 0
+            if alpha == 0.5:
+                # no derivative at 0 (|f(h) - c| = |h|); 0 is the mean of the
+                # limiting derivatives over all directions
+                near = [wirtinger(p, 1e-9 * u) for u in dirs]
+                assert abs(sum(w.fz for w in near)) < 1e-12
+                assert abs(sum(w.fzbar for w in near)) < 1e-12
+                continue
+            # |f(h) - c| / |h| = |h|^{2a-1} falls to 0 along every direction;
+            # c = 0, so f(h) - c is f(h) without cancellation
+            q = MapParams(alpha, 0)
+            for u in dirs:
+                ratios = [abs(apply_map(q, t * u)) / t for t in ts]
+                assert ratios == pytest.approx([t ** (2 * alpha - 1) for t in ts], rel=1e-12)
+                assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
 class TestJacobian:

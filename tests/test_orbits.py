@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import runpy
 from pathlib import Path
 
@@ -166,8 +167,10 @@ class TestPeriodicOrbit:
         assert checked == 2391
 
     def test_period_two_attractor_coexists_with_saddle(self):
-        # real parameter just inside the gamma- image: the cycle attracts but
-        # the critical point converges to the saddle fixed point instead
+        # real parameter just inside the gamma- image: an off-axis 2-cycle
+        # attracts, yet the critical orbit rests on the saddle fixed point.
+        # For real c the real axis is invariant and the saddle attracts along
+        # it, so the orbit of 0 never leaves the axis for the cycle
         p = MapParams(0.75, -0.38)
         orb = find_periodic_orbit(p, 2, -0.26 + 0.08j)
         assert orb.period == 2
@@ -180,6 +183,22 @@ class TestPeriodicOrbit:
             z = apply_map(p, z)
         assert abs(z - saddles[0].z) < 1e-8
 
+    def test_off_axis_critical_orbit_finds_the_two_cycle(self):
+        # the same parameter moved 1e-9 off the real axis: the axis is no
+        # longer invariant, the saddle repels the orbit off it, and the
+        # critical orbit lands on the attracting 2-cycle
+        p = MapParams(0.75, -0.38 + 1e-9j)
+        orb = find_periodic_orbit(p, 2, -0.26 + 0.08j)
+        assert orb.period == 2 and orb.cls == "attracting"
+        saddles = [r for r in find_fixed_points(p) if r.cls == "saddle"]
+        assert len(saddles) == 1
+        z = 0j
+        for _ in range(5000):
+            z = apply_map(p, z)
+        assert abs(apply_map(p, apply_map(p, z)) - z) < 1e-9
+        assert min(abs(z - w) for w in orb.points) < 1e-7
+        assert abs(z - saddles[0].z) > 0.05
+
     def test_no_convergence_on_divergent_seed(self):
         with pytest.raises(NoConvergence):
             find_periodic_orbit(MapParams(1, 0.26), 3, 5e6 + 5e6j)
@@ -189,22 +208,16 @@ class TestPeriodicOrbit:
         with pytest.raises(NoConvergence):
             find_periodic_orbit(MapParams(3.0, 0.3), 4, 100.0)
 
-    def test_overflowing_trial_step_is_halved(self):
+    def test_overflowing_trial_steps_run_out_of_steps(self):
         # from these starts a full Newton step lands where f^q overflows; the
-        # search takes it undamped, so it ends as NoConvergence or as a valid cycle
+        # search takes it undamped, survives, and runs out of its 100 steps
         for c, q, seed in [
             (0.24671813919360353 + 0.6883541033080989j, 3, -0.6244969414347191 - 0.29084581781007784j),
             (0.8698983219429763 - 0.10293034450181904j, 4, 0.29546871508001427 + 0.3541799113945634j),
         ]:
-            p = MapParams(3.0, c)
-            try:
-                orb = find_periodic_orbit(p, q, seed)
-            except NoConvergence:
-                continue
-            z = orb.points[0]
-            for _ in range(orb.period):
-                z = apply_map(p, z)
-            assert abs(z - orb.points[0]) < 1e-10
+            msg = f"no period-{q} orbit reached from seed {seed} in 100 Newton steps"
+            with pytest.raises(NoConvergence, match=re.escape(msg)):
+                find_periodic_orbit(MapParams(3.0, c), q, seed)
 
     def test_period_validation(self):
         with pytest.raises(DomainError):
