@@ -59,7 +59,12 @@ NEWTON_BOUND = 1e6  # Newton iterates beyond this modulus count as diverged
 _SCALAR_LANES = 16  # _newton_lanes finishes on the scalar step once this few lanes are live
 MIN_SAMPLES = 16  # fewest samples trace_curve accepts
 _DEDUP = 1e-8
-_SEED_DIRECTIONS = [cmath.exp(2j * math.pi * j / 24.0) for j in range(24)]
+# the census grid's 24 directions as (re, im) rows and its 24 rings as ring
+# numbers k + 1, shaped so that their product runs ring by ring
+_SEED_DIRECTIONS = np.array(
+    [cmath.exp(2j * math.pi * j / 24.0) for j in range(24)]
+).view(np.float64).reshape(24, 2)
+_SEED_RINGS = np.arange(1, 25).reshape(24, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -173,17 +178,19 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Each lane repeats the scalar iteration z <- z + (Df(z) - id)^{-1} (z - f(z))
     of apply_map, wirtinger and WirtingerPair.newton_step bit for bit in the
-    finite case: moduli are np.hypot (Python's abs), real powers
-    np.float_power (Python's **), and complex products and quotients are
-    written out in real and imaginary parts in CPython's order.  A lane stops
-    as a root once |f(z) - z| < 1e-13 and fails when |z| > NEWTON_BOUND or z
-    is not finite.  A lane at the branch point z = 0, or whose step overflows
-    or is singular (|f(z) - z| or det(Df - id) not finite, or
-    |det(Df - id)| < 1e-300), finishes its remaining steps on the scalar
-    iteration itself (_scalar_newton), bit for bit by construction; so do
-    the live lanes once at most _SCALAR_LANES are left, as a numpy step costs
-    about the same whatever the lane count, some 30 scalar steps' worth.
-    A lane still live after 60 steps stalls.
+    finite case: a step takes one power, s = np.float_power(|z|, a - 1)
+    (Python's **), which gives both apply_map's prefactor and wirtinger's
+    r^{2a-1} = |z| s^2; two moduli, |z| and |f(z) - z|, as np.hypot (Python's
+    abs); det(Df - id) from products of parts, as newton_step takes it; and
+    complex products and quotients written out in real and imaginary parts
+    in CPython's order.  A lane stops as a root once |f(z) - z| < 1e-13 and
+    fails when |z| > NEWTON_BOUND or z is not finite.  A lane at the branch
+    point z = 0, or whose step overflows or is singular (|f(z) - z| or
+    det(Df - id) not finite, or |det(Df - id)| < 1e-300), finishes its
+    remaining steps on the scalar iteration itself (_scalar_newton), bit for
+    bit by construction; so do the live lanes once at most _SCALAR_LANES are
+    left, as a numpy step costs about the same whatever the lane count, some
+    30 scalar steps' worth.  A lane still live after 60 steps stalls.
 
     Returns (roots, converged, stalled): the root of each converged seed
     (nan elsewhere), the converged mask, and the number of stalled seeds.
@@ -192,7 +199,7 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
     found = np.full((seeds.size, 2), np.nan)  # (re, im) rows, viewed as complex at the end
     x, y = seeds.real.copy(), seeds.imag.copy()
     idx = np.arange(seeds.size)
-    e_map, e_jac = p.alpha - 1.0, 2.0 * p.alpha - 1.0
+    e_map = p.alpha - 1.0
     k_z, k_zbar = p.alpha + 1.0, p.alpha - 1.0
     cr, ci = p.c.real, p.c.imag
     drop = np.zeros(seeds.size, dtype=bool)
@@ -215,9 +222,9 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
             fr = ur * ur - ui * ui + cr - x
             fi = ur * ui + ui * ur + ci - y
             fabs = np.hypot(fr, fi)
-            # wirtinger: v = z / |z| (Smith's quotient by |z| + 0j),
+            # wirtinger: s2 = |z| s^2, v = z / |z| (Smith's quotient by |z| + 0j),
             # fz = (a+1) s2 v, fzbar = (a-1) s2 v^3; newton_step takes a = fz - 1
-            s2 = np.float_power(r, e_jac)
+            s2 = r * (s * s)
             vr = (x + zy) / r
             vi = (y - zx) / r
             sq_r = vr * vr - vi * vi
@@ -231,12 +238,15 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
             ai = k1 * vi + 0.0 * vr
             br = k2 * cube_r - 0.0 * cube_i
             bi = k2 * cube_i + 0.0 * cube_r
-            # newton_step: det = |a|^2 - |b|^2, v = (b conj(r) - conj(a) r) / (det + 0j)
-            amod, bmod = np.hypot(ar, ai), np.hypot(br, bi)
-            det = np.float_power(amod, 2.0) - np.float_power(bmod, 2.0)
+            # newton_step: det = |a|^2 - |b|^2 as products of parts,
+            # v = (b conj(r) - conj(a) r) / (det + 0j)
+            det = (ar * ar + ai * ai) - (br * br + bi * bi)
             hand = np.abs(det) < 1e-300
-            # every OverflowError of the scalar step leaves fabs or det infinite
-            # or nan, and so does z = 0, where v is 0/0
+            # the scalar step fails in one of two ways: apply_map's power
+            # raises OverflowError, where s is inf here and so fabs is inf or
+            # nan; or s^2 or a square in det overflows without raising, where
+            # det is inf or nan and newton_step raises NoConvergence.  z = 0,
+            # where v is 0/0, leaves det nan too
             if not math.isfinite((fabs + det).sum()):
                 hand |= ~(np.isfinite(fabs) & np.isfinite(det))
             conv = fabs < _NEWTON_TOL
@@ -317,13 +327,18 @@ def _record(p: MapParams, z: complex) -> FixedPointRecord:
 
 def _census_seeds(p: MapParams, extra_seeds: tuple[complex, ...] = ()) -> np.ndarray:
     """The census's Newton starts in order: the polar grid ring by ring, the
-    two roots of z^2 - z + c, then extra_seeds."""
+    two roots of z^2 - z + c, then extra_seeds.
+
+    Ring k + 1 has radius r = radius (k + 1) / 24, and its seeds are r times
+    each direction w, part by part.  That gives the bits of CPython's r * w,
+    whose products with the zero imaginary part of r add nothing, without a
+    numpy complex product, whose rounding depends on the SIMD level.
+    """
     radius = min(_radius_floor(p.alpha), NEWTON_BOUND)
-    seeds = [radius * (k + 1) / 24.0 * w for k in range(24) for w in _SEED_DIRECTIONS]
+    grid = (radius * _SEED_RINGS / 24.0 * _SEED_DIRECTIONS).view(np.complex128).ravel()
     disc = cmath.sqrt(1.0 - 4.0 * p.c)
-    seeds.extend([(1.0 + disc) / 2.0, (1.0 - disc) / 2.0])
-    seeds.extend(extra_seeds)
-    return np.array(seeds, dtype=np.complex128)
+    tail = np.array([(1.0 + disc) / 2.0, (1.0 - disc) / 2.0, *extra_seeds], dtype=np.complex128)
+    return np.concatenate((grid, tail))
 
 
 def _distinct_roots(lanes: np.ndarray) -> list[complex]:

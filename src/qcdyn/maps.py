@@ -115,12 +115,17 @@ class WirtingerPair:
         """The v with (P - id) v = -r, P being this map.
 
         With P the derivative of F at z and r = F(z) - z this is the Newton
-        step for a fixed point of F.  Raises NoConvergence when P - id is
-        singular (P has eigenvalue 1).
+        step for a fixed point of F.  det(P - id) = |a|^2 - |b|^2 is taken
+        from products of the parts of a = fz - 1 and b = fzbar, with no power
+        or modulus.  Raises NoConvergence when P - id is singular (P has
+        eigenvalue 1) or det is not finite (a square overflowed, or P is
+        not finite).
         """
         a = self.fz - 1.0
         b = self.fzbar
-        det = abs(a) ** 2 - abs(b) ** 2
+        det = (a.real * a.real + a.imag * a.imag) - (b.real * b.real + b.imag * b.imag)
+        if not math.isfinite(det):
+            raise NoConvergence("Newton step out of range (det(Df - id) is not finite)")
         if abs(det) < 1e-300:
             raise NoConvergence("singular Newton step (multiplier 1?)")
         return (b * r.conjugate() - a.conjugate() * r) / det
@@ -166,6 +171,10 @@ def wirtinger(p: MapParams, z: complex) -> WirtingerPair:
 
     In polar form these are (a+1) r^{2a-1} e^{it} and (a-1) r^{2a-1} e^{3it},
     which is how they are computed (branch-consistent and continuous off 0).
+    The modulus factor r^{2a-1} is r (r^{a-1})^2, from apply_map's own
+    prefactor r^{a-1}: one power per point, within a few ulp of r**(2a-1).
+    Where r^{a-1} is in range but r^{2a-1} is not, the factor overflows to
+    inf without raising, and newton_step then raises NoConvergence.
     At the branch point z = 0 both are 0 for every alpha >= 1/2.  For
     alpha > 1/2 this is the derivative: |f(z) - c| = |z|^{2a} = o(|z|).  At
     alpha = 1/2, where |f(z) - c| = |z|, f has no derivative at 0, and 0 is
@@ -174,9 +183,11 @@ def wirtinger(p: MapParams, z: complex) -> WirtingerPair:
     """
     if z == 0:
         return WirtingerPair(0j, 0j)
-    u = z / abs(z)
-    s = abs(z) ** (2.0 * p.alpha - 1.0)
-    return WirtingerPair((p.alpha + 1.0) * s * u, (p.alpha - 1.0) * s * (u * u * u))
+    r = abs(z)
+    s = r ** (p.alpha - 1.0)
+    m = r * (s * s)
+    u = z / r
+    return WirtingerPair((p.alpha + 1.0) * m * u, (p.alpha - 1.0) * m * (u * u * u))
 
 
 # one body: the pair is the derivative; its .m is the real 2x2 matrix

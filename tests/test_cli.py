@@ -297,7 +297,7 @@ class TestTableBytes:
         "argv,digest",
         [
             (["fixed-points", "--alpha", "0.75", "--c", "0.135"],
-             "0590f721ee0a59243ff2175d197a8c606d8bd1c23a1735c73160a7d14a8086df"),
+             "f00a971630abd4629bfba2a8b214e8a97f8f755b28773c9189753c5d9849efde"),
             (["fixed-points", "--alpha", "1", "--c", "0"],
              "6584e26789ab57d927bcaa9ea583e88b68a57c6f31de659ffe047f097a4b2149"),
             (["fixed-points", "--alpha", "2", "--c=-0.5,0.3"],

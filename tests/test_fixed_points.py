@@ -375,9 +375,12 @@ _LANE_ALPHAS = [0.5000001, 0.5001, 0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 6.0]
 _LANE_CASES = [(a, 0j) for a in _LANE_ALPHAS]  # c = 0: the seed (1 - disc)/2 is the branch point
 _LANE_CASES += [(a, _fold_c(a)) for a in _LANE_ALPHAS if a >= 0.6]
 _LANE_CASES += [(a, c) for a in _LANE_ALPHAS for c in (2.1 - 2.1j, -3.0, 0.3 - 0.2j, complex(-0.5, -0.0))]
-# overflowing powers and moduli, where the scalar loop raises OverflowError; at
-# alpha 14 this c makes the extra seed 4.63e5 a Newton start whose |f_z - 1|^2
-# overflows while f(z) - z stays finite (without the overflow check it stalls)
+# overflowing powers and squares: where apply_map's power overflows, the scalar
+# loop raises OverflowError; where a square overflows, it turns inf without
+# raising.  At alpha 14 this c makes the extra seed 4.63e5 a Newton start whose
+# (Re f_z - 1)^2 overflows while f(z) - z stays finite: det(Df - id) is inf, so
+# newton_step raises NoConvergence (without that check the step is 0 and the
+# start stalls)
 _LANE_CASES += [(30.0, 0.5), (60.0, -0.3 + 0.1j), (2.0, 1e308 + 1e308j), (0.75, -1e308)]
 _LANE_CASES += [(14.0, 4.63e5 - apply_map(MapParams(14.0, 0), 4.63e5))]
 # signed zeros on both axes, the branch point, beyond the bound, and nan

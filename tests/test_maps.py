@@ -172,6 +172,26 @@ class TestWirtinger:
             assert jac.trace == pytest.approx(expect, rel=1e-12)
             assert jac.trace == pytest.approx(2 * (a + 1) * r ** (2 * a - 1) * math.cos(t), rel=1e-12)
 
+    @given(st.floats(0.5, 8.0), st.floats(1e-100, 1e6), st.floats(-math.pi, math.pi))
+    @settings(max_examples=300, deadline=None)
+    def test_modulus_factor_from_the_map_prefactor(self, alpha, modulus, angle):
+        # r^{2a-1} is taken as r (r^{a-1})^2, from apply_map's prefactor
+        # r^{a-1}: the pair is that form bit for bit, and the factor is within
+        # 4 ulp (relative) of the one power abs(z) ** (2a - 1).  Its four
+        # roundings of at most about half an ulp each, against one, bound the
+        # gap by 2.6 ulp; below the normal range two roundings to the smallest
+        # subnormal bound it instead
+        z = cmath.rect(modulus, angle)
+        r = abs(z)
+        s = r ** (alpha - 1.0)
+        m = r * (s * s)
+        u = z / r
+        w = wirtinger(MapParams(alpha, 0), z)
+        want = [(alpha + 1.0) * m * u, (alpha - 1.0) * m * (u * u * u)]
+        assert np.array([w.fz, w.fzbar]).tobytes() == np.array(want).tobytes()
+        ref = r ** (2.0 * alpha - 1.0)
+        assert abs(m - ref) <= 4.0 * math.ulp(1.0) * ref + 2.0 * math.ulp(0.0), (m, ref)
+
     def test_branch_point_derivative_is_zero(self):
         dirs = [cmath.exp(2j * math.pi * j / 12) for j in range(12)]
         ts = [10.0**-k for k in range(1, 13)]
@@ -286,6 +306,15 @@ class TestWirtingerPairAlgebra:
             WirtingerPair(1 + 0j, 0j).newton_step(0.5)
         with pytest.raises(NoConvergence):
             WirtingerPair(1.5 + 0j, 0.5 + 0j).newton_step(0.5)  # eigenvalues 2 and 1
+
+    def test_overflowing_step_raises(self):
+        # |f_z - 1|^2 overflows to inf, alone (det inf, the step would be 0)
+        # or beside an overflowing |f_zbar|^2 (det nan): both end the
+        # Newton run as NoConvergence, not as OverflowError
+        for pair in (WirtingerPair(1.4e154 + 0j, 1.2e154 + 0j), WirtingerPair(1e200j, 0j),
+                     WirtingerPair(1e200 + 0j, 1e200 + 0j)):
+            with pytest.raises(NoConvergence):
+                pair.newton_step(0.5)
 
 
 class TestInverseBranches:
