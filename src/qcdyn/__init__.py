@@ -49,7 +49,6 @@ from .maps import (
 from .orbits import (
     OrbitTrace,
     PeriodicOrbit,
-    SmoothnessExponent,
     critical_orbit,
     find_periodic_orbit,
     pullback_leaf,

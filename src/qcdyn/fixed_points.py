@@ -161,14 +161,14 @@ def gamma_minus(alpha: float, theta: float) -> list[float]:
     return gamma_plus(alpha, theta + math.pi)
 
 
-def classify_eigenvalues(eigs: tuple[complex, complex], tol: float = TOL_CLS) -> str:
+def classify_eigenvalues(eigs: tuple[complex, complex]) -> str:
     m1, m2 = abs(eigs[0]), abs(eigs[1])
     lo, hi = min(m1, m2), max(m1, m2)
-    if hi < 1.0 - tol:
+    if hi < 1.0 - TOL_CLS:
         return "attracting"
-    if lo > 1.0 + tol:
+    if lo > 1.0 + TOL_CLS:
         return "repelling"
-    if lo < 1.0 - tol and hi > 1.0 + tol:
+    if lo < 1.0 - TOL_CLS and hi > 1.0 + TOL_CLS:
         return "saddle"
     return "neutral"
 
@@ -434,8 +434,8 @@ def trace_curve_image(alpha: float, which: str, n: int) -> Polyline:
     )
 
 
-def detect_cusps(alpha: float, which: str = GAMMA_PLUS) -> list[complex]:
-    """Cusps of the curve image under p, in closed form, sorted by (re, im).
+def detect_cusps(alpha: float) -> list[complex]:
+    """Cusps of the curve image p(gamma+), in closed form, sorted by (re, im).
 
     Write z = r e^{i theta} and u = r^{2a-1}.  In the frame (e^{i theta},
     i e^{i theta}) Df acts as R(theta) diag(2au, 2u), so gamma+ is the curve
@@ -446,16 +446,12 @@ def detect_cusps(alpha: float, which: str = GAMMA_PLUS) -> list[complex]:
     sin(theta) = |a-1| u sqrt(6a-3)/(a+1), where c = z (1 - u e^{i theta})
     (p(z) without |z|^{2a-2}).  The three merge at c = 1/4 when a = 1, which
     raises DomainError, as does alpha above about 3e307, where the formula
-    overflows.  gamma- yields an empty list: there Df has the eigenvalues -1
+    overflows.  p(gamma-) has no cusps: there Df has the eigenvalues -1
     and -det = -4a u^2, never 1, so p immerses it.
     """
     require_alpha(alpha, strict=True)
     if alpha == 1.0:
         raise DomainError("cusp detection is degenerate at alpha = 1")
-    if which == GAMMA_MINUS:
-        return []
-    if which != GAMMA_PLUS:
-        raise DomainError(f"unknown curve {which!r}")
     d = 2.0 * alpha - 1.0  # exact near 1/2, where the power 1/d amplifies every error
     real = 0.5 ** (1.0 / d) / 2.0
     u = (1.0 + 3.0 * d) ** -0.5

@@ -78,10 +78,6 @@ class Jet3:
         object.__setattr__(self, "coeff", c)
 
     @classmethod
-    def zero(cls) -> "Jet3":
-        return cls(np.zeros((4, 4), dtype=np.complex128))
-
-    @classmethod
     def from_terms(cls, terms: dict[tuple[int, int], complex]) -> "Jet3":
         c = np.zeros((4, 4), dtype=np.complex128)
         for (j, k), val in terms.items():
@@ -92,15 +88,6 @@ class Jet3:
 
     def __getitem__(self, jk: tuple[int, int]) -> complex:
         return complex(self.coeff[jk])
-
-    def __add__(self, other: "Jet3") -> "Jet3":
-        return Jet3(self.coeff + other.coeff)
-
-    def __sub__(self, other: "Jet3") -> "Jet3":
-        return Jet3(self.coeff - other.coeff)
-
-    def scale(self, s: complex) -> "Jet3":
-        return Jet3(self.coeff * s)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,21 +144,11 @@ def jet_of_map(alpha: float, z0: complex) -> Jet3:
     return Jet3(c)
 
 
-def chop_jet3(raw) -> Jet3:
-    """Truncate a raw expansion (dict of (j,k) -> coeff, array, or Jet3) to degree 3."""
-    if isinstance(raw, Jet3):
-        raw = raw.coeff
-    if isinstance(raw, dict):
-        c = np.zeros((4, 4), dtype=np.complex128)
-        for (j, k), val in raw.items():
-            if j + k <= DEG:
-                c[j, k] = val
-        return Jet3(c)
-    arr = np.asarray(raw, dtype=np.complex128)[:4, :4]
-    c = np.zeros((4, 4), dtype=np.complex128)
-    c[: arr.shape[0], : arr.shape[1]] = arr
-    c[_ABOVE_DEG] = 0.0
-    return Jet3(c)
+def chop_jet3(raw: Jet3 | np.ndarray) -> Jet3:
+    """Truncate a Jet3 or a 4x4 coefficient array to degree 3 (a new jet)."""
+    jet = Jet3(np.array(raw.coeff if isinstance(raw, Jet3) else raw, dtype=np.complex128))
+    jet.coeff[_ABOVE_DEG] = 0.0
+    return jet
 
 
 def conj_jet(jet: Jet3) -> Jet3:
@@ -247,9 +224,8 @@ def coord_change1(jet: Jet3) -> Jet3:
     h = [[0j] * 4 for _ in range(4)]
     for j, k, row, col, m, e, weight in _SUBSTITUTION_TERMS:
         h[row][col] += g[j][k] * weight * cpow[m] * cbpow[e]
-    new = Jet3(np.array(h))
-    new = (new.scale(cbar) - conj_jet(new)).scale(1.0 / (croot * cbar - 1.0))
-    return chop_jet3(new)
+    h = np.array(h)
+    return chop_jet3((h * cbar - np.conj(h).T) * (1.0 / (croot * cbar - 1.0)))
 
 
 def _resonance_distance(angle: float) -> float:
@@ -279,9 +255,10 @@ def _normal_form3_full(jet: Jet3) -> tuple[complex, tuple[complex, complex, comp
     L1 o N = 2u z + a1 u^2 z^2 + a2 |u|^2 z w + a3 ubar^2 w^2 has no z^2 w
     term.  compose_jets only adds onto zeros, so that coefficient is an
     exact +0, and x - 0 is x bit for bit (signed zeros too).
-    So b2 is read off rjet o L1 alone, one compose_jets call.
+    So b2 is read off rjet o L1 alone, one compose_jets call.  The jet is
+    not chopped first: nothing here reads a coefficient above degree 3.
     """
-    rjet = coord_change1(chop_jet3(jet))
+    rjet = coord_change1(jet)
     u = rjet[1, 0]
     _check_nonresonant(u)
     ub = u.conjugate()

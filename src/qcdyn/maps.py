@@ -82,17 +82,27 @@ class WirtingerPair:
     def trace(self) -> float:
         return 2.0 * self.fz.real
 
+    def _squares_overflow(self) -> DomainError:
+        return DomainError(f"|fz|^2 or |fzbar|^2 overflows at fz = {self.fz!r}, fzbar = {self.fzbar!r}")
+
     @property
     def det(self) -> float:
-        """Determinant of the real Jacobian, |fz|^2 - |fzbar|^2."""
-        return abs(self.fz) ** 2 - abs(self.fzbar) ** 2
+        """Determinant of the real Jacobian, |fz|^2 - |fzbar|^2; DomainError
+        where a square overflows."""
+        try:
+            return abs(self.fz) ** 2 - abs(self.fzbar) ** 2
+        except OverflowError:
+            raise self._squares_overflow() from None
 
     @property
     def eigenvalues(self) -> tuple[complex, complex]:
         """Re fz +- sqrt(|fzbar|^2 - (Im fz)^2): the discriminant (trace/2)^2 - det
-        written without cancellation."""
+        written without cancellation; DomainError where a square overflows."""
         fz = self.fz
-        disc = abs(self.fzbar) ** 2 - fz.imag**2
+        try:
+            disc = abs(self.fzbar) ** 2 - fz.imag**2
+        except OverflowError:
+            raise self._squares_overflow() from None
         if disc >= 0.0:
             s = math.sqrt(disc)
             return complex(fz.real + s), complex(fz.real - s)

@@ -20,7 +20,6 @@ from .render import escape_radius
 __all__ = [
     "OrbitTrace",
     "PeriodicOrbit",
-    "SmoothnessExponent",
     "critical_orbit",
     "find_periodic_orbit",
     "pullback_leaf",
@@ -46,17 +45,6 @@ class PeriodicOrbit:
     period: int
     multipliers: tuple[complex, complex]
     cls: str
-
-
-@dataclass(frozen=True)
-class SmoothnessExponent:
-    """Normal-hyperbolicity exponent m = ln(2a)/ln 2 of the invariant circle at c = 0.
-
-    Circular leaf pullbacks converge in C^k for k <= m; for m < 1 the
-    convergence is merely uniform.
-    """
-
-    m: float
 
 
 def critical_orbit(p: MapParams, n: int) -> OrbitTrace:
@@ -137,6 +125,10 @@ def pullback_leaf(p: MapParams, leaf: Polyline, branch_word: list[int]) -> Polyl
     return Polyline(tuple(pts.tolist()), closed=leaf.closed)
 
 
-def smoothness_exponent(alpha: float) -> SmoothnessExponent:
-    """m = ln(2a)/ln 2; equals 1 at alpha = 1 and 2 at alpha = 2."""
-    return SmoothnessExponent(math.log(2.0 * require_alpha(alpha, strict=True)) / math.log(2.0))
+def smoothness_exponent(alpha: float) -> float:
+    """Normal-hyperbolicity exponent m = ln(2a)/ln 2 of the invariant circle at c = 0.
+
+    Circular leaf pullbacks converge in C^k for k <= m; for m < 1 the
+    convergence is merely uniform.  m equals 1 at alpha = 1 and 2 at alpha = 2.
+    """
+    return math.log(2.0 * require_alpha(alpha, strict=True)) / math.log(2.0)

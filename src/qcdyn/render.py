@@ -182,7 +182,6 @@ class Raster:
     value: np.ndarray
     final_modulus: np.ndarray
     max_iter: int
-    mode: str
 
 
 def escape_radius(p: MapParams) -> float:
@@ -532,7 +531,7 @@ def _render(
             cap = WINDOW_LANES if stop == start else BLOCK_LANES
             n = stop
     status, value, finalmod = (a.reshape(grid.ny, grid.nx) for a in out)
-    return Raster(grid, status, value, finalmod, max_iter, mode)
+    return Raster(grid, status, value, finalmod, max_iter)
 
 
 def render_julia(

@@ -42,7 +42,7 @@ from qcdyn.fixed_points import (
     _record,
     param_for_fixed_point,
 )
-from qcdyn.jets import Jet3, chop_jet3, compose_jets, conj_jet
+from qcdyn.jets import Jet3, chop_jet3, compose_jets
 from qcdyn.maps import MapParams, WirtingerPair, _radius_floor, apply_map, jacobian, require_alpha
 from qcdyn.render import CellResult, GridSpec, PointClass, Raster
 
@@ -369,11 +369,9 @@ def coord_change1_reference(jet: Jet3) -> Jet3:
     if abs(abs(croot) - 1.0) < 1e-10:
         raise ResonanceError("coordinate change lies on the unit circle; not invertible")
     lin = Jet3.from_terms({(1, 0): croot, (0, 1): 1.0})
-    new = compose_jets(jet, lin)
-    new = (new.scale(croot.conjugate()) - conj_jet(new)).scale(
-        1.0 / (croot * croot.conjugate() - 1.0)
-    )
-    return chop_jet3(new)
+    h = compose_jets(jet, lin).coeff
+    cbar = croot.conjugate()
+    return chop_jet3((h * cbar - np.conj(h).T) * (1.0 / (croot * cbar - 1.0)))
 
 
 def _quad_cubic_residual(
@@ -388,7 +386,7 @@ def _quad_cubic_residual(
     a1, a2, a3 = avec
     l1 = Jet3.from_terms({(1, 0): 2.0, (2, 0): a1, (1, 1): a2, (0, 2): a3})
     normal = Jet3.from_terms({(1, 0): u, (2, 1): b2})
-    return compose_jets(rjet, l1) - compose_jets(l1, normal)
+    return Jet3(compose_jets(rjet, l1).coeff - compose_jets(l1, normal).coeff)
 
 
 def kuznetsov_hopf_number(alpha: float, theta: float) -> float:

@@ -137,6 +137,15 @@ class TestFixedPointsCommand:
         assert code in (0, 1)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_overflowing_derivative_is_named(self, capsys):
+        # at alpha = 1e155 the root z = 1 has fz = a + 1 and fzbar = a - 1, whose squares overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli(["fixed-points", "--alpha", "1e155", "--c", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "overflow" in err and "Traceback" not in err and len(err.splitlines()) == 1
+
 
 class TestCurvesCommand:
     def test_curves_with_cusps_and_probe(self, tmp_path, capsys):
@@ -364,6 +373,9 @@ def _argvs(draw):
     """A small run of any subcommand; "OUT" marks the output path."""
     cmd = draw(st.sampled_from(["julia", "locus", "fixed-points", "hopf", "orbit", "curves", "leaf"]))
     argv = [cmd, "--alpha", repr(draw(_alphas))]
+    if cmd in ("fixed-points", "orbit", "curves") and draw(st.booleans()):
+        # exponents far above 6, where powers, (a+1)^2 and the derivative's squares overflow
+        argv[2] = repr(draw(st.floats(6.0, 1e300)))
 
     def c_flag(huge: bool) -> str:
         # parts up to 1e300 half the time, where Newton, orbits and rasters overflow
@@ -372,8 +384,6 @@ def _argvs(draw):
     if cmd == "hopf":
         return argv + ["--theta", repr(draw(st.floats(0.0, 2.0 * math.pi)))]
     if cmd == "curves":
-        if draw(st.booleans()):  # exponents far above 6, where powers and (a+1)^2 overflow
-            argv[2] = repr(draw(st.floats(6.0, 1e300)))
         which = draw(st.sampled_from(["delta", "gamma+", "gamma-", "all"]))
         argv += ["--which", which, "--n", str(draw(st.integers(16, 48)))]
         if draw(st.booleans()):
@@ -428,11 +438,11 @@ def _assert_well_formed(argv, path: Path) -> None:
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_cli_never_shows_a_traceback(argv):
     # alpha down to 1/2 (where 2^{1/(2a-1)} overflows and the delta radius
-    # underflows), any |c| <= 1e3 (fixed-points, orbit and julia c and the
-    # raster centers: parts up to 1e300 half the time): the run succeeds with
-    # a well-formed file,
-    # fails with a one-line message (1) or rejects its arguments (2), and
-    # never raises
+    # underflows), and for fixed-points, orbit and curves up to 1e300 half the
+    # time; any |c| <= 1e3 (fixed-points, orbit and julia c and the raster
+    # centers: parts up to 1e300 half the time): the run succeeds with a
+    # well-formed file, fails with a one-line message (1) or rejects its
+    # arguments (2), and never raises
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
         argv = [str(out) if a == "OUT" else a for a in argv]

@@ -320,8 +320,9 @@ class TestCusps:
         assert a2 == pytest.approx(second / 2, rel=1e-5)
 
     def test_gamma_minus_has_no_cusps(self):
-        assert detect_cusps(0.8, GAMMA_MINUS) == []
-        assert detect_cusps(2.0, GAMMA_MINUS) == []
+        # p immerses gamma- (detect_cusps' docstring): the independent sweep finds none
+        assert detect_cusps_sweep(0.8, which=GAMMA_MINUS) == []
+        assert detect_cusps_sweep(2.0, which=GAMMA_MINUS) == []
 
     def test_conformal_case_rejected(self):
         with pytest.raises(DomainError):

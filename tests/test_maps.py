@@ -316,6 +316,15 @@ class TestWirtingerPairAlgebra:
             with pytest.raises(NoConvergence):
                 pair.newton_step(0.5)
 
+    def test_overflowing_squares_raise_domain_error(self):
+        # at alpha = 1e155, z = 1: fz = a + 1 and fzbar = a - 1, both past sqrt(float max)
+        jac = jacobian(MapParams(1e155), 1.0)
+        with pytest.raises(DomainError, match="overflow"):
+            jac.det
+        with pytest.raises(DomainError, match="overflow"):
+            jac.eigenvalues
+        assert WirtingerPair(1e154 + 0j, 1e154 + 0j).det == 0.0  # still finite: no error
+
 
 class TestInverseBranches:
     def test_square_roots(self):

@@ -289,10 +289,10 @@ class TestPullback:
 
 class TestSmoothnessExponent:
     def test_values(self):
-        assert smoothness_exponent(1.0).m == pytest.approx(1.0)
-        assert smoothness_exponent(2.0).m == pytest.approx(2.0)
-        assert smoothness_exponent(5 / 8).m == pytest.approx(math.log(1.25) / math.log(2))
-        assert smoothness_exponent(5 / 8).m < 1  # merely uniform convergence
+        assert smoothness_exponent(1.0) == pytest.approx(1.0)
+        assert smoothness_exponent(2.0) == pytest.approx(2.0)
+        assert smoothness_exponent(5 / 8) == pytest.approx(math.log(1.25) / math.log(2))
+        assert smoothness_exponent(5 / 8) < 1  # merely uniform convergence
 
     def test_domain(self):
         with pytest.raises(DomainError):

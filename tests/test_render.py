@@ -715,7 +715,7 @@ class TestOutputs:
     )
     def test_csv_coordinates_are_the_samples(self, g):
         shape = (g.ny, g.nx)
-        raster = Raster(g, np.zeros(shape, np.int8), np.zeros(shape, np.int32), np.zeros(shape), 1, ESCAPE_ONLY)
+        raster = Raster(g, np.zeros(shape, np.int8), np.zeros(shape, np.int32), np.zeros(shape), 1)
         buf = io.StringIO()
         write_cells_csv(raster, buf)
         lines = buf.getvalue().splitlines()[1:]
@@ -743,7 +743,7 @@ class TestOutputs:
         status = RNG.integers(0, 3, shape).astype(np.int8)
         value = np.where(status == PointClass.BOUNDED, 0, RNG.integers(1, max_iter + 1, shape)).astype(np.int32)
         status.flat[-1], value.flat[-1] = PointClass.ESCAPED, max_iter
-        raster = Raster(g, status, value, np.zeros(shape), max_iter, ATTRACTOR_DETECT)
+        raster = Raster(g, status, value, np.zeros(shape), max_iter)
         want, got = io.StringIO(), io.StringIO()
         write_cells_csv_reference(raster, want)
         write_cells_csv(raster, got)
