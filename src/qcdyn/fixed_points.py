@@ -127,9 +127,12 @@ def gamma_plus(alpha: float, theta: float) -> list[float]:
 
     Solves 4a u^2 - 2(a+1) u cos(theta) + 1 = 0 for u = r^{2a-1}; positive
     roots exist only for cos(theta) > 0 with cos^2 >= 4a/(a+1)^2, and the
-    double root at the sector boundary is returned once.
+    double root at the sector boundary is returned once.  DomainError for
+    a theta that is not finite.
     """
     require_alpha(alpha, strict=True)
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta!r}")
     ct = math.cos(theta)
     if ct <= 0.0:
         return []

@@ -9,13 +9,18 @@ the 3-jet of the map at a fixed point with unit-circle eigenvalues
 and read off the bifurcation direction Re(b2 / u): positive means the
 invariant circle appears on the repelling side, negative on the attracting
 side, zero (the conformal case) is degenerate.
+
+Every step from hopf_number's input to its float runs in Python complex
+arithmetic, on the 16 coefficients a Jet3 keeps as Python complex numbers;
+no numpy array is built or read on that path.  Python's complex product and
+sum round the same on every CPU, so Hopf numbers do not depend on which SIMD
+loops numpy picks at import.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
@@ -41,13 +46,18 @@ __all__ = [
 DEG = 3
 TOL_RES = 1e-3  # exclusion radius (in angle) around 1st..4th roots of unity
 
-_ABOVE_DEG = np.add.outer(np.arange(4), np.arange(4)) > DEG  # z^j w^k with j + k > DEG
+# a jet's 16 coefficients sit row-major in a flat list: c[j, k] at 4 j + k
+_LOW = tuple(4 * j + k for j in range(DEG + 1) for k in range(DEG + 1 - j))  # j + k <= DEG
+_HIGH = tuple(i for i in range(16) if i not in _LOW)
+_TRANSPOSE = tuple(4 * k + j for j in range(4) for k in range(4))  # c[j, k] <- c[k, j]
+_ONE = (1 + 0j,) + (0j,) * 15
 
 # coord_change1's binomial sum, one entry per term (35 in all): g_jk times
 # binom(j, m) binom(k, n) C^m conj(C)^(k-n) goes to zeta^(m+n) omega^(j-m+k-n),
-# stored as (j, k, m + n, j - m + k - n, m, k - n, binom(j, m) binom(k, n))
+# stored as (flat index of jk, flat index of (m + n, j - m + k - n), m, k - n,
+# binom(j, m) binom(k, n))
 _SUBSTITUTION_TERMS = tuple(
-    (j, k, m + n, j - m + k - n, m, k - n, float(math.comb(j, m) * math.comb(k, n)))
+    (4 * j + k, 4 * (m + n) + j - m + k - n, m, k - n, float(math.comb(j, m) * math.comb(k, n)))
     for j in range(DEG + 1)
     for k in range(DEG + 1 - j)
     for m in range(j + 1)
@@ -65,45 +75,76 @@ _RESONANT_ANGLES = (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class Jet3:
-    """Coefficients c[j, k] of z^j w^k for j + k <= 3 (4x4 array, rest zero)."""
+    """Coefficients c[j, k] of z^j w^k for j + k <= 3 (4x4, rest zero).
 
-    coeff: np.ndarray
+    A jet keeps its 16 coefficients as Python complex numbers and never
+    changes them.  Jet3(coeff) takes a 4x4 array or nested sequence and
+    checks its shape; jet[j, k] reads one coefficient as a complex, and
+    jet.coeff gives all of them as a read-only 4x4 complex128 array, built
+    on each read.  The functions of this module build their jets from
+    coefficients they computed themselves, without that check.
+    """
 
-    def __post_init__(self):
-        c = np.asarray(self.coeff, dtype=np.complex128)
+    __slots__ = ("_c",)
+
+    def __init__(self, coeff):
+        c = np.asarray(coeff, dtype=np.complex128)
         if c.shape != (4, 4):
             raise ContractError("jet coefficients must form a 4x4 array")
-        object.__setattr__(self, "coeff", c)
+        self._c = c.ravel().tolist()
+
+    @classmethod
+    def _of(cls, flat: list[complex]) -> "Jet3":
+        """The jet with these 16 row-major Python complex coefficients, unchecked."""
+        jet = object.__new__(cls)
+        jet._c = flat
+        return jet
+
+    @property
+    def coeff(self) -> np.ndarray:
+        out = np.array(self._c, dtype=np.complex128).reshape(4, 4)
+        out.flags.writeable = False
+        return out
 
     @classmethod
     def from_terms(cls, terms: dict[tuple[int, int], complex]) -> "Jet3":
-        c = np.zeros((4, 4), dtype=np.complex128)
+        c = [0j] * 16
         for (j, k), val in terms.items():
             if j < 0 or k < 0 or j + k > DEG:
                 raise ContractError(f"monomial z^{j} w^{k} outside the degree-3 jet")
-            c[j, k] = val
-        return cls(c)
+            c[4 * j + k] = complex(val)
+        return cls._of(c)
+
+    def __repr__(self) -> str:
+        return f"Jet3({self.coeff!r})"
 
     def __getitem__(self, jk: tuple[int, int]) -> complex:
-        return complex(self.coeff[jk])
+        j, k = jk
+        if not (0 <= j < 4 and 0 <= k < 4):
+            raise IndexError(f"no coefficient of z^{j} w^{k} in a 4x4 jet")
+        return self._c[4 * j + k]
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of coefficient arrays, truncated to total degree 3."""
-    out = np.zeros((4, 4), dtype=np.complex128)
+def _mul(a: list[complex], b: list[complex]) -> list[complex]:
+    """Product of flat coefficient lists, truncated to total degree 3."""
+    out = [0j] * 16
     for j1 in range(4):
         for k1 in range(4 - j1):
-            c1 = a[j1, k1]
+            c1 = a[4 * j1 + k1]
             if c1 == 0:
                 continue
             for j2 in range(4 - j1):
                 for k2 in range(4 - j1 - k1 - j2):
-                    c2 = b[j2, k2]
+                    c2 = b[4 * j2 + k2]
                     if c2 != 0:
-                        out[j1 + j2, k1 + k2] += c1 * c2
+                        out[4 * (j1 + j2) + k1 + k2] += c1 * c2
     return out
+
+
+def _conj(c: list[complex]) -> list[complex]:
+    """conj_jet on flat coefficient lists."""
+    return [c[i].conjugate() for i in _TRANSPOSE]
 
 
 def _binom(p: float, n: int) -> float:
@@ -120,40 +161,43 @@ def jet_of_map(alpha: float, z0: complex) -> Jet3:
     coeff(j, k) = B(a+1, j) B(a-1, k) r^{2a-j-k} e^{i (2-j+k) t} with
     z0 = r e^{it}; the constant Q^2(z0) is absorbed into the additive
     parameter and excluded.  The linear part reproduces the Wirtinger
-    derivatives.  Raises DomainError at z0 = 0 and where a coefficient
-    overflows (|z0| tiny).
+    derivatives.  Raises DomainError for an alpha outside the map's domain,
+    at z0 = 0, at a z0 that is not finite and where a coefficient overflows
+    (|z0| tiny).
     """
+    require_alpha(alpha)
     if z0 == 0:
         raise DomainError("jets are undefined at the branch point")
+    if not cmath.isfinite(z0):
+        raise DomainError(f"jets need a finite point, got z0 = {z0!r}")
     r = abs(z0)
     t = cmath.phase(z0)
-    c = np.zeros((4, 4), dtype=np.complex128)
+    c = [0j] * 16
     try:
-        for j in range(4):
-            for k in range(4 - j):
-                if j + k == 0:
-                    continue
-                c[j, k] = (
-                    _binom(alpha + 1.0, j)
-                    * _binom(alpha - 1.0, k)
-                    * r ** (2.0 * alpha - j - k)
-                    * cmath.exp(1j * (2.0 - j + k) * t)
-                )
+        for i in _LOW[1:]:  # every monomial of degree 1 to 3
+            j, k = divmod(i, 4)
+            c[i] = (
+                _binom(alpha + 1.0, j)
+                * _binom(alpha - 1.0, k)
+                * r ** (2.0 * alpha - j - k)
+                * cmath.exp(1j * (2.0 - j + k) * t)
+            )
     except OverflowError:
         raise DomainError(f"jet coefficients overflow at |z0| = {r!r}") from None
-    return Jet3(c)
+    return Jet3._of(c)
 
 
 def chop_jet3(raw: Jet3 | np.ndarray) -> Jet3:
     """Truncate a Jet3 or a 4x4 coefficient array to degree 3 (a new jet)."""
-    jet = Jet3(np.array(raw.coeff if isinstance(raw, Jet3) else raw, dtype=np.complex128))
-    jet.coeff[_ABOVE_DEG] = 0.0
-    return jet
+    c = list((raw if isinstance(raw, Jet3) else Jet3(raw))._c)
+    for i in _HIGH:
+        c[i] = 0j
+    return Jet3._of(c)
 
 
 def conj_jet(jet: Jet3) -> Jet3:
     """Conjugate every coefficient and swap z with w; an involution."""
-    return Jet3(np.conj(jet.coeff).T.copy())
+    return Jet3._of(_conj(jet._c))
 
 
 def compose_jets(outer: Jet3, inner: Jet3) -> Jet3:
@@ -162,27 +206,24 @@ def compose_jets(outer: Jet3, inner: Jet3) -> Jet3:
     The inner jet must have zero constant term, otherwise the truncation
     would not commute with substitution.
     """
-    if inner[0, 0] != 0:
+    ic = inner._c
+    if ic[0] != 0:
         raise ContractError("inner jet must have zero constant term")
-    ic = inner.coeff
-    cc = conj_jet(inner).coeff
-    one = np.zeros((4, 4), dtype=np.complex128)
-    one[0, 0] = 1.0
-    # powers[j][k] = inner^j * conj^k truncated
-    pows_i = [one]
-    for _ in range(DEG):
-        pows_i.append(_mul(pows_i[-1], ic))
-    out = np.zeros((4, 4), dtype=np.complex128)
+    cc = _conj(ic)
+    oc = outer._c
+    out = [0j] * 16
+    base = _ONE
     for j in range(4):
-        base = pows_i[j]
+        if j:
+            base = _mul(base, ic)  # inner^j
         term = base
         for k in range(4 - j):
-            if k > 0:
-                term = _mul(term, cc)
-            c = outer.coeff[j, k]
+            if k:
+                term = _mul(term, cc)  # inner^j conj_jet(inner)^k, truncated
+            c = oc[4 * j + k]
             if c != 0:
-                out += c * term
-    return Jet3(out)
+                out = [o + c * t for o, t in zip(out, term)]
+    return Jet3._of(out)
 
 
 def coord_change1(jet: Jet3) -> Jet3:
@@ -201,12 +242,12 @@ def coord_change1(jet: Jet3) -> Jet3:
 
     to the coefficient of zeta^(m+n) omega^(j-m+k-n), for 0 <= m <= j and
     0 <= n <= k (35 terms).  The sum h becomes
-    (conj(C) h - conj_jet(h)) / (|C|^2 - 1).
+    (conj(C) h_jk - conj(h_kj)) / (|C|^2 - 1) for j + k <= 3, and zero above.
     """
     a = jet[1, 0]
     b = jet[0, 1]
     if abs(b) < 1e-14:
-        return Jet3(jet.coeff.copy())
+        return jet
     if abs(b) >= abs(a.imag):
         raise ResonanceError(
             "linear part has real eigenvalues (|b| >= |Im a|); no conjugate pair"
@@ -220,12 +261,15 @@ def coord_change1(jet: Jet3) -> Jet3:
     cbar = croot.conjugate()
     cpow = (1.0, croot, croot * croot, croot * croot * croot)
     cbpow = (1.0, cbar, cbar * cbar, cbar * cbar * cbar)
-    g = jet.coeff.tolist()
-    h = [[0j] * 4 for _ in range(4)]
-    for j, k, row, col, m, e, weight in _SUBSTITUTION_TERMS:
-        h[row][col] += g[j][k] * weight * cpow[m] * cbpow[e]
-    h = np.array(h)
-    return chop_jet3((h * cbar - np.conj(h).T) * (1.0 / (croot * cbar - 1.0)))
+    g = jet._c
+    h = [0j] * 16
+    for src, dst, m, e, weight in _SUBSTITUTION_TERMS:
+        h[dst] += g[src] * weight * cpow[m] * cbpow[e]
+    scale = 1.0 / (croot * cbar - 1.0)
+    out = [0j] * 16
+    for i in _LOW:
+        out[i] = (h[i] * cbar - h[_TRANSPOSE[i]].conjugate()) * scale
+    return Jet3._of(out)
 
 
 def _resonance_distance(angle: float) -> float:
@@ -316,9 +360,11 @@ def hopf_number(alpha: float, theta: float) -> float:
     for alpha > 1 on nonresonant angles.  Raises ResonanceError within TOL_RES
     of a low-order root of unity (for theta itself and for the actual
     multiplier angle) and EigenvalueError when no conjugate-pair point exists
-    for theta.
+    for theta; DomainError for a theta that is not finite.
     """
     require_alpha(alpha, strict=True)
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta!r}")
     if _resonance_distance(theta) < TOL_RES:
         raise ResonanceError(f"theta = {theta} is within {TOL_RES} of a resonant angle")
     z0 = _delta_point(alpha, theta)

@@ -318,7 +318,7 @@ class TestTableBytes:
             (["curves", "--alpha", "0.8", "--n", "64", "--cusps"],
              "5f0c4c1087c247c9b54cd33e1be665e3590b59eead177bc145424c8280f793af"),
             (["hopf", "--alpha", "0.75,1.5", "--theta-grid", "8"],
-             "953bdbe4226461be102ad494ad20ead6bde519e44248631d091561159e679bda"),
+             "80fd686eb8e6f39f13c058d2fa3c4be8bc56c85da8542e5d4708ea7275a15303"),
         ],
     )
     def test_digest(self, tmp_path, capsys, argv, digest):

@@ -1,7 +1,11 @@
 import cmath
+import json
 import math
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +34,7 @@ from qcdyn.jets import (
     normal_form3,
     write_sweep_csv,
 )
+import qcdyn.jets
 from qcdyn.jets import _delta_point, _normal_form3_full
 from qcdyn.maps import MapParams, wirtinger
 
@@ -129,6 +134,11 @@ class TestJetOfMap:
     def test_branch_point_rejected(self):
         with pytest.raises(DomainError):
             jet_of_map(1.5, 0)
+
+    @pytest.mark.parametrize("z0", [complex(math.nan, 0.0), complex(0.3, math.inf), complex(-math.inf, 1.0)])
+    def test_non_finite_point_rejected(self, z0):
+        with pytest.raises(DomainError, match="finite point"):
+            jet_of_map(1.5, z0)
 
 
 class TestAlgebra:
@@ -397,6 +407,64 @@ class TestHopfNumber:
                 assert e1.imag != 0  # conjugate pair
                 assert abs(e1) == pytest.approx(1.0, abs=1e-10)
                 assert e1 == pytest.approx(e2.conjugate())
+
+
+# hashes hopf_number over the (alpha, theta) points read as JSON from stdin:
+# float.hex of each value, or the name of its exclusion
+_HOPF_DIGEST = """
+import hashlib, json, sys
+from qcdyn.errors import EigenvalueError, ResonanceError
+from qcdyn.jets import hopf_number
+
+def cell(alpha, theta):
+    try:
+        return hopf_number(alpha, theta).hex()
+    except ResonanceError:
+        return "resonance"
+    except EigenvalueError:
+        return "eigenvalue"
+
+def digest(points):
+    return hashlib.sha256(" ".join(cell(a, t) for a, t in points).encode()).hexdigest()
+"""
+
+
+def _supported_dispatch_targets() -> str:
+    """Every numpy SIMD dispatch target this CPU supports, space-separated, as
+    NPY_DISABLE_CPU_FEATURES takes them; empty where numpy dispatches nothing."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+
+
+class TestSameBitsOnEveryCpu:
+    def test_hopf_numbers_equal_at_numpy_baseline(self):
+        # the CLI's 16 points (hopf --alpha 0.75,1.5 --theta-grid 8) and 16 of
+        # the 63 exponents of the seed-7 bench surface, at numpy's baseline
+        # loops in a subprocess against this process's default dispatch
+        cli = [(a, 2.0 * math.pi * (k + 0.5) / 8) for a in (0.75, 1.5) for k in range(8)]
+        surface = bench_hopf_points(7)
+        alphas = sorted({a for a, _ in surface})[::4]
+        points = cli + [(a, t) for a, t in surface if a in alphas]
+        assert len(points) == 16 + 16 * 64
+        ns: dict = {}
+        exec(_HOPF_DIGEST, ns)
+        src = str(Path(qcdyn.jets.__file__).resolve().parents[1])
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_supported_dispatch_targets())
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", _HOPF_DIGEST + "print(digest(json.load(sys.stdin)))"],
+            input=json.dumps(points), env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == ns["digest"](points)
+
+    def test_hopf_path_builds_no_array(self, monkeypatch):
+        # every name the module takes from numpy is gone, and hopf_number still runs
+        monkeypatch.setattr(qcdyn.jets, "np", None)
+        assert hopf_number(0.75, 2.0) > 41.0
+        assert hopf_number(1.5, 2.0) < -8.1
+        with pytest.raises(ResonanceError):
+            hopf_number(0.75, 2 * math.pi / 3)
 
 
 class TestHopfSweep:

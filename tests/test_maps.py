@@ -19,7 +19,7 @@ from qcdyn.fixed_points import (
     trace_curve,
     trace_curve_image,
 )
-from qcdyn.jets import hopf_number
+from qcdyn.jets import hopf_number, hopf_sweep, jet_of_map
 from qcdyn.maps import (
     MapParams,
     WirtingerPair,
@@ -88,6 +88,7 @@ ALPHA_FORMULAS = {
     "trace_curve_image": lambda a: trace_curve_image(a, GAMMA_PLUS, 32),
     "injectivity_probe": lambda a: injectivity_probe(a, 10, 1),
     "hopf_number": lambda a: hopf_number(a, 2.0),
+    "jet_of_map": lambda a: jet_of_map(a, 0.5 + 0.1j),
 }
 
 
@@ -97,6 +98,22 @@ def test_non_finite_alpha_rejected(formula, alpha):
     # each formula goes through maps.require_alpha, so none returns a value for these
     with pytest.raises(DomainError, match="finite"):
         ALPHA_FORMULAS[formula](alpha)
+
+
+ANGLE_FORMULAS = {
+    "gamma_plus": lambda t: gamma_plus(1.5, t),
+    "gamma_minus": lambda t: gamma_minus(1.5, t),
+    "hopf_number": lambda t: hopf_number(1.5, t),
+    "hopf_sweep": lambda t: hopf_sweep([1.5], [t]),
+}
+
+
+@pytest.mark.parametrize("formula", sorted(ANGLE_FORMULAS))
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_non_finite_angle_rejected(formula, theta):
+    # neither a nan value nor a bare "math domain error" from cos(inf)
+    with pytest.raises(DomainError, match="theta must be finite"):
+        ANGLE_FORMULAS[formula](theta)
 
 
 @pytest.mark.parametrize("strict", [False, True])
