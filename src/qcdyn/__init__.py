@@ -24,9 +24,7 @@ from .fixed_points import (
 )
 from .jets import (
     Jet3,
-    chop_jet3,
     compose_jets,
-    conj_jet,
     coord_change1,
     hopf_number,
     hopf_sweep,

@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hopf", help="Hopf number at one angle or over a sweep")
     sp.add_argument("--alpha", type=_alpha_list, required=True, help="value or comma list")
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--theta", type=_finite_float, help="single angle")
+    group.add_argument("--theta", type=_finite_float, help="single angle (prints one line per alpha)")
     group.add_argument("--theta-grid", type=_count(1), help="uniform offset grid size over (0, 2pi)")
     sp.add_argument("-o", "--output", default=None, help="CSV output (required for sweeps)")
 
@@ -293,12 +293,14 @@ def _cmd_hopf(args) -> int:
         n = args.theta_grid
         thetas = [2.0 * math.pi * (k + 0.5) / n for k in range(n)]
     rows = jets.hopf_sweep(args.alpha, thetas)
-    if args.theta is not None and len(args.alpha) == 1:
-        alpha, beta, theta, val, status = rows[0]
-        if status != "ok":
+    if args.theta is not None:
+        excluded = [row for row in rows if row[4] != "ok"]
+        for alpha, _, theta, _, status in excluded:
             print(f"alpha={alpha} theta={theta}: {status}", file=sys.stderr)
+        if excluded:
             return 1
-        print(f"alpha={alpha} theta={theta} hopf={val!r}")
+        for alpha, _, theta, val, _ in rows:
+            print(f"alpha={alpha} theta={theta} hopf={val!r}")
     if args.output:
         jets.write_sweep_csv(rows, args.output)
     return 0

@@ -35,7 +35,6 @@ __all__ = [
     "GAMMA_PLUS",
     "GAMMA_MINUS",
     "param_for_fixed_point",
-    "param_jacobian",
     "delta_circle",
     "gamma_plus",
     "gamma_minus",
@@ -105,11 +104,6 @@ def param_for_fixed_point(alpha: float, z: complex) -> complex:
     # has modulus |z|^{2a}, which underflows only where it is negligible beside z
     u = abs(z) ** (alpha - 1.0) * z
     return z - u * u
-
-
-def param_jacobian(alpha: float, z: complex) -> np.ndarray:
-    """Real 2x2 derivative of p at z, i.e. I - Df (any c; the constant drops)."""
-    return np.eye(2) - jacobian(MapParams(alpha, 0), z).m
 
 
 def delta_circle(alpha: float) -> float:
@@ -328,9 +322,9 @@ def _record(p: MapParams, z: complex) -> FixedPointRecord:
     )
 
 
-def _census_seeds(p: MapParams, extra_seeds: tuple[complex, ...] = ()) -> np.ndarray:
-    """The census's Newton starts in order: the polar grid ring by ring, the
-    two roots of z^2 - z + c, then extra_seeds.
+def _census_seeds(p: MapParams) -> np.ndarray:
+    """The census's Newton starts in order: the polar grid ring by ring, then
+    the two roots of z^2 - z + c.
 
     Ring k + 1 has radius r = radius (k + 1) / 24, and its seeds are r times
     each direction w, part by part.  That gives the bits of CPython's r * w,
@@ -340,7 +334,7 @@ def _census_seeds(p: MapParams, extra_seeds: tuple[complex, ...] = ()) -> np.nda
     radius = min(_radius_floor(p.alpha), NEWTON_BOUND)
     grid = (radius * _SEED_RINGS / 24.0 * _SEED_DIRECTIONS).view(np.complex128).ravel()
     disc = cmath.sqrt(1.0 - 4.0 * p.c)
-    tail = np.array([(1.0 + disc) / 2.0, (1.0 - disc) / 2.0, *extra_seeds], dtype=np.complex128)
+    tail = np.array([(1.0 + disc) / 2.0, (1.0 - disc) / 2.0], dtype=np.complex128)
     return np.concatenate((grid, tail))
 
 
@@ -360,22 +354,20 @@ def _distinct_roots(lanes: np.ndarray) -> list[complex]:
     return roots
 
 
-def find_fixed_points(
-    p: MapParams, extra_seeds: tuple[complex, ...] = ()
-) -> list[FixedPointRecord]:
+def find_fixed_points(p: MapParams) -> list[FixedPointRecord]:
     """All fixed points found by multi-start Newton (every seed at once, see
     _newton_lanes), deduplicated in seed order and classified.
 
     Seeds: a 24x24 polar grid over the disk |z| <= 2^{1/(2a-1)} (which contains
-    every fixed point of locus parameters) capped at NEWTON_BOUND, the two
-    quadratic-case roots of z^2 - z + c, and any extra_seeds.  At c = 0 the
-    branch point is listed as exactly 0 in place of any root within _DEDUP
-    of it, and classified from Df(0) = 0 (attracting: |f(z)| = |z|^{2a}).
+    every fixed point of locus parameters) capped at NEWTON_BOUND and the two
+    quadratic-case roots of z^2 - z + c.  At c = 0 the branch point is listed
+    as exactly 0 in place of any root within _DEDUP of it, and classified
+    from Df(0) = 0 (attracting: |f(z)| = |z|^{2a}).
     Emits ConvergenceWarning if some seeds stall without converging or
     diverging.
     """
     require_alpha(p.alpha, strict=True)
-    lanes, converged, stalled = _newton_lanes(p, _census_seeds(p, extra_seeds))
+    lanes, converged, stalled = _newton_lanes(p, _census_seeds(p))
     roots = _distinct_roots(lanes[converged])
     if p.c == 0:  # the branch point is fixed exactly; Newton only comes near it
         roots = [0j] + [z for z in roots if abs(z) > _DEDUP]
@@ -514,7 +506,7 @@ def injectivity_probe(alpha: float, n_pairs: int, rng_seed: int) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):
         p1 = z1 - np.abs(z1) ** (2.0 * alpha - 2.0) * z1 * z1
         p2 = z2 - np.abs(z2) ** (2.0 * alpha - 2.0) * z2 * z2
-        scale = np.maximum(1.0, np.maximum(_param_jacobian_norm(alpha, z1), _param_jacobian_norm(alpha, z2)))
+        scale = np.maximum(1.0, np.maximum(_dp_norm(alpha, z1), _dp_norm(alpha, z2)))
     # an infinite image or scale would make every pair look like a collision
     if not (np.isfinite(p1).all() and np.isfinite(p2).all() and np.isfinite(scale).all()):
         raise DomainError(
@@ -523,8 +515,8 @@ def injectivity_probe(alpha: float, n_pairs: int, rng_seed: int) -> bool:
     return not np.any(np.abs(p1 - p2) <= 1e-12 * scale)
 
 
-def _param_jacobian_norm(alpha: float, z: np.ndarray) -> np.ndarray:
-    """Frobenius norm of param_jacobian at each z: I - Df is v -> (1 - f_z) v - f_zbar conj(v),
+def _dp_norm(alpha: float, z: np.ndarray) -> np.ndarray:
+    """Frobenius norm of Dp = I - Df at each z: I - Df is v -> (1 - f_z) v - f_zbar conj(v),
     whose real matrix has norm sqrt(2) hypot(|1 - f_z|, |f_zbar|) (no squares to overflow)."""
     mod = np.abs(z)
     s = mod ** (2.0 * alpha - 1.0)

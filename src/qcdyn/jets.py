@@ -1,7 +1,7 @@
 """Degree-3 truncated jets in (z, w = zbar) and the Hopf normal-form number.
 
-A jet stores the coefficients of sum_{j+k<=3} c_{jk} z^j w^k.  Composition,
-conjugation and chopping close over this space, which is enough to normalise
+A Jet3 holds the degree-3 truncation sum_{j+k<=3} c_{jk} z^j w^k of a germ;
+composition truncates back into this space, which is enough to normalise
 the 3-jet of the map at a fixed point with unit-circle eigenvalues
 
     F(z) = u z + b2 z^2 w + (removable terms) + O(|z|^4)
@@ -33,8 +33,6 @@ from .render import write_csv
 __all__ = [
     "Jet3",
     "jet_of_map",
-    "chop_jet3",
-    "conj_jet",
     "compose_jets",
     "coord_change1",
     "normal_form3",
@@ -48,7 +46,6 @@ TOL_RES = 1e-3  # exclusion radius (in angle) around 1st..4th roots of unity
 
 # a jet's 16 coefficients sit row-major in a flat list: c[j, k] at 4 j + k
 _LOW = tuple(4 * j + k for j in range(DEG + 1) for k in range(DEG + 1 - j))  # j + k <= DEG
-_HIGH = tuple(i for i in range(16) if i not in _LOW)
 _TRANSPOSE = tuple(4 * k + j for j in range(4) for k in range(4))  # c[j, k] <- c[k, j]
 _ONE = (1 + 0j,) + (0j,) * 15
 
@@ -79,8 +76,9 @@ class Jet3:
     """Coefficients c[j, k] of z^j w^k for j + k <= 3 (4x4, rest zero).
 
     A jet keeps its 16 coefficients as Python complex numbers and never
-    changes them.  Jet3(coeff) takes a 4x4 array or nested sequence and
-    checks its shape; jet[j, k] reads one coefficient as a complex, and
+    changes them.  Jet3(coeff) takes a 4x4 array or nested sequence, checks
+    its shape and keeps its degree-3 truncation: the coefficients with
+    j + k > 3 read 0j.  jet[j, k] reads one coefficient as a complex, and
     jet.coeff gives all of them as a read-only 4x4 complex128 array, built
     on each read.  The functions of this module build their jets from
     coefficients they computed themselves, without that check.
@@ -92,7 +90,8 @@ class Jet3:
         c = np.asarray(coeff, dtype=np.complex128)
         if c.shape != (4, 4):
             raise ContractError("jet coefficients must form a 4x4 array")
-        self._c = c.ravel().tolist()
+        flat = c.ravel().tolist()
+        self._c = [flat[i] if i in _LOW else 0j for i in range(16)]
 
     @classmethod
     def _of(cls, flat: list[complex]) -> "Jet3":
@@ -143,7 +142,7 @@ def _mul(a: list[complex], b: list[complex]) -> list[complex]:
 
 
 def _conj(c: list[complex]) -> list[complex]:
-    """conj_jet on flat coefficient lists."""
+    """Conjugate every coefficient and swap z with w, on flat coefficient lists."""
     return [c[i].conjugate() for i in _TRANSPOSE]
 
 
@@ -187,21 +186,8 @@ def jet_of_map(alpha: float, z0: complex) -> Jet3:
     return Jet3._of(c)
 
 
-def chop_jet3(raw: Jet3 | np.ndarray) -> Jet3:
-    """Truncate a Jet3 or a 4x4 coefficient array to degree 3 (a new jet)."""
-    c = list((raw if isinstance(raw, Jet3) else Jet3(raw))._c)
-    for i in _HIGH:
-        c[i] = 0j
-    return Jet3._of(c)
-
-
-def conj_jet(jet: Jet3) -> Jet3:
-    """Conjugate every coefficient and swap z with w; an involution."""
-    return Jet3._of(_conj(jet._c))
-
-
 def compose_jets(outer: Jet3, inner: Jet3) -> Jet3:
-    """Substitute inner for z and conj_jet(inner) for w in outer, then chop.
+    """Substitute inner for z and its conjugate for w in outer, truncated to degree 3.
 
     The inner jet must have zero constant term, otherwise the truncation
     would not commute with substitution.
@@ -219,7 +205,7 @@ def compose_jets(outer: Jet3, inner: Jet3) -> Jet3:
         term = base
         for k in range(4 - j):
             if k:
-                term = _mul(term, cc)  # inner^j conj_jet(inner)^k, truncated
+                term = _mul(term, cc)  # inner^j conj(inner)^k, truncated
             c = oc[4 * j + k]
             if c != 0:
                 out = [o + c * t for o, t in zip(out, term)]
@@ -285,51 +271,34 @@ def _check_nonresonant(u: complex) -> None:
         )
 
 
-def _normal_form3_full(jet: Jet3) -> tuple[complex, tuple[complex, complex, complex], complex, Jet3]:
-    """Resolve the degree-3 normal form; returns (u, (a1,a2,a3), b2, reduced jet).
+def normal_form3(jet: Jet3) -> complex:
+    """Normal-form cubic coefficient ratio b2 / u of the jet.
 
-    With the linear part reduced to u z the homological operator is diagonal
-    on z^j w^k (Kuznetsov, Elements of Applied Bifurcation Theory, 4.7):
-    (a1, a2, a3) = (a_20, a_11, a_02) with a_jk = 4 g_jk / (u^j ubar^k - u),
-    g = rjet and the 4 from L1's 2z.  The denominators vanish only at u in
-    {0, 1} or at u^3 = 1 with |u| = 1, which _check_nonresonant rejects.
+    The jet is first reduced by coord_change1 to rjet, whose linear part is
+    u z; u must stay clear of 1st..4th roots of unity (ResonanceError
+    otherwise).  The homological operator is then diagonal on z^j w^k
+    (Kuznetsov, Elements of Applied Bifurcation Theory, 4.7), so the
+    conjugation L1 = 2z + a1 z^2 + a2 zw + a3 w^2 removing the quadratic
+    terms has a_jk = 4 g_jk / (u^j ubar^k - u), g = rjet and the 4 from L1's
+    2z: one division each.  The denominators vanish only at u in {0, 1} or
+    at u^3 = 1 with |u| = 1, which _check_nonresonant rejects.
 
     b2 is half the z^2 w coefficient of the mismatch rjet o L1 - L1 o N with
     N = u z + b2 z^2 w, taken at b2 = 0.  There N is linear, so
     L1 o N = 2u z + a1 u^2 z^2 + a2 |u|^2 z w + a3 ubar^2 w^2 has no z^2 w
     term.  compose_jets only adds onto zeros, so that coefficient is an
     exact +0, and x - 0 is x bit for bit (signed zeros too).
-    So b2 is read off rjet o L1 alone, one compose_jets call.  The jet is
-    not chopped first: nothing here reads a coefficient above degree 3.
+    So b2 is read off rjet o L1 alone, one compose_jets call.
     """
     rjet = coord_change1(jet)
     u = rjet[1, 0]
     _check_nonresonant(u)
     ub = u.conjugate()
-    avec = (
-        4.0 * rjet[2, 0] / (u * u - u),
-        4.0 * rjet[1, 1] / (u * ub - u),
-        4.0 * rjet[0, 2] / (ub * ub - u),
-    )
-    a1, a2, a3 = avec
+    a1 = 4.0 * rjet[2, 0] / (u * u - u)
+    a2 = 4.0 * rjet[1, 1] / (u * ub - u)
+    a3 = 4.0 * rjet[0, 2] / (ub * ub - u)
     l1 = Jet3.from_terms({(1, 0): 2.0, (2, 0): a1, (1, 1): a2, (0, 2): a3})
-    b2 = compose_jets(rjet, l1)[2, 1] / 2.0
-    return u, avec, b2, rjet
-
-
-def normal_form3(jet: Jet3) -> complex:
-    """Normal-form cubic coefficient ratio b2 / u of the jet.
-
-    The jet is first reduced by coord_change1; the eigenvalue u must stay
-    clear of 1st..4th roots of unity (ResonanceError otherwise).  Quadratic
-    terms are removed by a conjugation L1 = 2z + a1 z^2 + a2 zw + a3 w^2 with
-    a_jk = 4 g_jk / (u^j ubar^k - u), one division each since no denominator
-    vanishes on a nonresonant u.  b2 is half the z^2 w coefficient of
-    rjet o L1: the mismatch's other term, L1 o (u z), has degree 2 and no
-    z^2 w term.
-    """
-    u, _, b2, _ = _normal_form3_full(jet)
-    return b2 / u
+    return compose_jets(rjet, l1)[2, 1] / 2.0 / u
 
 
 def _delta_point(alpha: float, theta: float) -> complex:

@@ -12,8 +12,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, NoConvergence
 
 __all__ = [
@@ -109,12 +107,6 @@ class WirtingerPair:
         s = math.sqrt(-disc)
         return complex(fz.real, s), complex(fz.real, -s)
 
-    @property
-    def m(self) -> np.ndarray:
-        """The real 2x2 matrix acting on (x, y) tangent vectors."""
-        a, b = self.fz, self.fzbar
-        return np.array([[a.real + b.real, b.imag - a.imag], [a.imag + b.imag, a.real - b.real]])
-
     def __matmul__(self, inner: WirtingerPair) -> WirtingerPair:
         """The composite map v -> self(inner(v)) (chain rule)."""
         a1, b1 = inner.fz, inner.fzbar
@@ -200,7 +192,7 @@ def wirtinger(p: MapParams, z: complex) -> WirtingerPair:
     return WirtingerPair((p.alpha + 1.0) * m * u, (p.alpha - 1.0) * m * (u * u * u))
 
 
-# one body: the pair is the derivative; its .m is the real 2x2 matrix
+# one body: the pair is the derivative
 jacobian = wirtinger
 
 

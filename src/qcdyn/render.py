@@ -58,6 +58,8 @@ from .errors import DomainError
 from .maps import MapParams, _radius_floor
 
 __all__ = [
+    "ESCAPE_ONLY",
+    "ATTRACTOR_DETECT",
     "PointClass",
     "CellResult",
     "GridSpec",

@@ -10,15 +10,15 @@ Kuznetsov's explicit Neimark-Sacker coefficient c1, not from the library's
 homological conjugation.  coord_change1's binomial sum is checked against
 the jet composition it replaced, kept here verbatim, and normal_form3's b2
 against the full homological mismatch rjet o L1 - L1 o N it was read off,
-also kept here verbatim.  The census's
-lane-parallel Newton
-is checked bit for bit against the scalar per-seed loop it replaced, kept
-here over the scalar apply_map, jacobian and WirtingerPair.newton_step.
+also kept here verbatim, at the intermediate values normal_form3_parts
+recomputes.  The census's lane-parallel Newton is checked bit for bit
+against the scalar per-seed loop it replaced, kept here over the scalar
+apply_map, jacobian and WirtingerPair.newton_step.
 The raster's attractor period search and its cell CSV writer are checked
 against the versions they replaced, kept here verbatim.
-The small helpers at the end (jet evaluation, polyline diameter, pixel
-diagonal, one raster cell) serve only the tests, so they live here rather
-than in the library.
+The small helpers at the end (the real 2x2 matrix of a Wirtinger pair, jet
+evaluation, polyline diameter, pixel diagonal, one raster cell) serve only
+the tests, so they live here rather than in the library.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from qcdyn.fixed_points import (
     _record,
     param_for_fixed_point,
 )
-from qcdyn.jets import Jet3, chop_jet3, compose_jets
+from qcdyn.jets import Jet3, _check_nonresonant, compose_jets, coord_change1
 from qcdyn.maps import MapParams, WirtingerPair, _radius_floor, apply_map, jacobian, require_alpha
 from qcdyn.render import CellResult, GridSpec, PointClass, Raster
 
@@ -124,7 +124,7 @@ def matrix_newton_fixed_point(p: MapParams, z0: complex) -> tuple[complex | None
         if z == 0:
             a = -np.eye(2)  # derivative of f - id at the branch point
         else:
-            a = jacobian(p, z).m - np.eye(2)
+            a = real_matrix(jacobian(p, z)) - np.eye(2)
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
         if abs(det) < 1e-300:
             return None, False
@@ -158,7 +158,8 @@ def scalar_newton_fixed_point(p: MapParams, z0: complex) -> tuple[complex | None
 
 
 def scalar_census_seeds(p: MapParams, extra_seeds=()) -> list[complex]:
-    """The census's Newton starts, built one Python complex at a time."""
+    """The census's Newton starts, built one Python complex at a time, then
+    extra_seeds (the tests add these to the library's seeds as well)."""
     radius = min(_radius_floor(p.alpha), NEWTON_BOUND)
     seeds: list[complex] = []
     for k in range(24):
@@ -371,7 +372,7 @@ def coord_change1_reference(jet: Jet3) -> Jet3:
     lin = Jet3.from_terms({(1, 0): croot, (0, 1): 1.0})
     h = compose_jets(jet, lin).coeff
     cbar = croot.conjugate()
-    return chop_jet3((h * cbar - np.conj(h).T) * (1.0 / (croot * cbar - 1.0)))
+    return Jet3((h * cbar - np.conj(h).T) * (1.0 / (croot * cbar - 1.0)))
 
 
 def _quad_cubic_residual(
@@ -387,6 +388,24 @@ def _quad_cubic_residual(
     l1 = Jet3.from_terms({(1, 0): 2.0, (2, 0): a1, (1, 1): a2, (0, 2): a3})
     normal = Jet3.from_terms({(1, 0): u, (2, 1): b2})
     return Jet3(compose_jets(rjet, l1).coeff - compose_jets(l1, normal).coeff)
+
+
+def normal_form3_parts(jet: Jet3) -> tuple[complex, tuple[complex, complex, complex], complex, Jet3]:
+    """(u, (a1, a2, a3), b2, rjet): the intermediate values of normal_form3,
+    recomputed step by step in its order, so that normal_form3(jet) is b2 / u
+    bit for bit.  Raises ResonanceError where normal_form3 does."""
+    rjet = coord_change1(jet)
+    u = rjet[1, 0]
+    _check_nonresonant(u)
+    ub = u.conjugate()
+    avec = (
+        4.0 * rjet[2, 0] / (u * u - u),
+        4.0 * rjet[1, 1] / (u * ub - u),
+        4.0 * rjet[0, 2] / (ub * ub - u),
+    )
+    a1, a2, a3 = avec
+    l1 = Jet3.from_terms({(1, 0): 2.0, (2, 0): a1, (1, 1): a2, (0, 2): a3})
+    return u, avec, compose_jets(rjet, l1)[2, 1] / 2.0, rjet
 
 
 def kuznetsov_hopf_number(alpha: float, theta: float) -> float:
@@ -587,6 +606,12 @@ def write_cells_csv_reference(raster, fh) -> None:
         tail = f"{y!r},"
         cells = zip(cols, raster.status[j].tolist(), raster.value[j].tolist())
         fh.write("".join(f"{head}{j}{mid}{tail}{names[st]},{val}\n" for (head, mid), st, val in cells))
+
+
+def real_matrix(pair: WirtingerPair) -> np.ndarray:
+    """The real 2x2 matrix of v -> fz v + fzbar conj(v) on (x, y) tangent vectors."""
+    a, b = pair.fz, pair.fzbar
+    return np.array([[a.real + b.real, b.imag - a.imag], [a.imag + b.imag, a.real - b.real]])
 
 
 def jet_identity() -> Jet3:

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import brute_force_fixed_points, census_signature, fd_jacobian, fd_jet, pixel_diag
+from oracles import brute_force_fixed_points, census_signature, fd_jacobian, fd_jet, pixel_diag, real_matrix
 from qcdyn.errors import EigenvalueError, ResonanceError
 from qcdyn.fixed_points import (
     DELTA,
@@ -106,7 +106,8 @@ def test_criterion_2_jet_and_jacobian_oracles():
 
         exact_j = jacobian(p, z)
         approx_j = fd_jacobian(p, z)
-        rel = np.linalg.norm(approx_j - exact_j.m) / np.linalg.norm(exact_j.m)
+        exact_m = real_matrix(exact_j)
+        rel = np.linalg.norm(approx_j - exact_m) / np.linalg.norm(exact_m)
         if not rel < 1e-6:
             failures.append(("jacobian", alpha, z, rel))
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import qcdyn
 from qcdyn.cli import main
+from qcdyn.jets import hopf_number, hopf_sweep
 
 
 def run_cli(args):
@@ -218,6 +219,24 @@ class TestHopfCommand:
         vals = [float(r["hopf_number"]) for r in rows if r["status"] == "ok"]
         assert len(vals) >= 32
         assert min(vals) > 41.0
+
+    def test_single_theta_prints_every_alpha(self, capsys):
+        code = run_cli(["hopf", "--alpha", "0.75,1.5", "--theta", "2.0"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"alpha={a} theta=2.0 hopf={hopf_number(a, 2.0)!r}" for a in (0.75, 1.5)]
+
+    def test_single_theta_with_an_excluded_alpha_fails(self, tmp_path, capsys):
+        # at this theta the multiplier angle is resonant at alpha 1.5 only
+        out = tmp_path / "h.csv"
+        theta = "2.4692918257215775"
+        assert [row[4] for row in hopf_sweep([0.75, 1.5], [float(theta)])] == ["ok", "resonance"]
+        code = run_cli(["hopf", "--alpha", "0.75,1.5", "--theta", theta, "-o", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"alpha=1.5 theta={theta}: resonance\n"
+        assert not out.exists()
 
     def test_resonant_single_theta_fails(self, capsys):
         code = run_cli(["hopf", "--alpha", "0.75", "--theta", "0.0"])

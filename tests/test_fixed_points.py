@@ -18,6 +18,7 @@ from oracles import (
     distinct_roots_in_seed_order,
     label_minimum_positions,
     polyline_diameter,
+    real_matrix,
     residual_grid,
     scalar_census,
     scalar_census_seeds,
@@ -39,12 +40,11 @@ from qcdyn.fixed_points import (
     gamma_plus,
     injectivity_probe,
     param_for_fixed_point,
-    param_jacobian,
     saddle_node_parameter,
     trace_curve,
     trace_curve_image,
 )
-from qcdyn.fixed_points import _census_seeds, _distinct_roots, _newton_lanes, _param_jacobian_norm
+from qcdyn.fixed_points import _census_seeds, _distinct_roots, _dp_norm, _newton_lanes
 from qcdyn.maps import MapParams, apply_map, jacobian
 
 RNG = np.random.default_rng(11)
@@ -388,15 +388,21 @@ _LANE_CASES += [(14.0, 4.63e5 - apply_map(MapParams(14.0, 0), 4.63e5))]
 _EXTRA_SEEDS = (0, complex(0.9, -0.0), complex(-0.8, -0.0), complex(-0.0, 0.7), 4.63e5, 1e7, complex("nan"))
 
 
+def _seeds_with_extras(p: MapParams) -> np.ndarray:
+    """The census's seeds, then _EXTRA_SEEDS."""
+    return np.concatenate((_census_seeds(p), np.array(_EXTRA_SEEDS, dtype=np.complex128)))
+
+
 def _bits(z: complex) -> bytes:
     return np.array([z], dtype=np.complex128).tobytes()
 
 
 def _assert_census_matches_scalar(p: MapParams, extra_seeds=()) -> None:
-    """find_fixed_points gives the scalar census's records and stall warning."""
+    """find_fixed_points gives the scalar census's records and stall warning;
+    extra_seeds are the seeds a test has appended to fixed_points._census_seeds."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        records = find_fixed_points(p, extra_seeds)
+        records = find_fixed_points(p)
     want, stalled = scalar_census(p, extra_seeds)
     assert records == want
     stall_msgs = [str(w.message) for w in caught if w.category is ConvergenceWarning]
@@ -429,8 +435,8 @@ class TestLaneNewton:
     @pytest.mark.parametrize("alpha,c", _LANE_CASES)
     def test_seed_by_seed_identity(self, alpha, c):
         p = MapParams(alpha, c)
-        seeds = _census_seeds(p, _EXTRA_SEEDS)
-        assert seeds.tobytes() == np.array(scalar_census_seeds(p, _EXTRA_SEEDS), dtype=np.complex128).tobytes()
+        assert _census_seeds(p).tobytes() == np.array(scalar_census_seeds(p), dtype=np.complex128).tobytes()
+        seeds = _seeds_with_extras(p)
         roots, converged, stalled = _newton_lanes(p, seeds)
         ref = [scalar_newton_fixed_point(p, s) for s in seeds.tolist()]
         for k, (z, _) in enumerate(ref):
@@ -446,7 +452,8 @@ class TestLaneNewton:
         assert _newton_lanes(p, seeds[failed])[2] == 0
 
     @pytest.mark.parametrize("alpha,c", _LANE_CASES[::3])
-    def test_records_match_scalar_census(self, alpha, c):
+    def test_records_match_scalar_census(self, alpha, c, monkeypatch):
+        monkeypatch.setattr(fixed_points, "_census_seeds", _seeds_with_extras)
         _assert_census_matches_scalar(MapParams(alpha, c), _EXTRA_SEEDS)
 
     @pytest.mark.parametrize("seed", [3, 5, 7, 11])
@@ -468,7 +475,7 @@ class TestLaneNewton:
         # no scalar finish (only the exceptional lanes reach the scalar step),
         # the shipped handover, and the scalar step only
         p = MapParams(alpha, c)
-        seeds = _census_seeds(p, _EXTRA_SEEDS)
+        seeds = _seeds_with_extras(p)
         runs = []
         for lanes in (0, fixed_points._SCALAR_LANES, seeds.size):
             monkeypatch.setattr(fixed_points, "_SCALAR_LANES", lanes)
@@ -547,8 +554,8 @@ class TestParamJacobianNorm:
         z = complex(x, y)
         if abs(z) < 1e-6:
             z = complex(1e-6, y)
-        want = np.linalg.norm(param_jacobian(alpha, z))
-        got = _param_jacobian_norm(alpha, np.array([z]))[0]
+        want = np.linalg.norm(np.eye(2) - real_matrix(jacobian(MapParams(alpha, 0), z)))
+        got = _dp_norm(alpha, np.array([z]))[0]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 

@@ -20,13 +20,12 @@ from oracles import (
     fd_jet,
     jet_identity,
     kuznetsov_hopf_number,
+    normal_form3_parts,
 )
 from qcdyn.errors import ContractError, DomainError, ResonanceError
 from qcdyn.jets import (
     Jet3,
-    chop_jet3,
     compose_jets,
-    conj_jet,
     coord_change1,
     hopf_number,
     hopf_sweep,
@@ -35,7 +34,7 @@ from qcdyn.jets import (
     write_sweep_csv,
 )
 import qcdyn.jets
-from qcdyn.jets import _delta_point, _normal_form3_full
+from qcdyn.jets import _delta_point
 from qcdyn.maps import MapParams, wirtinger
 
 RNG = np.random.default_rng(5)
@@ -142,32 +141,12 @@ class TestJetOfMap:
 
 
 class TestAlgebra:
-    @given(jets_st(zero_const=False))
-    @settings(max_examples=50, deadline=None)
-    def test_chop_idempotent(self, jet):
-        assert np.array_equal(chop_jet3(chop_jet3(jet)).coeff, chop_jet3(jet).coeff)
-
     def test_chop_truncates_a_jet3(self):
+        # Jet3 keeps the degree-3 truncation of what it is given
         c = np.arange(1, 17, dtype=np.complex128).reshape(4, 4)
-        assert np.array_equal(chop_jet3(Jet3(c)).coeff, chop_jet3(c).coeff)
-        assert chop_jet3(Jet3(c))[2, 2] == 0 and chop_jet3(Jet3(c))[1, 2] == c[1, 2]
-
-    def test_chop_zero(self):
-        assert np.all(chop_jet3(np.zeros((4, 4))).coeff == 0)
-
-    def test_conj_swaps_indices(self):
-        jet = Jet3.from_terms({(0, 2): 1 + 2j, (2, 1): 3 - 1j})
-        out = conj_jet(jet)
-        assert out[2, 0] == 1 - 2j and out[1, 2] == 3 + 1j
-
-    @given(jets_st(zero_const=False))
-    @settings(max_examples=50, deadline=None)
-    def test_conj_involution(self, jet):
-        assert np.array_equal(conj_jet(conj_jet(jet)).coeff, jet.coeff)
-
-    def test_real_symmetric_jet_invariant(self):
-        jet = Jet3.from_terms({(1, 0): 1.5, (0, 1): 1.5, (2, 1): -0.25, (1, 2): -0.25})
-        assert np.array_equal(conj_jet(jet).coeff, jet.coeff)
+        assert np.array_equal(Jet3(Jet3(c).coeff).coeff, Jet3(c).coeff)
+        assert Jet3(c)[2, 2] == 0 and Jet3(c)[1, 2] == c[1, 2]
+        assert Jet3(np.arange(16).reshape(4, 4))[2, 2] == 0
 
     def test_compose_linear(self):
         lam, mu = 1.3 - 0.4j, -0.2 + 0.9j
@@ -209,6 +188,57 @@ class TestAlgebra:
         for d in (0.01, 0.01j, 0.007 - 0.004j):
             direct = apply_map(p0, 0.9 + 0.2j + d) - apply_map(p0, 0.9 + 0.2j)
             assert abs(evaluate_jet(jet, d) - direct) < 1e-7
+
+
+# the six coefficients of a 4x4 array that a Jet3 drops, and values for them
+_ABOVE_DEGREE_3 = [(j, k) for j in range(4) for k in range(4) if j + k > 3]
+high_st = st.lists(coeff_st, min_size=6, max_size=6)
+
+
+def _full(jet: Jet3, high) -> np.ndarray:
+    """The jet's 4x4 coefficients with the entries above degree 3 set to high."""
+    c = jet.coeff.copy()
+    for jk, v in zip(_ABOVE_DEGREE_3, high):
+        c[jk] = v
+    return c
+
+
+def _outcome(f, *jets):
+    """The bits of f's result (a Jet3's coefficients or a complex), or the
+    type and message of what it raised."""
+    try:
+        out = f(*jets)
+    except ResonanceError as exc:
+        return type(exc), str(exc)
+    return out.coeff.tobytes() if isinstance(out, Jet3) else _bits(out)
+
+
+class TestJet3Invariant:
+    @given(st.lists(st.builds(complex, st.floats(), st.floats()), min_size=16, max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_reads_zero_above_degree_3(self, flat):
+        c = np.array(flat, dtype=np.complex128).reshape(4, 4)
+        jet = Jet3(c)
+        for j in range(4):
+            for k in range(4):
+                assert _bits(jet[j, k]) == _bits(c[j, k] if j + k <= 3 else 0j)
+
+    @given(coord_change_domain_jets_st, jets_st(), high_st, high_st)
+    @settings(max_examples=150, deadline=None)
+    def test_full_array_gives_the_bits_of_its_truncation(self, jet, inner, high, high_inner):
+        # a full 4x4 array and its truncation make the same jet, and
+        # coord_change1, compose_jets and normal_form3 give the same bits on both
+        full, full_inner = Jet3(_full(jet, high)), Jet3(_full(inner, high_inner))
+        assert full.coeff.tobytes() == jet.coeff.tobytes()
+        assert _outcome(coord_change1, full) == _outcome(coord_change1, jet)
+        assert _outcome(compose_jets, full, full_inner) == _outcome(compose_jets, jet, inner)
+        assert _outcome(normal_form3, full) == _outcome(normal_form3, jet)
+
+    def test_untouched_jet_drops_terms_above_degree_3(self):
+        # coord_change1 passes a jet with |b| < 1e-14 through as it is
+        jet = Jet3.from_terms({(1, 0): 1j, (3, 0): 2.0})
+        full = Jet3(_full(jet, [1.0 + 1j] * 6))
+        assert coord_change1(full).coeff.tobytes() == jet.coeff.tobytes()
 
 
 def bench_hopf_points(seed: int) -> list[tuple[float, float]]:
@@ -301,7 +331,7 @@ def _assert_b2_matches_mismatch(jet: Jet3) -> bool:
     mismatch rjet o L1 - L1 o N at b2 = 0 (signed zeros count); False where
     the jet is resonant."""
     try:
-        u, avec, _, rjet = _normal_form3_full(jet)
+        u, avec, _, rjet = normal_form3_parts(jet)
     except ResonanceError:
         return False
     want = _quad_cubic_residual(rjet, u, avec, 0.0)[2, 1] / 2.0 / u
@@ -321,7 +351,7 @@ class TestNormalForm:
         for _ in range(40):
             jet = random_conjugate_pair_jet()
             try:
-                u, avec, b2, rjet = _normal_form3_full(jet)
+                u, avec, b2, rjet = normal_form3_parts(jet)
             except ResonanceError:
                 continue
             big = _quad_cubic_residual(rjet, u, avec, b2)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import scalar_census_seeds, scalar_newton_fixed_point
+from oracles import real_matrix, scalar_census_seeds, scalar_newton_fixed_point
 from qcdyn.errors import BranchDegenerate, DomainError, NoConvergence
 from qcdyn.fixed_points import Polyline, find_fixed_points
 from qcdyn.maps import MapParams, apply_map, jacobian
@@ -146,7 +146,7 @@ class TestPeriodicOrbit:
             assert abs(apply_map(p, a) - b) < 1e-9, (p, q, orb)
         m = np.eye(2)
         for z in orb.points:
-            m = jacobian(p, z).m @ m
+            m = real_matrix(jacobian(p, z)) @ m
         (g0, g1), (r0, r1) = orb.multipliers, np.linalg.eigvals(m)
         err = min(abs(g0 - r0) + abs(g1 - r1), abs(g0 - r1) + abs(g1 - r0))
         assert err < 1e-9 * max(1.0, float(np.abs(m).max())), (p, q, orb)
