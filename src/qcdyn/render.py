@@ -10,12 +10,14 @@ Inside a block the kernel iterates all live lanes at once.  A lane that
 escapes is recorded, parked (its z set to NaN) and dropped from the arrays
 in batches rather than on every step; the attractor window holds one
 contiguous row per step and keeps only the last MAX_PERIOD + CYCLE_RUNS
-rows, the ones the period search reads.  In escape mode a lane whose z
-repeats exactly after LOCK_EVERY steps is retired the same way: its orbit
-is an exact floating-point cycle, so it can neither escape later nor end on
-another modulus (attractor mode retires no lanes).  None of this changes a
-live lane's arithmetic, so a cell's result is the same in any block, at any
-thread count and as if every lane ran to the end.
+rows, the ones the period search reads.  A lane whose z repeats exactly
+after LOCK_EVERY steps is retired the same way: its orbit is an exact
+floating-point cycle, so it can never escape.  Escape mode retires such
+lanes at any checkpoint; attractor mode retires them before the window's
+first step, with the period the search finds on LOCK_EVERY replayed cycle
+states.  None of this changes a live lane's arithmetic, so a cell's result
+is the same in any block, at any thread count and as if every lane ran to
+the end.  A cell's result is its status (1 byte) and value (4 bytes).
 
 Every render runs on one schedule.  The lanes of all cells are built once,
 before step 0, as one lane record.  The steps run in epochs that end at step
@@ -82,8 +84,8 @@ MAX_PERIOD = 100
 CYCLE_RUNS = 3
 # the period search reads only the window's last MAX_PERIOD + CYCLE_RUNS rows
 WINDOW_ROWS = min(CYCLE_WINDOW, MAX_PERIOD + CYCLE_RUNS)
-# escape mode compares each lane with its state LOCK_EVERY steps earlier and
-# retires the lanes that repeat exactly
+# the kernel compares each lane with its state LOCK_EVERY steps earlier and
+# retires the lanes that repeat exactly (attractor mode only before the window)
 LOCK_EVERY = 12
 # lanes per block; from the window's first step on, an attractor block holds
 # at most WINDOW_LANES, so its window is at most 16384 x 103 x 16 B = 27.0 MB
@@ -108,11 +110,10 @@ class PointClass(IntEnum):
 
 @dataclass(frozen=True)
 class CellResult:
-    """Classification of one orbit: status, iteration count or period, |z| at the end."""
+    """Classification of one orbit: status, and iteration count or period."""
 
     status: PointClass
     value: int
-    final_modulus: float
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,6 @@ class Raster:
     grid: GridSpec
     status: np.ndarray
     value: np.ndarray
-    final_modulus: np.ndarray
     max_iter: int
 
 
@@ -255,52 +255,53 @@ def _iterate(
     lanes: _Lanes,
     max_iter: int,
     mode: str,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+    out: tuple[np.ndarray, np.ndarray],
     n: int = 0,
     stop: int | None = None,
 ) -> _Lanes | None:
     """Iterate lanes, which hold the state after n steps, up to step stop
     (default: the last step) and classify them.
 
-    Results go into out = (status, value, final_modulus), flat arrays indexed
-    by lanes.idx.  With stop before the last step, the lanes still live at
-    step stop are returned, compacted, before anything of that step is done
-    (None when none is); iterating them from n = stop gives every lane the
-    result it gets in one run.  The attractor window lives in one call, so
-    a call that starts before the window's first step may stop only at or
-    before it, or at the last step, and one that starts inside the window
-    runs to the last step.  Every lane goes through the same numpy
-    operations in the same order, so a cell's result does not depend on the
-    block it sits in.
+    Results go into out = (status, value), flat arrays indexed by lanes.idx.
+    With stop before the last step, the lanes still live at step stop are
+    returned, compacted, before anything of that step is done (None when
+    none is); iterating them from n = stop gives every lane the result it
+    gets in one run.  The attractor window lives in one call, so a call that
+    starts before the window's first step may stop only at or before it, or
+    at the last step, and one that starts inside the window runs to the last
+    step.  Every lane goes through the same numpy operations in the same
+    order, so a cell's result does not depend on the block it sits in.
 
     An escaped lane is parked: its z becomes NaN, which never exceeds the
     radius, raises no floating-point warning and so is never recorded again,
     and a gone mask marks it.  Parked lanes are compacted away once they
-    have wasted one full step's worth of lane-steps and at stop; the final
-    moduli and the period search skip the lanes parked since.  Of the
-    CYCLE_WINDOW steps after the warm-up the window keeps only the last
-    WINDOW_ROWS = MAX_PERIOD + CYCLE_RUNS, the rows the period search
-    compares.  It is stored (WINDOW_ROWS, lanes) so each step writes one
-    contiguous row.  The period search (_periods) prunes pair by pair: for
-    each q it tests the last aligned pair first, taking one row at a time
-    for the lanes still in the running, and tests the next pair only on the
-    lanes that passed, so most lanes cost one pair per q; a lane leaves the
-    search once its smallest period is found.
+    have wasted one full step's worth of lane-steps and at stop; the period
+    search skips the lanes parked since.  Of the CYCLE_WINDOW steps after
+    the warm-up the window keeps only the last WINDOW_ROWS = MAX_PERIOD +
+    CYCLE_RUNS, the rows the period search compares.  It is stored
+    (WINDOW_ROWS, lanes) so each step writes one contiguous row.  The period
+    search (_periods) prunes pair by pair: for each q it tests the last
+    aligned pair first, taking one row at a time for the lanes still in the
+    running, and tests the next pair only on the lanes that passed, so most
+    lanes cost one pair per q; a lane leaves the search once its smallest
+    period is found.
 
-    Escape mode also retires lanes that have closed into an exact cycle.
-    Checkpoints are the steps n < total with (total - n) % LOCK_EVERY == 0;
-    at each, after the escape test, a lane whose z equals (==) its z at the
-    previous checkpoint keeps BOUNDED with value 0, takes its current modulus
-    as its final modulus and is parked like an escaped lane.  This is exact: a
-    lane's whole state is z (its c and radius are fixed and the step acts
-    elementwise), so the orbit repeats with a period dividing LOCK_EVERY and
-    z at step total equals the current z; every state of the cycle has already
-    passed the escape test; == ignores only the sign of zero, which changes
-    no modulus, no comparison and no nonzero part; and NaN, of parked lanes
-    or of alpha = 1/2 overflow, never compares equal.  The cost is one
-    compare and one copy of z per LOCK_EVERY steps.  Attractor mode retires
-    no lanes, because its period search reads the window rows a retired
-    lane would skip.
+    Lanes that have closed into an exact cycle are retired.  Checkpoints are
+    the steps n with (total - n) % LOCK_EVERY == 0 before the last step, and
+    in attractor mode before the window's first step; at each, after the
+    escape test, a lane whose z equals (==) its z at the previous checkpoint
+    is parked like an escaped lane.  Its orbit repeats with a period dividing
+    LOCK_EVERY (a lane's whole state is z, as its c and radius are fixed and
+    the step acts elementwise), and every state of the cycle has already
+    passed the escape test, so it stays bounded to the end.  In escape mode
+    it keeps BOUNDED with value 0.  In attractor mode its window rows are
+    states of the cycle: _locked_periods replays its LOCK_EVERY states from
+    the current z and runs _periods on them, so it gets the period the
+    window would give.  This is exact: == ignores only the sign of zero,
+    which changes no modulus, no comparison, no difference's modulus and no
+    nonzero part; and NaN, of parked lanes or of alpha = 1/2 overflow, never
+    compares equal.  The cost is one compare and one copy of z per
+    LOCK_EVERY steps.  Lanes that first repeat inside the window stay in it.
 
     Overflow raises no warning, in the steps or in the period search: an
     orbit that overflows is on its way out, and a lane at |z| = inf exceeds
@@ -308,10 +309,11 @@ def _iterate(
     can give NaN instead, which never escapes; numpy still reports that as
     an invalid value (it happens at alpha = 1/2, whose radius is infinite).
     """
-    status, value, finalmod = out
+    status, value = out
     idx, z, carr, radius = lanes
     detect = mode == ATTRACTOR_DETECT
     total, start = _schedule(max_iter, mode)
+    lock_end = start if detect else total
     if stop is None:
         stop = total
 
@@ -322,7 +324,7 @@ def _iterate(
     u = np.empty(idx.size, dtype=np.complex128)
     gone = np.zeros(idx.size, dtype=bool)
     parked = waste = 0
-    ref = None  # escape mode: z at the previous checkpoint
+    ref = None  # z at the previous checkpoint
 
     with np.errstate(over="ignore"):
         while True:
@@ -338,8 +340,7 @@ def _iterate(
                     status[hit] = PointClass.ESCAPED
                     value[hit] = n
                 # past the escape budget the point merely leaves the disk; it
-                # stays BOUNDED but is dropped from further iteration
-                finalmod[hit] = mod[esc]
+                # stays BOUNDED but is dropped from further iteration.
                 # NaN never exceeds the radius, so a parked lane is never recorded again
                 z[esc] = np.nan
                 gone |= esc
@@ -358,15 +359,18 @@ def _iterate(
                     ref = ref[keep]
                 if idx.size == 0:
                     return None
-            if not detect and n < total and (total - n) % LOCK_EVERY == 0:
+            if n < lock_end and (total - n) % LOCK_EVERY == 0:
                 # a lane equal to its state LOCK_EVERY steps ago is on an exact
-                # cycle whose period divides LOCK_EVERY, and total - n is a
-                # multiple of it, so its final modulus is the current one; NaN
-                # (parked lanes) never compares equal
+                # cycle whose period divides LOCK_EVERY; NaN (parked lanes)
+                # never compares equal
                 if ref is not None:
                     same = np.equal(z, ref, out=flag)
                     if same.any():
-                        finalmod[idx[same]] = mod[same]
+                        if detect:
+                            locked = np.flatnonzero(same)
+                            c = carr[locked] if isinstance(carr, np.ndarray) else carr
+                            status[idx[locked]] = PointClass.ATTRACTED
+                            value[idx[locked]] = _locked_periods(z[locked], c, s, (start - n) % LOCK_EVERY)
                         z[same] = np.nan
                         gone |= same
                         parked += np.count_nonzero(same)
@@ -377,38 +381,71 @@ def _iterate(
                 window[n - start] = z
             if n == total:
                 break
-            # same evaluation order as apply_map: u = |z|^(a-1) z, f = u u + c.
-            # A lane at the branch point z = 0 has u = 0 and so lands on c, as in
-            # apply_map; only the infinite 0^(a-1) of a < 1 needs a clamp.
-            # 5e-324 is the smallest positive double, so only mod = 0 changes;
-            # its power is finite for every a - 1 >= -1/2, and finite times a
-            # zero z gives the same signed zeros as 1 did
-            if s < 0.0:
-                np.maximum(mod, 5e-324, out=mod)
-            if s == 0.0:
-                np.multiply(z, z, out=u)
-                z, u = u, z
-            else:
-                np.multiply(mod ** s, z, out=u)
-                np.multiply(u, u, out=z)
-            z += carr
+            z, u = _step(z, u, mod, s, carr)
             n += 1
 
-        # the lanes parked since the last compaction keep their results: a full
-        # compaction here would copy the whole window
-        live = np.flatnonzero(~gone)
-        finalmod[idx[live]] = mod[live]
         if detect and window is not None:
-            qfound = _periods(window, live)
+            # the lanes parked since the last compaction keep their results: a
+            # full compaction here would copy the whole window
+            qfound = _periods(window, np.flatnonzero(~gone))
             att = qfound > 0
             status[idx[att]] = PointClass.ATTRACTED
             value[idx[att]] = qfound[att]
     return None
 
 
-def _periods(window: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+def _step(
+    z: np.ndarray, u: np.ndarray, mod: np.ndarray, s: float, c: np.ndarray | complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of every lane, f(z) = (|z|^s z)^2 + c with s = alpha - 1,
+    given mod = |z|.  The result lands in z's or u's memory; returns it and
+    the other buffer, free for the next step.  mod may be clamped in place.
+
+    Same evaluation order as apply_map: u = |z|^(a-1) z, f = u u + c.  A lane
+    at the branch point z = 0 has u = 0 and so lands on c, as in apply_map;
+    only the infinite 0^(a-1) of a < 1 needs a clamp.  5e-324 is the smallest
+    positive double, so only mod = 0 changes; its power is finite for every
+    a - 1 >= -1/2, and finite times a zero z gives the same signed zeros as 1
+    did.
+    """
+    if s < 0.0:
+        np.maximum(mod, 5e-324, out=mod)
+    if s == 0.0:
+        np.multiply(z, z, out=u)
+        z, u = u, z
+    else:
+        np.multiply(mod ** s, z, out=u)
+        np.multiply(u, u, out=z)
+    z += c
+    return z, u
+
+
+def _locked_periods(z: np.ndarray, c: np.ndarray | complex, s: float, shift: int) -> np.ndarray:
+    """The periods the attractor window gives lanes on an exact cycle whose
+    period divides LOCK_EVERY, caught at a checkpoint shift steps (mod
+    LOCK_EVERY) before the window's first step.
+
+    The lanes are stepped LOCK_EVERY - 1 times with the kernel's own step,
+    and _periods reads window row r as state (shift + r) % LOCK_EVERY.  Row
+    pairs LOCK_EVERY apart hold the same state, so every lane gets a period
+    of at most LOCK_EVERY.
+    """
+    states = np.empty((LOCK_EVERY, z.size), dtype=np.complex128)
+    states[0] = z
+    z, u, mod = z.copy(), np.empty_like(z), np.empty(z.size)
+    for k in range(1, LOCK_EVERY):
+        np.abs(z, out=mod)
+        z, u = _step(z, u, mod, s, c)
+        states[k] = z
+    rows = (shift + np.arange(WINDOW_ROWS)) % LOCK_EVERY
+    return _periods(states, np.arange(z.size), rows)
+
+
+def _periods(window: np.ndarray, lanes: np.ndarray, rows: np.ndarray | range = range(WINDOW_ROWS)) -> np.ndarray:
     """The smallest period of each lane whose column of the attractor window
     is listed in lanes, or 0; one entry per window column (0 off lanes).
+    Window row r is window[rows[r]], so a short array of states can stand in
+    for the WINDOW_ROWS rows.
 
     A lane has period q when each of the window's last CYCLE_RUNS aligned
     pairs (row m, row m + q) differs by less than TOL_CYCLE in modulus.  For
@@ -426,7 +463,7 @@ def _periods(window: np.ndarray, lanes: np.ndarray) -> np.ndarray:
             break
         cand = pending
         for m in range(m0 + CYCLE_RUNS - 1, m0 - 1, -1):
-            cand = cand[np.abs(window[m + q].take(cand) - window[m].take(cand)) < TOL_CYCLE]
+            cand = cand[np.abs(window[rows[m + q]].take(cand) - window[rows[m]].take(cand)) < TOL_CYCLE]
             if cand.size == 0:
                 break
         else:
@@ -464,9 +501,9 @@ def classify_point(
     TOL_CYCLE.  Everything else is BOUNDED.
     """
     _check_run(max_iter, mode)
-    out = (np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int32), np.zeros(1))
+    out = (np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int32))
     _iterate(p.alpha, _start_lanes(p.alpha, p.c, z0, 1), max_iter, mode, out)
-    return CellResult(PointClass(int(out[0][0])), int(out[1][0]), float(out[2][0]))
+    return CellResult(PointClass(int(out[0][0])), int(out[1][0]))
 
 
 def _thread_count(threads: int | None) -> int:
@@ -507,7 +544,7 @@ def _render(
     """
     _check_run(max_iter, mode)
     size = grid.nx * grid.ny
-    out = (np.zeros(size, dtype=np.int8), np.zeros(size, dtype=np.int32), np.zeros(size))
+    out = (np.zeros(size, dtype=np.int8), np.zeros(size, dtype=np.int32))
     total, start = _schedule(max_iter, mode)
     workers = _thread_count(threads)
     stops = (POOL_STEP, start, total) if mode == ATTRACTOR_DETECT else (POOL_STEP, total)
@@ -532,8 +569,8 @@ def _render(
             live = _Lanes.pool(left)
             cap = WINDOW_LANES if stop == start else BLOCK_LANES
             n = stop
-    status, value, finalmod = (a.reshape(grid.ny, grid.nx) for a in out)
-    return Raster(grid, status, value, finalmod, max_iter)
+    status, value = (a.reshape(grid.ny, grid.nx) for a in out)
+    return Raster(grid, status, value, max_iter)
 
 
 def render_julia(

@@ -435,7 +435,8 @@ def kuznetsov_hopf_number(alpha: float, theta: float) -> float:
 
 
 def classify_reference(p: MapParams, z0: complex, max_iter: int, mode: str):
-    """Plain-Python re-implementation of the classification loop (same contract)."""
+    """Plain-Python re-implementation of the classification loop (same
+    contract): (status name, value)."""
     from qcdyn.render import ATTRACTOR_DETECT, CYCLE_RUNS, CYCLE_WINDOW, MAX_PERIOD, TOL_CYCLE
     from qcdyn.render import escape_radius
 
@@ -449,8 +450,8 @@ def classify_reference(p: MapParams, z0: complex, max_iter: int, mode: str):
     while True:
         if abs(z) > radius:
             if n <= max_iter:
-                return ("escaped", n, abs(z))
-            return ("bounded", 0, abs(z))
+                return ("escaped", n)
+            return ("bounded", 0)
         if detect and warmup <= n < warmup + CYCLE_WINDOW:
             window.append(z)
         if n == total:
@@ -463,8 +464,8 @@ def classify_reference(p: MapParams, z0: complex, max_iter: int, mode: str):
             if m0 < 0:
                 break
             if all(abs(window[m + q] - window[m]) < TOL_CYCLE for m in range(m0, m0 + CYCLE_RUNS)):
-                return ("attracted", q, abs(z))
-    return ("bounded", 0, abs(z))
+                return ("attracted", q)
+    return ("bounded", 0)
 
 
 def classify_block_reference(
@@ -473,12 +474,14 @@ def classify_block_reference(
     z0: np.ndarray,
     max_iter: int,
     mode: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The vectorised escape kernel as render._classify_block (now
-    render._iterate) first shipped it.
+    render._iterate) first shipped it, less the final modulus it returned
+    then: (status, value).
 
-    Kept verbatim (only the constants are imported) so the tuned kernel can be
-    checked for bit identity in status, value and final modulus.
+    Kept verbatim otherwise (only the constants are imported), and with no
+    retirement of any kind, so the tuned kernel can be checked for bit
+    identity in status and value.
     """
     from qcdyn.render import (
         ATTRACTOR_DETECT,
@@ -504,7 +507,6 @@ def classify_block_reference(
 
     status = np.zeros(n_pts, dtype=np.int8)
     value = np.zeros(n_pts, dtype=np.int32)
-    finalmod = np.zeros(n_pts, dtype=np.float64)
 
     detect = mode == ATTRACTOR_DETECT
     warmup = max(200, max_iter // 4)
@@ -525,7 +527,6 @@ def classify_block_reference(
                 value[hit] = n
             # past the escape budget the point merely leaves the disk; it
             # stays BOUNDED but is dropped from further iteration
-            finalmod[hit] = mod[esc]
             keep = ~esc
             idx, z, carr, radius = idx[keep], z[keep], carr[keep], radius[keep]
             if window is not None:
@@ -546,7 +547,6 @@ def classify_block_reference(
         n += 1
 
     if idx.size:
-        finalmod[idx] = np.abs(z)
         if detect and window is not None:
             qfound = np.zeros(idx.size, dtype=np.int32)
             for q in range(1, MAX_PERIOD + 1):
@@ -561,11 +561,7 @@ def classify_block_reference(
             status[idx[att]] = PointClass.ATTRACTED
             value[idx[att]] = qfound[att]
 
-    return (
-        status.reshape(z0.shape),
-        value.reshape(z0.shape),
-        finalmod.reshape(z0.shape),
-    )
+    return status.reshape(z0.shape), value.reshape(z0.shape)
 
 
 def period_search_reference(window: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -648,8 +644,4 @@ def pixel_diag(grid: GridSpec) -> float:
 
 def raster_cell(raster: Raster, i: int, j: int) -> CellResult:
     """The result of cell (i, j), column i and row j, of a raster."""
-    return CellResult(
-        PointClass(int(raster.status[j, i])),
-        int(raster.value[j, i]),
-        float(raster.final_modulus[j, i]),
-    )
+    return CellResult(PointClass(int(raster.status[j, i])), int(raster.value[j, i]))

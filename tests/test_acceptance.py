@@ -11,7 +11,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import pytest
 
 from oracles import brute_force_fixed_points, census_signature, fd_jacobian, fd_jet, pixel_diag, real_matrix
 from qcdyn.errors import EigenvalueError, ResonanceError
@@ -22,7 +21,6 @@ from qcdyn.fixed_points import (
     delta_circle,
     detect_cusps,
     find_fixed_points,
-    gamma_minus,
     gamma_plus,
     trace_curve,
     trace_curve_image,

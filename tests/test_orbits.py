@@ -13,7 +13,6 @@ from qcdyn.fixed_points import Polyline, find_fixed_points
 from qcdyn.maps import MapParams, apply_map, jacobian
 from qcdyn.orbits import (
     OrbitTrace,
-    PeriodicOrbit,
     critical_orbit,
     find_periodic_orbit,
     pullback_leaf,
