@@ -42,7 +42,6 @@ from .maps import (
     rho_expansion_ratio,
     scaling_identity_check,
     tip_parameter,
-    wirtinger,
 )
 from .orbits import (
     OrbitTrace,

@@ -1,9 +1,9 @@
 """Command-line front end: batch subcommands with deterministic file outputs.
 
-Exit codes: 0 success, 1 computation error (domain, resonance, convergence)
-or unwritable output, 2 usage error: a flag value its type rejects (see the
-flag types below; alpha goes through maps.require_alpha) or a hopf sweep
-without -o.
+Exit codes: 0 success, 1 computation error (domain, resonance, eigenvalue or
+no convergence) or unwritable output, 2 usage error: a flag value its type
+rejects (see the flag types below; alpha goes through maps.require_alpha) or
+a hopf sweep without -o.
 Complex-valued flags accept "re" or "re,im"; prefix negative values with '='
 (e.g. --c=-0.8,0.1).  QCDYN_THREADS caps render parallelism
 without changing any output byte.
@@ -20,24 +20,10 @@ from fractions import Fraction
 
 from . import fixed_points as fp
 from . import jets, orbits, render
-from .errors import (
-    BranchDegenerate,
-    ContractError,
-    DomainError,
-    EigenvalueError,
-    NoConvergence,
-    ResonanceError,
-)
+from .errors import DomainError, EigenvalueError, NoConvergence, ResonanceError
 from .maps import MapParams, require_alpha
 
-_COMPUTE_ERRORS = (
-    DomainError,
-    ResonanceError,
-    EigenvalueError,
-    ContractError,
-    BranchDegenerate,
-    NoConvergence,
-)
+_COMPUTE_ERRORS = (DomainError, ResonanceError, EigenvalueError, NoConvergence)
 
 
 def _finite_float(text: str) -> float:

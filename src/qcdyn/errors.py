@@ -13,14 +13,6 @@ class EigenvalueError(ArithmeticError):
     """The requested eigenvalue configuration does not exist."""
 
 
-class ContractError(ValueError):
-    """A structural precondition on an argument was violated."""
-
-
-class BranchDegenerate(ValueError):
-    """An inverse-branch pullback passed through the critical value."""
-
-
 class NoConvergence(RuntimeError):
     """Newton iteration failed to converge from the given seed."""
 

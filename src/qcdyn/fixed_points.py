@@ -174,9 +174,9 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Newton for f(z) = z from every seed at once, one numpy lane per seed.
 
     Each lane repeats the scalar iteration z <- z + (Df(z) - id)^{-1} (z - f(z))
-    of apply_map, wirtinger and WirtingerPair.newton_step bit for bit in the
+    of apply_map, jacobian and WirtingerPair.newton_step bit for bit in the
     finite case: a step takes one power, s = np.float_power(|z|, a - 1)
-    (Python's **), which gives both apply_map's prefactor and wirtinger's
+    (Python's **), which gives both apply_map's prefactor and jacobian's
     r^{2a-1} = |z| s^2; two moduli, |z| and |f(z) - z|, as np.hypot (Python's
     abs); det(Df - id) from products of parts, as newton_step takes it; and
     complex products and quotients written out in real and imaginary parts
@@ -219,7 +219,7 @@ def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarr
             fr = ur * ur - ui * ui + cr - x
             fi = ur * ui + ui * ur + ci - y
             fabs = np.hypot(fr, fi)
-            # wirtinger: s2 = |z| s^2, v = z / |z| (Smith's quotient by |z| + 0j),
+            # jacobian: s2 = |z| s^2, v = z / |z| (Smith's quotient by |z| + 0j),
             # fz = (a+1) s2 v, fzbar = (a-1) s2 v^3; newton_step takes a = fz - 1
             s2 = r * (s * s)
             vr = (x + zy) / r
@@ -288,7 +288,7 @@ def _scalar_newton(p: MapParams, z: complex, steps: int, q: int = 1) -> tuple[li
     A step gives up once |z| > NEWTON_BOUND or z is not finite, maps z
     forward q times, stops at a root once |f^q(z) - z| < _NEWTON_TOL, and
     else moves z by (D f^q(z) - id)^{-1} (z - f^q(z)), with D f^q chained
-    along the orbit by _chain (Df(0) = 0, see maps.wirtinger).  At q = 1
+    along the orbit by _chain (Df(0) = 0, see maps.jacobian).  At q = 1
     this is apply_map, the tolerance test, jacobian and newton_step, the
     operations the lanes reproduce bit for bit.  Returns (orbit, False) on
     convergence, orbit being the root's [z, f(z), ..., f^{q-1}(z)],

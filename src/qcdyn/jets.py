@@ -25,7 +25,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import ContractError, DomainError, EigenvalueError, ResonanceError
+from .errors import DomainError, EigenvalueError, ResonanceError
 from .fixed_points import delta_circle
 from .maps import require_alpha
 from .render import write_csv
@@ -89,7 +89,7 @@ class Jet3:
     def __init__(self, coeff):
         c = np.asarray(coeff, dtype=np.complex128)
         if c.shape != (4, 4):
-            raise ContractError("jet coefficients must form a 4x4 array")
+            raise DomainError("jet coefficients must form a 4x4 array")
         flat = c.ravel().tolist()
         self._c = [flat[i] if i in _LOW else 0j for i in range(16)]
 
@@ -111,7 +111,7 @@ class Jet3:
         c = [0j] * 16
         for (j, k), val in terms.items():
             if j < 0 or k < 0 or j + k > DEG:
-                raise ContractError(f"monomial z^{j} w^{k} outside the degree-3 jet")
+                raise DomainError(f"monomial z^{j} w^{k} outside the degree-3 jet")
             c[4 * j + k] = complex(val)
         return cls._of(c)
 
@@ -194,7 +194,7 @@ def compose_jets(outer: Jet3, inner: Jet3) -> Jet3:
     """
     ic = inner._c
     if ic[0] != 0:
-        raise ContractError("inner jet must have zero constant term")
+        raise DomainError("inner jet must have zero constant term")
     cc = _conj(ic)
     oc = outer._c
     out = [0j] * 16

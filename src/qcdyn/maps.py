@@ -20,7 +20,6 @@ __all__ = [
     "require_alpha",
     "q_alpha",
     "apply_map",
-    "wirtinger",
     "jacobian",
     "inverse_branches",
     "lambda_min",
@@ -168,7 +167,7 @@ def apply_map(p: MapParams, z: complex) -> complex:
     return u * u + p.c
 
 
-def wirtinger(p: MapParams, z: complex) -> WirtingerPair:
+def jacobian(p: MapParams, z: complex) -> WirtingerPair:
     """Wirtinger derivatives f_z = (a+1) z^a zbar^{a-1}, f_zbar = (a-1) z^{a+1} zbar^{a-2}.
 
     In polar form these are (a+1) r^{2a-1} e^{it} and (a-1) r^{2a-1} e^{3it},
@@ -192,20 +191,23 @@ def wirtinger(p: MapParams, z: complex) -> WirtingerPair:
     return WirtingerPair((p.alpha + 1.0) * m * u, (p.alpha - 1.0) * m * (u * u * u))
 
 
-# one body: the pair is the derivative
-jacobian = wirtinger
-
-
 def inverse_branches(p: MapParams, y: complex) -> tuple[complex, complex]:
     """Both preimages of y under f: moduli |y-c|^{1/(2a)}, arguments arg(y-c)/2 and +pi.
 
     The first branch carries the half-argument in (-pi/2, pi/2] (nonnegative
     real part), the second is its negation.  y = c returns the double root 0.
+    DomainError where y - c or its modulus is not finite.
     """
     w = y - p.c
     if w == 0:
         return (0j, 0j)
-    r = abs(w) ** (1.0 / (2.0 * p.alpha))
+    try:
+        m = abs(w)
+    except OverflowError:  # w finite, its modulus past the float range
+        m = math.inf
+    if not math.isfinite(m):
+        raise DomainError(f"|y - c| is not finite at y = {y!r}, c = {p.c!r}")
+    r = m ** (1.0 / (2.0 * p.alpha))
     u = cmath.exp(0.5j * cmath.phase(w))
     z = r * u
     return (z, -z)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchDegenerate, DomainError, NoConvergence
+from .errors import DomainError, NoConvergence
 from .fixed_points import Polyline, _chain, _scalar_newton, classify_eigenvalues
 
 # the census bench wraps orbits.apply_map and orbits.jacobian to count calls,
@@ -109,18 +109,23 @@ def pullback_leaf(p: MapParams, leaf: Polyline, branch_word: list[int]) -> Polyl
     Branch 0 is the half-argument branch (preimage with nonnegative real
     part), branch 1 its negation.  With c = 0 a round circle of radius rho
     pulls back to the round circle of radius rho^{(1/2a)^k} after k steps.
-    Raises BranchDegenerate if a vertex comes within 1e-12 of the critical
-    value c, where the branches collide.
+    Raises DomainError if a vertex comes within 1e-12 of the critical
+    value c, where the branches collide, or if a vertex minus c or its
+    modulus is not finite.
     """
     pts = np.asarray(leaf.points, dtype=np.complex128)
     inv_exp = 1.0 / (2.0 * p.alpha)
     for bit in branch_word:
         if bit not in (0, 1):
             raise DomainError("branch word entries must be 0 or 1")
-        w = pts - p.c
-        if np.min(np.abs(w)) < 1e-12:
-            raise BranchDegenerate("leaf passes through the critical value")
-        z = np.abs(w) ** inv_exp * np.exp(0.5j * np.angle(w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = pts - p.c
+        r = np.abs(w)
+        if not np.isfinite(r).all():
+            raise DomainError(f"a leaf vertex minus c is not finite (c = {p.c!r})")
+        if np.min(r) < 1e-12:
+            raise DomainError("leaf passes through the critical value")
+        z = r ** inv_exp * np.exp(0.5j * np.angle(w))
         pts = -z if bit else z
     return Polyline(tuple(pts.tolist()), closed=leaf.closed)
 

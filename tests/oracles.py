@@ -17,19 +17,26 @@ apply_map, jacobian and WirtingerPair.newton_step.
 The raster's attractor period search and its cell CSV writer are checked
 against the versions they replaced, kept here verbatim.
 The small helpers at the end (the real 2x2 matrix of a Wirtinger pair, jet
-evaluation, polyline diameter, pixel diagonal, one raster cell) serve only
-the tests, so they live here rather than in the library.
+evaluation, polyline diameter, pixel diagonal, one raster cell, the
+benchmark's inputs, a child Python process, the bytes of a complex) serve
+only the tests, so they live here rather than in the library.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
 
+import qcdyn
 from qcdyn.errors import DomainError, NoConvergence, ResonanceError
 from qcdyn.fixed_points import (
     _DEDUP,
@@ -149,7 +156,7 @@ def scalar_newton_fixed_point(p: MapParams, z0: complex) -> tuple[complex | None
             fval = apply_map(p, z) - z
             if abs(fval) < _NEWTON_TOL:
                 return z, False
-            # Df(0) = 0 spelled out here, not taken from the wirtinger under test
+            # Df(0) = 0 spelled out here, not taken from the jacobian under test
             df = jacobian(p, z) if z != 0 else WirtingerPair(0j, 0j)
             z = z + df.newton_step(fval)
     except (NoConvergence, OverflowError):
@@ -481,16 +488,12 @@ def classify_block_reference(
 
     Kept verbatim otherwise (only the constants are imported), and with no
     retirement of any kind, so the tuned kernel can be checked for bit
-    identity in status and value.
+    identity in status and value.  Its period search is
+    period_search_reference on the window's last WINDOW_ROWS steps: the
+    inline search it first shipped with compared the same pairs, at offsets
+    CYCLE_WINDOW - WINDOW_ROWS higher in the full window.
     """
-    from qcdyn.render import (
-        ATTRACTOR_DETECT,
-        CYCLE_RUNS,
-        CYCLE_WINDOW,
-        MAX_PERIOD,
-        TOL_CYCLE,
-        PointClass,
-    )
+    from qcdyn.render import ATTRACTOR_DETECT, CYCLE_WINDOW, WINDOW_ROWS, PointClass
 
     z0 = np.asarray(z0, dtype=np.complex128)
     n_pts = z0.size
@@ -548,15 +551,7 @@ def classify_block_reference(
 
     if idx.size:
         if detect and window is not None:
-            qfound = np.zeros(idx.size, dtype=np.int32)
-            for q in range(1, MAX_PERIOD + 1):
-                m0 = CYCLE_WINDOW - q - CYCLE_RUNS
-                if m0 < 0:
-                    break
-                delta = window[:, m0 + q : m0 + q + CYCLE_RUNS] - window[:, m0 : m0 + CYCLE_RUNS]
-                close = (np.abs(delta) < TOL_CYCLE).all(axis=1)
-                fresh = close & (qfound == 0)
-                qfound[fresh] = q
+            qfound = period_search_reference(window[:, -WINDOW_ROWS:].T, np.arange(idx.size))
             att = qfound > 0
             status[idx[att]] = PointClass.ATTRACTED
             value[idx[att]] = qfound[att]
@@ -645,3 +640,26 @@ def pixel_diag(grid: GridSpec) -> float:
 def raster_cell(raster: Raster, i: int, j: int) -> CellResult:
     """The result of cell (i, j), column i and row j, of a raster."""
     return CellResult(PointClass(int(raster.status[j, i])), int(raster.value[j, i]))
+
+
+def bench_inputs(kind: str, seed: int):
+    """The benchmark's inputs of one workload ("census" or "hopf") for seed,
+    built by perfbench/inputs.py, which imports no qcdyn code."""
+    namespace = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"))
+    return namespace[f"{kind}_inputs"](seed)
+
+
+def run_python(args: Sequence[str], env: dict | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python args` in a child process with text output captured; env
+    adds to os.environ.  The child imports qcdyn from where this process
+    found it, with or without PYTHONPATH set (pytest's own pythonpath
+    setting is not inherited)."""
+    env = {**os.environ, **(env or {})}
+    src = str(Path(qcdyn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
+
+
+def bits(z: complex) -> bytes:
+    """The 16 bytes of z as a complex128: equal only for the same bits."""
+    return np.array([z], dtype=np.complex128).tobytes()

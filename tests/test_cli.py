@@ -4,10 +4,7 @@ import hashlib
 import io
 import json
 import math
-import os
 import shlex
-import subprocess
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -16,19 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qcdyn
+from oracles import run_python
+from qcdyn import cli, errors
 from qcdyn.cli import main
 from qcdyn.jets import hopf_number, hopf_sweep
-
-
-def run_cli(args):
-    return main(args)
 
 
 class TestJuliaCommand:
     def test_pgm_output(self, tmp_path, capsys):
         out = tmp_path / "k.pgm"
-        code = run_cli(
+        code = main(
             ["julia", "--alpha", "1.5", "--c=-0.8", "--center", "0", "--width", "4",
              "--nx", "64", "--ny", "48", "-o", str(out)]
         )
@@ -39,7 +33,7 @@ class TestJuliaCommand:
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "k.csv"
-        code = run_cli(
+        code = main(
             ["julia", "--alpha", "1", "--c", "0", "--width", "3",
              "--nx", "8", "--ny", "8", "--format", "csv", "-o", str(out)]
         )
@@ -50,8 +44,8 @@ class TestJuliaCommand:
 
     def test_alpha_just_above_half(self, tmp_path):
         out = tmp_path / "k.pgm"
-        code = run_cli(["julia", "--alpha", "0.5000001", "--c=-0.5", "--width", "3",
-                        "--nx", "8", "--ny", "8", "-o", str(out)])
+        code = main(["julia", "--alpha", "0.5000001", "--c=-0.5", "--width", "3",
+                     "--nx", "8", "--ny", "8", "-o", str(out)])
         assert code == 0
         assert out.read_bytes() == b"P5\n8 8\n255\n" + bytes(64)  # all bounded
 
@@ -60,7 +54,7 @@ class TestJuliaCommand:
         for threads in ("1", "5"):
             monkeypatch.setenv("QCDYN_THREADS", threads)
             out = tmp_path / f"k{threads}.pgm"
-            run_cli(
+            main(
                 ["julia", "--alpha", "0.75", "--c=-0.78", "--width", "4",
                  "--nx", "96", "--ny", "96", "--max-iter", "300", "-o", str(out)]
             )
@@ -71,7 +65,7 @@ class TestJuliaCommand:
 class TestLocusCommand:
     def test_render(self, tmp_path):
         out = tmp_path / "m.pgm"
-        code = run_cli(
+        code = main(
             ["locus", "--alpha", "1", "--center=-0.5", "--width", "3",
              "--nx", "32", "--ny", "32", "-o", str(out)]
         )
@@ -81,16 +75,16 @@ class TestLocusCommand:
     def test_alpha_just_above_half(self, tmp_path):
         # 2^{1/(2a-1)} overflows here; the escape radius saturates to infinity
         out = tmp_path / "m.pgm"
-        code = run_cli(["locus", "--alpha", "0.5000001", "--width", "3",
-                        "--nx", "8", "--ny", "8", "-o", str(out)])
+        code = main(["locus", "--alpha", "0.5000001", "--width", "3",
+                     "--nx", "8", "--ny", "8", "-o", str(out)])
         assert code == 0
         assert out.read_bytes().startswith(b"P5\n8 8\n255\n")
 
     def test_default_height_where_width_times_ny_overflows(self, tmp_path):
         # 1.6e308 * 9 overflows, but the height it means, 9.6e307, is finite
         out = tmp_path / "m.pgm"
-        code = run_cli(["locus", "--alpha", "0.5", "--width", "1.6e308",
-                        "--nx", "15", "--ny", "9", "-o", str(out)])
+        code = main(["locus", "--alpha", "0.5", "--width", "1.6e308",
+                     "--nx", "15", "--ny", "9", "-o", str(out)])
         assert code == 0
         assert out.read_bytes().startswith(b"P5\n15 9\n255\n")
 
@@ -99,8 +93,8 @@ class TestLocusCommand:
         out = tmp_path / "ov.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run_cli(["locus", "--alpha", "1", "--center=0,1.7e308", "--width", "1e308",
-                            "--nx", "3", "--ny", "3", "--format", "csv", "-o", str(out)])
+            code = main(["locus", "--alpha", "1", "--center=0,1.7e308", "--width", "1e308",
+                         "--nx", "3", "--ny", "3", "--format", "csv", "-o", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err == "qcdyn locus: grid cell coordinates overflow the float range\n"
@@ -108,7 +102,7 @@ class TestLocusCommand:
 
     def test_bad_alpha_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            run_cli(["locus", "--alpha", "0.3", "--width", "3", "-o", str(tmp_path / "x.pgm")])
+            main(["locus", "--alpha", "0.3", "--width", "3", "-o", str(tmp_path / "x.pgm")])
         assert exc.value.code == 2
         assert "alpha" in capsys.readouterr().err
 
@@ -116,7 +110,7 @@ class TestLocusCommand:
 class TestFixedPointsCommand:
     def test_table_and_json(self, tmp_path, capsys):
         out = tmp_path / "fp.json"
-        code = run_cli(["fixed-points", "--alpha", "1", "--c", "0", "-o", str(out)])
+        code = main(["fixed-points", "--alpha", "1", "--c", "0", "-o", str(out)])
         assert code == 0
         assert "repelling" in capsys.readouterr().out
         payload = json.loads(out.read_text())
@@ -124,7 +118,7 @@ class TestFixedPointsCommand:
 
     def test_csv(self, tmp_path):
         out = tmp_path / "fp.csv"
-        run_cli(["fixed-points", "--alpha", "0.75", "--c", "0.135", "-o", str(out)])
+        main(["fixed-points", "--alpha", "0.75", "--c", "0.135", "-o", str(out)])
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 4
         assert sorted(r["class"] for r in rows).count("attracting") == 2
@@ -134,7 +128,7 @@ class TestFixedPointsCommand:
         # 2^{1/(2a-1)} overflows (or exceeds the Newton bound) at these exponents
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            code = run_cli(["fixed-points", "--alpha", alpha, "--c", "0"])
+            code = main(["fixed-points", "--alpha", alpha, "--c", "0"])
         assert code in (0, 1)
         assert "Traceback" not in capsys.readouterr().err
 
@@ -142,7 +136,7 @@ class TestFixedPointsCommand:
         # at alpha = 1e155 the root z = 1 has fz = a + 1 and fzbar = a - 1, whose squares overflow
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            code = run_cli(["fixed-points", "--alpha", "1e155", "--c", "0"])
+            code = main(["fixed-points", "--alpha", "1e155", "--c", "0"])
         assert code == 1
         err = capsys.readouterr().err
         assert "overflow" in err and "Traceback" not in err and len(err.splitlines()) == 1
@@ -151,7 +145,7 @@ class TestFixedPointsCommand:
 class TestCurvesCommand:
     def test_curves_with_cusps_and_probe(self, tmp_path, capsys):
         out = tmp_path / "curves.csv"
-        code = run_cli(
+        code = main(
             ["curves", "--alpha", "0.8", "--n", "64", "--cusps",
              "--probe", "300", "--seed", "11", "-o", str(out)]
         )
@@ -164,7 +158,7 @@ class TestCurvesCommand:
 
     def test_cusps_next_to_one(self, tmp_path):
         out = tmp_path / "c.csv"
-        assert run_cli(["curves", "--alpha", "0.999", "--n", "16", "--cusps", "-o", str(out)]) == 0
+        assert main(["curves", "--alpha", "0.999", "--n", "16", "--cusps", "-o", str(out)]) == 0
         cusps = [r for r in csv.DictReader(out.open()) if r["kind"] == "cusp"]
         assert len(cusps) == 3 and [float(r["im"]) for r in cusps].count(0.0) == 1
 
@@ -172,11 +166,11 @@ class TestCurvesCommand:
         out = tmp_path / "d.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_cli(["curves", "--alpha", "170", "--which", "delta", "--n", "16",
-                            "--probe", "1000", "-o", str(out)]) == 0
+            assert main(["curves", "--alpha", "170", "--which", "delta", "--n", "16",
+                         "--probe", "1000", "-o", str(out)]) == 0
             assert "passed" in capsys.readouterr().out
-            code = run_cli(["curves", "--alpha", "1e200", "--which", "delta", "--n", "16",
-                            "--probe", "1000", "-o", str(out)])
+            code = main(["curves", "--alpha", "1e200", "--which", "delta", "--n", "16",
+                         "--probe", "1000", "-o", str(out)])
         assert code == 1
         captured = capsys.readouterr()
         assert "FAILED" not in captured.out
@@ -184,20 +178,20 @@ class TestCurvesCommand:
 
     def test_gamma_plus_overflow_is_named(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
-        assert run_cli(["curves", "--alpha", "1e200", "--n", "16", "--cusps", "-o", str(out)]) == 1
+        assert main(["curves", "--alpha", "1e200", "--n", "16", "--cusps", "-o", str(out)]) == 1
         err = capsys.readouterr().err
         assert "(a+1)^2" in err and len(err.splitlines()) == 1
 
     def test_failure_leaves_no_partial_file(self, tmp_path, capsys):
         # the delta rows come before the gamma+ overflow; none may reach the disk
         out = tmp_path / "x.csv"
-        assert run_cli(["curves", "--alpha", "1e200", "--n", "16", "-o", str(out)]) == 1
+        assert main(["curves", "--alpha", "1e200", "--n", "16", "-o", str(out)]) == 1
         assert "(a+1)^2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_single_curve(self, tmp_path):
         out = tmp_path / "d.csv"
-        code = run_cli(["curves", "--alpha", "2", "--which", "delta", "--n", "32", "-o", str(out)])
+        code = main(["curves", "--alpha", "2", "--which", "delta", "--n", "32", "-o", str(out)])
         assert code == 0
         rows = list(csv.DictReader(out.open()))
         assert {r["curve"] for r in rows} == {"delta"}
@@ -206,14 +200,14 @@ class TestCurvesCommand:
 
 class TestHopfCommand:
     def test_single_value(self, capsys):
-        code = run_cli(["hopf", "--alpha", "1.5", "--theta", "2.0"])
+        code = main(["hopf", "--alpha", "1.5", "--theta", "2.0"])
         assert code == 0
         out = capsys.readouterr().out
         assert "hopf=-" in out
 
     def test_sweep_bound(self, tmp_path):
         out = tmp_path / "h.csv"
-        code = run_cli(["hopf", "--alpha", "0.75", "--theta-grid", "64", "-o", str(out)])
+        code = main(["hopf", "--alpha", "0.75", "--theta-grid", "64", "-o", str(out)])
         assert code == 0
         rows = list(csv.DictReader(out.open()))
         vals = [float(r["hopf_number"]) for r in rows if r["status"] == "ok"]
@@ -221,7 +215,7 @@ class TestHopfCommand:
         assert min(vals) > 41.0
 
     def test_single_theta_prints_every_alpha(self, capsys):
-        code = run_cli(["hopf", "--alpha", "0.75,1.5", "--theta", "2.0"])
+        code = main(["hopf", "--alpha", "0.75,1.5", "--theta", "2.0"])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == [f"alpha={a} theta=2.0 hopf={hopf_number(a, 2.0)!r}" for a in (0.75, 1.5)]
@@ -231,7 +225,7 @@ class TestHopfCommand:
         out = tmp_path / "h.csv"
         theta = "2.4692918257215775"
         assert [row[4] for row in hopf_sweep([0.75, 1.5], [float(theta)])] == ["ok", "resonance"]
-        code = run_cli(["hopf", "--alpha", "0.75,1.5", "--theta", theta, "-o", str(out)])
+        code = main(["hopf", "--alpha", "0.75,1.5", "--theta", theta, "-o", str(out)])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -239,12 +233,12 @@ class TestHopfCommand:
         assert not out.exists()
 
     def test_resonant_single_theta_fails(self, capsys):
-        code = run_cli(["hopf", "--alpha", "0.75", "--theta", "0.0"])
+        code = main(["hopf", "--alpha", "0.75", "--theta", "0.0"])
         assert code == 1
         assert "resonance" in capsys.readouterr().err
 
     def test_delta_radius_underflow_is_named(self, capsys):
-        code = run_cli(["hopf", "--alpha", "0.5000001", "--theta", "2"])
+        code = main(["hopf", "--alpha", "0.5000001", "--theta", "2"])
         assert code == 1
         err = capsys.readouterr().err
         assert err == ("qcdyn hopf: the delta circle radius (4a)^(1/(2-4a)) underflows to 0"
@@ -252,21 +246,21 @@ class TestHopfCommand:
 
     def test_sweep_requires_output(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run_cli(["hopf", "--alpha", "0.75", "--theta-grid", "8"])
+            main(["hopf", "--alpha", "0.75", "--theta-grid", "8"])
         assert exc.value.code == 2
 
 
 class TestOrbitCommand:
     def test_critical(self, tmp_path, capsys):
         out = tmp_path / "orb.csv"
-        code = run_cli(["orbit", "--alpha", "1", "--c=-1", "--critical", "6", "-o", str(out)])
+        code = main(["orbit", "--alpha", "1", "--c=-1", "--critical", "6", "-o", str(out)])
         assert code == 0
         assert "bounded" in capsys.readouterr().out
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 6
 
     def test_periodic(self, capsys):
-        code = run_cli(
+        code = main(
             ["orbit", "--alpha", "0.75", "--c=-0.38", "--periodic", "2",
              "--seed-point=-0.26,0.08"]
         )
@@ -274,7 +268,7 @@ class TestOrbitCommand:
         assert "period 2 (attracting)" in capsys.readouterr().out
 
     def test_failed_search_exit_code(self, capsys):
-        code = run_cli(
+        code = main(
             ["orbit", "--alpha", "1", "--c", "0.26", "--periodic", "3",
              "--seed-point", "5e6,5e6"]
         )
@@ -284,7 +278,7 @@ class TestOrbitCommand:
 class TestLeafCommand:
     def test_pullback_csv(self, tmp_path):
         out = tmp_path / "leaf.csv"
-        code = run_cli(
+        code = main(
             ["leaf", "--alpha", "2", "--c", "0", "--radius", "1.5",
              "--points", "32", "--word", "010", "-o", str(out)]
         )
@@ -295,23 +289,35 @@ class TestLeafCommand:
         for r in rows:
             assert abs(complex(float(r["re"]), float(r["im"]))) == pytest.approx(expect)
 
+    def test_overflowing_vertex_fails_without_a_file(self, tmp_path, capsys):
+        # every vertex minus c = -1e308 has real part past the float range
+        out = tmp_path / "l.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["leaf", "--alpha", "1", "--c=-1e308", "--radius", "1.7e308",
+                         "--points", "8", "--word", "0", "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qcdyn leaf: ") and "not finite" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestPointTables:
-    """orbit and leaf write the same index,re,im table (csv module, CRLF rows)."""
+    """orbit and leaf write the same index,re,im table (render.write_csv, CRLF rows)."""
 
     def test_orbit_bytes(self, tmp_path):
         out = tmp_path / "crit.csv"
-        assert run_cli(["orbit", "--alpha", "1", "--c=-1", "--critical", "3", "-o", str(out)]) == 0
+        assert main(["orbit", "--alpha", "1", "--c=-1", "--critical", "3", "-o", str(out)]) == 0
         assert out.read_bytes() == b"index,re,im\r\n0,-1.0,0.0\r\n1,0.0,0.0\r\n2,-1.0,0.0\r\n"
         out = tmp_path / "per.csv"
-        assert run_cli(["orbit", "--alpha", "1", "--c=-1", "--periodic", "2",
-                        "--seed-point", "0.1", "-o", str(out)]) == 0
+        assert main(["orbit", "--alpha", "1", "--c=-1", "--periodic", "2",
+                     "--seed-point", "0.1", "-o", str(out)]) == 0
         assert out.read_bytes() == b"index,re,im\r\n0,1.035490378629309e-25,0.0\r\n1,-1.0,0.0\r\n"
 
     def test_leaf_bytes(self, tmp_path):
         out = tmp_path / "leaf.csv"
-        assert run_cli(["leaf", "--alpha", "1", "--c", "0", "--radius", "4", "--points", "4",
-                        "--word", "0", "-o", str(out)]) == 0
+        assert main(["leaf", "--alpha", "1", "--c", "0", "--radius", "4", "--points", "4",
+                     "--word", "0", "-o", str(out)]) == 0
         assert out.read_bytes() == (
             b"index,re,im\r\n0,2.0,0.0\r\n1,1.4142135623730951,1.414213562373095\r\n"
             b"2,1.2246467991473532e-16,2.0\r\n3,1.414213562373095,-1.4142135623730951\r\n"
@@ -342,12 +348,12 @@ class TestTableBytes:
     )
     def test_digest(self, tmp_path, capsys, argv, digest):
         out = tmp_path / "t.csv"
-        assert run_cli(argv + ["-o", str(out)]) == 0
+        assert main(argv + ["-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_fixed_points_rows(self, tmp_path):
         out = tmp_path / "fp.csv"
-        assert run_cli(["fixed-points", "--alpha", "1", "--c", "0", "-o", str(out)]) == 0
+        assert main(["fixed-points", "--alpha", "1", "--c", "0", "-o", str(out)]) == 0
         assert out.read_bytes() == (
             b"re,im,class,eig1_re,eig1_im,eig2_re,eig2_im,det,trace\r\n"
             b"0.0,0.0,attracting,0.0,0.0,0.0,0.0,0.0,0.0\r\n"
@@ -356,7 +362,7 @@ class TestTableBytes:
 
     def test_hopf_sweep_excluded_rows(self, tmp_path):
         out = tmp_path / "h.csv"
-        assert run_cli(["hopf", "--alpha", "1.5", "--theta-grid", "2", "-o", str(out)]) == 0
+        assert main(["hopf", "--alpha", "1.5", "--theta-grid", "2", "-o", str(out)]) == 0
         assert out.read_bytes() == (
             b"alpha,beta,theta,hopf_number,status\n"
             b"1.5,0.33333333333333337,1.5707963267948966,,resonance\n"
@@ -553,25 +559,27 @@ class TestUsageErrors:
         assert err.count("\n") == 1
 
     def test_entry_point_runs(self):
-        proc = run_module(["hopf", "--alpha", "1.5", "--theta", "2.0"])
+        proc = run_python(["-m", "qcdyn.cli", "hopf", "--alpha", "1.5", "--theta", "2.0"])
         assert proc.returncode == 0
         assert "hopf=" in proc.stdout
 
 
-def run_module(args):
-    """Run `python -m qcdyn.cli args` in a child process.
+# every exception class of qcdyn.errors but the warning
+_LIBRARY_ERRORS = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and cls.__module__ == errors.__name__ and not issubclass(cls, Warning)
+]
 
-    The child imports qcdyn from where this process found it, with or
-    without PYTHONPATH set (pytest's own pythonpath setting is not inherited).
-    """
-    src = str(Path(qcdyn.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "qcdyn.cli", *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+
+@pytest.mark.parametrize("error", _LIBRARY_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_library_error_exits_1(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("no such orbit")
+
+    monkeypatch.setitem(cli._DISPATCH, "orbit", fail)
+    assert main(["orbit", "--alpha", "1", "--c", "0", "--critical", "3"]) == 1
+    assert capsys.readouterr().err == "qcdyn orbit: no such orbit\n"
 
 
 @pytest.mark.parametrize(
@@ -586,7 +594,7 @@ def test_overflowing_orbits_print_nothing(tmp_path, argv):
     # orbits overflow before they leave the escape radius: raster orbits pass
     # |z| ~ 1e154, where z*z overflows, and f(c) of the critical orbit is past
     # the float range; the overflow is part of escaping and needs no warning
-    proc = run_module([*argv, "-o", str(tmp_path / "out")])
+    proc = run_python(["-m", "qcdyn.cli", *argv, "-o", str(tmp_path / "out")])
     assert proc.returncode == 0
     assert proc.stderr == ""
 
@@ -596,7 +604,7 @@ def test_half_alpha_attractor_overflow_prints_no_overflow_warning(tmp_path):
     # into the cycle window; the period search compares their overflowed
     # entries, and that overflow needs no warning either.  What may remain is
     # the invalid value of a product with an infinite factor in the step
-    proc = run_module(["locus", "--alpha", "0.5", "--width", "1.6e308", "--nx", "15", "--ny", "9",
+    proc = run_python(["-m", "qcdyn.cli", "locus", "--alpha", "0.5", "--width", "1.6e308", "--nx", "15", "--ny", "9",
                        "--max-iter", "300", "--mode", "attractor", "-o", str(tmp_path / "l.pgm")])
     assert proc.returncode == 0
     warned = [line for line in proc.stderr.splitlines() if "Warning" in line]

@@ -1,8 +1,6 @@
 import cmath
 import math
-import runpy
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +9,8 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from oracles import (
+    bench_inputs,
+    bits,
     brute_force_fixed_points,
     census_signature,
     count_self_intersections,
@@ -393,10 +393,6 @@ def _seeds_with_extras(p: MapParams) -> np.ndarray:
     return np.concatenate((_census_seeds(p), np.array(_EXTRA_SEEDS, dtype=np.complex128)))
 
 
-def _bits(z: complex) -> bytes:
-    return np.array([z], dtype=np.complex128).tobytes()
-
-
 def _assert_census_matches_scalar(p: MapParams, extra_seeds=()) -> None:
     """find_fixed_points gives the scalar census's records and stall warning;
     extra_seeds are the seeds a test has appended to fixed_points._census_seeds."""
@@ -422,13 +418,6 @@ _CENSUS_PARAMS = st.builds(
 )
 
 
-def _bench_census_params(seed: int):
-    """The (alpha, c) of the benchmark's 120 census calls for seed, built by
-    perfbench/inputs.py, which imports no qcdyn code."""
-    bench_inputs = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"))
-    return bench_inputs["census_inputs"](seed).fixed_points
-
-
 class TestLaneNewton:
     """The census's lane Newton against the scalar per-seed loop it replaced."""
 
@@ -442,7 +431,7 @@ class TestLaneNewton:
         for k, (z, _) in enumerate(ref):
             assert converged[k] == (z is not None), (k, seeds[k])
             if z is not None:
-                assert _bits(roots[k]) == _bits(z), (k, seeds[k], roots[k], z)
+                assert bits(roots[k]) == bits(z), (k, seeds[k], roots[k], z)
         # lanes are independent, so a subset run gives each seed's own stall flag
         stalled_ref = np.array([st for _, st in ref])
         assert stalled == np.count_nonzero(stalled_ref)
@@ -458,12 +447,12 @@ class TestLaneNewton:
 
     @pytest.mark.parametrize("seed", [3, 5, 7, 11])
     def test_dedup_matches_seed_order_loop(self, seed):
-        for alpha, c in _bench_census_params(seed):
+        for alpha, c in bench_inputs("census", seed).fixed_points:  # 120 (alpha, c)
             p = MapParams(alpha, c)
             lanes, converged, _ = _newton_lanes(p, _census_seeds(p))
             got = _distinct_roots(lanes[converged])
             want = distinct_roots_in_seed_order(lanes[converged].tolist())
-            assert [_bits(z) for z in got] == [_bits(z) for z in want], (alpha, c)
+            assert [bits(z) for z in got] == [bits(z) for z in want], (alpha, c)
 
     @given(_CENSUS_PARAMS)
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -504,7 +493,7 @@ class TestLaneNewton:
         assert converged.tolist() == [False] + [True] * (lanes + 1) and stalled == 0
         for k, seed in enumerate(seeds.tolist()):
             z, _ = scalar_newton_fixed_point(p, seed)
-            assert z is None if k == 0 else _bits(roots[k]) == _bits(z)
+            assert z is None if k == 0 else bits(roots[k]) == bits(z)
 
     # (alpha, c, seed, steps the numpy lanes take first): the branch point,
     # Df - id exactly 0 at 0.5, |f_z - 1|^2 overflowing at 4.63e5, and an
@@ -526,17 +515,17 @@ class TestLaneNewton:
         scalar_newton = fixed_points._scalar_newton
 
         def spy(p, z, steps):
-            handed.append((_bits(z), steps))
+            handed.append((bits(z), steps))
             return scalar_newton(p, z, steps)
 
         monkeypatch.setattr(fixed_points, "_SCALAR_LANES", 0)
         monkeypatch.setattr(fixed_points, "_scalar_newton", spy)
         roots, converged, stalled = _newton_lanes(p, np.array([seed], dtype=np.complex128))
-        assert handed == [(_bits(z), fixed_points._NEWTON_STEPS - numpy_steps)]
+        assert handed == [(bits(z), fixed_points._NEWTON_STEPS - numpy_steps)]
         want, stall = scalar_newton_fixed_point(p, seed)
         assert converged[0] == (want is not None) and stalled == stall
         if want is not None:
-            assert _bits(roots[0]) == _bits(want)
+            assert bits(roots[0]) == bits(want)
 
     def test_no_seeds(self):
         roots, converged, stalled = _newton_lanes(MapParams(1.0, 0.1), np.array([], dtype=complex))

@@ -1,9 +1,6 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-import qcdyn
+from oracles import run_python
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "render_figures.py"
 
@@ -18,14 +15,7 @@ TABLES = [
 
 
 def test_gallery_writes_every_figure(tmp_path):
-    src = str(Path(qcdyn.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--size", "32", "--outdir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_python([str(SCRIPT), "--size", "32", "--outdir", str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(RASTERS + TABLES)
     header = b"P5\n32 32\n255\n"

@@ -1,12 +1,7 @@
 import cmath
 import json
 import math
-import os
 import re
-import runpy
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +10,16 @@ from hypothesis import strategies as st
 
 from oracles import (
     _quad_cubic_residual,
+    bench_inputs,
     coord_change1_reference,
     evaluate_jet,
     fd_jet,
     jet_identity,
     kuznetsov_hopf_number,
     normal_form3_parts,
+    run_python,
 )
-from qcdyn.errors import ContractError, DomainError, ResonanceError
+from qcdyn.errors import DomainError, ResonanceError
 from qcdyn.jets import (
     Jet3,
     compose_jets,
@@ -35,7 +32,7 @@ from qcdyn.jets import (
 )
 import qcdyn.jets
 from qcdyn.jets import _delta_point
-from qcdyn.maps import MapParams, wirtinger
+from qcdyn.maps import MapParams, jacobian
 
 RNG = np.random.default_rng(5)
 
@@ -115,7 +112,7 @@ class TestJetOfMap:
             if abs(z0) < 0.1:
                 continue
             jet = jet_of_map(alpha, z0)
-            w = wirtinger(MapParams(alpha, 0), z0)
+            w = jacobian(MapParams(alpha, 0), z0)
             assert abs(jet[1, 0] - w.fz) < 1e-12 * abs(w.fz)
             assert abs(jet[0, 1] - w.fzbar) < 1e-12 * max(1.0, abs(w.fzbar))
 
@@ -177,7 +174,7 @@ class TestAlgebra:
         assert np.allclose(lhs.coeff, rhs.coeff, atol=1e-12 * scale)
 
     def test_compose_rejects_constant(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(DomainError, match="inner jet must have zero constant term"):
             compose_jets(jet_identity(), Jet3.from_terms({(0, 0): 1.0}))
 
     def test_evaluate_consistency(self):
@@ -210,7 +207,7 @@ def _outcome(f, *jets):
         out = f(*jets)
     except ResonanceError as exc:
         return type(exc), str(exc)
-    return out.coeff.tobytes() if isinstance(out, Jet3) else _bits(out)
+    return out.coeff.tobytes() if isinstance(out, Jet3) else _hex(out)
 
 
 class TestJet3Invariant:
@@ -221,7 +218,7 @@ class TestJet3Invariant:
         jet = Jet3(c)
         for j in range(4):
             for k in range(4):
-                assert _bits(jet[j, k]) == _bits(c[j, k] if j + k <= 3 else 0j)
+                assert _hex(jet[j, k]) == _hex(c[j, k] if j + k <= 3 else 0j)
 
     @given(coord_change_domain_jets_st, jets_st(), high_st, high_st)
     @settings(max_examples=150, deadline=None)
@@ -244,8 +241,7 @@ class TestJet3Invariant:
 def bench_hopf_points(seed: int) -> list[tuple[float, float]]:
     """Every point (alpha, theta) of the benchmark's Hopf surface (63 exponents
     x 64 angles), built by perfbench/inputs.py, which imports no qcdyn code."""
-    bench_inputs = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"))
-    surface = bench_inputs["hopf_inputs"](seed)
+    surface = bench_inputs("hopf", seed)
     return [(a, t) for a in surface.alphas for t in surface.thetas]
 
 
@@ -322,7 +318,8 @@ class TestCoordChange:
             _assert_matches_reference(jet_of_map(alpha, _delta_point(alpha, theta)))
 
 
-def _bits(z: complex) -> tuple[str, str]:
+def _hex(z: complex) -> tuple[str, str]:
+    """The hex strings of z's parts: equal for equal bits, and for any two NaNs."""
     return z.real.hex(), z.imag.hex()
 
 
@@ -335,7 +332,7 @@ def _assert_b2_matches_mismatch(jet: Jet3) -> bool:
     except ResonanceError:
         return False
     want = _quad_cubic_residual(rjet, u, avec, 0.0)[2, 1] / 2.0 / u
-    assert _bits(normal_form3(jet)) == _bits(want)
+    assert _hex(normal_form3(jet)) == _hex(want)
     return True
 
 
@@ -427,8 +424,6 @@ class TestHopfNumber:
             hopf_number(0.5, 2.0)
 
     def test_delta_point_has_unit_circle_conjugate_eigenvalues(self):
-        from qcdyn.maps import jacobian
-
         for alpha in (0.6, 0.75, 1.5, 6.0):
             for theta in (0.7, 2.0, 3.9):
                 z0 = _delta_point(alpha, theta)
@@ -479,12 +474,10 @@ class TestSameBitsOnEveryCpu:
         assert len(points) == 16 + 16 * 64
         ns: dict = {}
         exec(_HOPF_DIGEST, ns)
-        src = str(Path(qcdyn.jets.__file__).resolve().parents[1])
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_supported_dispatch_targets())
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        out = subprocess.run(
-            [sys.executable, "-c", _HOPF_DIGEST + "print(digest(json.load(sys.stdin)))"],
-            input=json.dumps(points), env=env, capture_output=True, text=True, timeout=120, check=True,
+        out = run_python(
+            ["-c", _HOPF_DIGEST + "print(digest(json.load(sys.stdin)))"],
+            env={"NPY_DISABLE_CPU_FEATURES": _supported_dispatch_targets()},
+            input=json.dumps(points), timeout=120, check=True,
         )
         assert out.stdout.strip() == ns["digest"](points)
 

@@ -32,7 +32,6 @@ from qcdyn.maps import (
     rho_expansion_ratio,
     scaling_identity_check,
     tip_parameter,
-    wirtinger,
 )
 from qcdyn.orbits import find_periodic_orbit, smoothness_exponent
 from qcdyn.render import classify_point
@@ -161,7 +160,7 @@ class TestApplyMap:
 class TestWirtinger:
     def test_holomorphic_case(self):
         z = 0.3 + 0.4j
-        w = wirtinger(MapParams(1, 5), z)
+        w = jacobian(MapParams(1, 5), z)
         assert w.fzbar == 0
         assert abs(w.fz - 2 * z) < 1e-15
 
@@ -171,12 +170,12 @@ class TestWirtinger:
             z = complex(RNG.uniform(-3, 3), RNG.uniform(-3, 3))
             if abs(z) < 0.05:
                 continue
-            w = wirtinger(MapParams(a, 0), z)
+            w = jacobian(MapParams(a, 0), z)
             expect = 4.0 * a * abs(z) ** (4 * a - 2)
             assert abs(w.det - expect) < 1e-10 * max(1.0, expect)
 
     def test_unit_circle_det_alpha_two(self):
-        w = wirtinger(MapParams(2, 0), cmath.exp(0.7j))
+        w = jacobian(MapParams(2, 0), cmath.exp(0.7j))
         assert w.det == pytest.approx(8.0, rel=1e-12)
 
     def test_trace_formula(self):
@@ -203,7 +202,7 @@ class TestWirtinger:
         s = r ** (alpha - 1.0)
         m = r * (s * s)
         u = z / r
-        w = wirtinger(MapParams(alpha, 0), z)
+        w = jacobian(MapParams(alpha, 0), z)
         want = [(alpha + 1.0) * m * u, (alpha - 1.0) * m * (u * u * u)]
         assert np.array([w.fz, w.fzbar]).tobytes() == np.array(want).tobytes()
         ref = r ** (2.0 * alpha - 1.0)
@@ -214,13 +213,12 @@ class TestWirtinger:
         ts = [10.0**-k for k in range(1, 13)]
         for alpha in (0.5, 0.5000001, 0.8, 1.0, 1.5):
             p = MapParams(alpha, 0.3 - 0.2j)
-            for deriv in (wirtinger, jacobian):
-                w = deriv(p, 0)
-                assert w.fz == 0 and w.fzbar == 0
+            w = jacobian(p, 0)
+            assert w.fz == 0 and w.fzbar == 0
             if alpha == 0.5:
                 # no derivative at 0 (|f(h) - c| = |h|); 0 is the mean of the
                 # limiting derivatives over all directions
-                near = [wirtinger(p, 1e-9 * u) for u in dirs]
+                near = [jacobian(p, 1e-9 * u) for u in dirs]
                 assert abs(sum(w.fz for w in near)) < 1e-12
                 assert abs(sum(w.fzbar for w in near)) < 1e-12
                 continue
@@ -350,6 +348,12 @@ class TestInverseBranches:
     def test_critical_value_preimage(self):
         assert inverse_branches(MapParams(1.3, 0.5j), 0.5j) == (0, 0)
 
+    def test_y_minus_c_not_finite_rejected(self):
+        # y - c overflows; y - c is finite but its modulus overflows; nan
+        for c, y in ((-1e308, 1.7e308), (0, 1.7e308 + 1.7e308j), (0, complex(math.nan, 0))):
+            with pytest.raises(DomainError, match="not finite"):
+                inverse_branches(MapParams(1, c), y)
+
     def test_modulus_and_sign(self):
         p = MapParams(2.5, 0.7 - 0.1j)
         y = -1.2 + 0.4j
@@ -384,7 +388,7 @@ class TestLambdaMin:
             z = complex(RNG.uniform(-2, 2), RNG.uniform(-2, 2))
             if abs(z) < 0.05:
                 continue
-            w = wirtinger(MapParams(a, 0), z)
+            w = jacobian(MapParams(a, 0), z)
             assert lambda_min(MapParams(a, 0), z) == pytest.approx(
                 (abs(w.fz) - abs(w.fzbar)) ** 2, rel=1e-10
             )

@@ -1,14 +1,13 @@
 import cmath
 import math
 import re
-import runpy
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import real_matrix, scalar_census_seeds, scalar_newton_fixed_point
-from qcdyn.errors import BranchDegenerate, DomainError, NoConvergence
+from oracles import bench_inputs, bits, real_matrix, scalar_census_seeds, scalar_newton_fixed_point
+from qcdyn.errors import DomainError, NoConvergence
 from qcdyn.fixed_points import Polyline, find_fixed_points
 from qcdyn.maps import MapParams, apply_map, jacobian
 from qcdyn.orbits import (
@@ -20,17 +19,6 @@ from qcdyn.orbits import (
 )
 
 RNG = np.random.default_rng(23)
-
-
-def _bench_census_inputs(seed: int):
-    """The benchmark's census inputs for seed, built by perfbench/inputs.py,
-    which imports no qcdyn code."""
-    bench_inputs = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"))
-    return bench_inputs["census_inputs"](seed)
-
-
-def _bits(z: complex) -> bytes:
-    return np.array([z], dtype=np.complex128).tobytes()
 
 
 def circle(radius, n=128, center=0j):
@@ -131,7 +119,7 @@ class TestPeriodicOrbit:
             self._check_cycle(p, q, find_periodic_orbit(p, q, seed))
         # the benchmark's 200 periodic starts (q = 1-4) for seed 7, each of
         # which reaches a cycle
-        for alpha, c, q, start in _bench_census_inputs(7).periodic:
+        for alpha, c, q, start in bench_inputs("census", 7).periodic:
             p = MapParams(alpha, c)
             self._check_cycle(p, q, find_periodic_orbit(p, q, start))
 
@@ -156,12 +144,12 @@ class TestPeriodicOrbit:
         # oracle's root bit for bit wherever the oracle converges in its 60
         # steps (2,392 of 2,400 starts; the other 8 stall)
         checked = 0
-        for alpha, c in _bench_census_inputs(7).fixed_points:
+        for alpha, c in bench_inputs("census", 7).fixed_points:
             p = MapParams(alpha, c)
             for seed in scalar_census_seeds(p)[::29]:
                 want, _ = scalar_newton_fixed_point(p, seed)
                 if want is not None:
-                    assert _bits(find_periodic_orbit(p, 1, seed).points[0]) == _bits(want), (p, seed)
+                    assert bits(find_periodic_orbit(p, 1, seed).points[0]) == bits(want), (p, seed)
                     checked += 1
         assert checked == 2392
 
@@ -278,12 +266,23 @@ class TestPullback:
         c = 0.3 + 0.1j
         leaf = circle(0.5, center=c)  # passes straight through... only if radius 0
         bad = Polyline((c, 1.0, 1j), closed=True)
-        with pytest.raises(BranchDegenerate):
+        with pytest.raises(DomainError, match="leaf passes through the critical value"):
             pullback_leaf(MapParams(1.2, c), bad, [0])
 
     def test_word_validation(self):
         with pytest.raises(DomainError):
             pullback_leaf(MapParams(1.2, 0), circle(1.0), [2])
+
+    @pytest.mark.parametrize("c, leaf", [
+        (-1e308, circle(1.7e308, n=8)),  # vertex - c overflows
+        (0, Polyline((1.7e308 + 1.7e308j, 1.0, 1j), closed=True)),  # its modulus does
+        (0, Polyline((complex(math.nan, 0), 1.0, 1j), closed=True)),
+    ])
+    def test_vertex_minus_c_not_finite_rejected(self, c, leaf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                pullback_leaf(MapParams(1.0, c), leaf, [0])
 
 
 class TestSmoothnessExponent:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -37,3 +38,11 @@ def test_all_lists_and_root_imports_agree():
         if module not in _MODULES or name not in _MODULES[module].__all__
     ]
     assert unexported == []
+
+
+def test_no_public_alias():
+    # one name for each function or class a module exports
+    for name, module in _MODULES.items():
+        objs = [getattr(module, n) for n in module.__all__]
+        named = [obj for obj in objs if inspect.isfunction(obj) or inspect.isclass(obj)]
+        assert len({id(obj) for obj in named}) == len(named), name

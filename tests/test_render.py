@@ -195,7 +195,8 @@ class TestGridSpec:
 
 class TestKernelIdentity:
     """The escape kernel is bit-identical to the verbatim first version,
-    tests/oracles.classify_block_reference, for any thread count.
+    tests/oracles.classify_block_reference, for any thread count, and warns
+    nowhere (check_first_kernel).
 
     Escape grids hold just over 65536 cells, so each render starts on two or
     three blocks; attractor grids hold just over 16384, so at 2 and 3 threads
@@ -234,29 +235,19 @@ class TestKernelIdentity:
         nx, ny = (511, 131) if mode == ESCAPE_ONLY else (127, 131)
         if kind == "julia":
             grid = GridSpec(0, 4.0, 4.0, nx, ny)
-            c, z0 = -0.7 + 0.2j, grid.samples()
+        elif kind == "locus":
+            grid = GridSpec(-0.3, 3.0, 3.0, nx, ny)
+        elif kind == "branch":
+            grid = GridSpec(-1.0, 0.5, 0.5, nx, ny)
+            assert grid.samples()[ny // 2, nx // 2] == -1.0
         else:
-            if kind == "locus":
-                grid = GridSpec(-0.3, 3.0, 3.0, nx, ny)
-            elif kind == "branch":
-                grid = GridSpec(-1.0, 0.5, 0.5, nx, ny)
-                assert grid.samples()[ny // 2, nx // 2] == -1.0
-            else:
-                # every |c| above 2^{1/(2a-1)}, so the radius is |c| itself
-                # (a = 1/2 has no finite floor; its radius stays infinite)
-                floor = 2.0 ** (1.0 / (2.0 * alpha - 1.0)) if alpha > 0.5 else 5.0
-                grid = GridSpec(1.3 * floor * np.exp(0.3j), 0.2 * floor, 0.2 * floor, nx, ny)
-                assert np.abs(grid.samples()).min() > floor
-            c, z0 = grid.samples(), np.zeros((ny, nx), dtype=np.complex128)
-        want = classify_block_reference(alpha, c, z0, max_iter, mode)
-        for threads in (1, 2, 3):
-            if kind == "julia":
-                got = render_julia(MapParams(alpha, c), grid, max_iter, mode, threads=threads)
-            else:
-                got = render_locus(alpha, grid, max_iter, mode, threads=threads)
-            assert np.array_equal(got.status, want[0])
-            assert np.array_equal(got.value, want[1])
-        return want
+            # every |c| above 2^{1/(2a-1)}, so the radius is |c| itself
+            # (a = 1/2 has no finite floor; its radius stays infinite)
+            floor = 2.0 ** (1.0 / (2.0 * alpha - 1.0)) if alpha > 0.5 else 5.0
+            grid = GridSpec(1.3 * floor * np.exp(0.3j), 0.2 * floor, 0.2 * floor, nx, ny)
+            assert np.abs(grid.samples()).min() > floor
+        c = -0.7 + 0.2j if kind == "julia" else None
+        return check_first_kernel(alpha, grid, max_iter, mode, c=c)
 
 
 def check_first_kernel(alpha, grid, max_iter, mode, c=None):
