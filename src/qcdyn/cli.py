@@ -23,6 +23,8 @@ from . import jets, orbits, render
 from .errors import DomainError, EigenvalueError, NoConvergence, ResonanceError
 from .maps import MapParams, require_alpha
 
+__all__ = ["build_parser", "main"]
+
 _COMPUTE_ERRORS = (DomainError, ResonanceError, EigenvalueError, NoConvergence)
 
 
@@ -133,22 +135,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("julia", help="render a filled Julia set")
+    sp.set_defaults(run=_cmd_julia)
     sp.add_argument("--alpha", type=_map_alpha, required=True)
     sp.add_argument("--c", type=_complex_flag, required=True)
     _add_grid_flags(sp, 1000)
     sp.add_argument("-o", "--output", required=True)
 
     sp = sub.add_parser("locus", help="render the connectedness locus")
+    sp.set_defaults(run=_cmd_locus)
     sp.add_argument("--alpha", type=_map_alpha, required=True)
     _add_grid_flags(sp, 256)
     sp.add_argument("-o", "--output", required=True)
 
     sp = sub.add_parser("fixed-points", help="locate and classify fixed points")
+    sp.set_defaults(run=_cmd_fixed_points)
     sp.add_argument("--alpha", type=_curve_alpha, required=True)
     sp.add_argument("--c", type=_complex_flag, required=True)
     sp.add_argument("-o", "--output", default=None, help=".csv or .json table (optional)")
 
     sp = sub.add_parser("curves", help="trace bifurcation curves and their images")
+    sp.set_defaults(run=_cmd_curves)
     sp.add_argument("--alpha", type=_curve_alpha, required=True)
     sp.add_argument(
         "--which",
@@ -164,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", required=True, help="CSV output")
 
     sp = sub.add_parser("hopf", help="Hopf number at one angle or over a sweep")
+    sp.set_defaults(run=_cmd_hopf)
     sp.add_argument("--alpha", type=_alpha_list, required=True, help="value or comma list")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--theta", type=_finite_float, help="single angle (prints one line per alpha)")
@@ -171,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", default=None, help="CSV output (required for sweeps)")
 
     sp = sub.add_parser("orbit", help="critical or periodic orbit")
+    sp.set_defaults(run=_cmd_orbit)
     sp.add_argument("--alpha", type=_map_alpha, required=True)
     sp.add_argument("--c", type=_complex_flag, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
@@ -181,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", default=None, help="CSV output")
 
     sp = sub.add_parser("leaf", help="pull a polyline back through inverse branches")
+    sp.set_defaults(run=_cmd_leaf)
     sp.add_argument("--alpha", type=_map_alpha, required=True)
     sp.add_argument("--c", type=_complex_flag, required=True)
     sp.add_argument("--radius", type=_positive_float, required=True, help="initial circle radius")
@@ -322,24 +331,13 @@ def _cmd_leaf(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "julia": _cmd_julia,
-    "locus": _cmd_locus,
-    "fixed-points": _cmd_fixed_points,
-    "curves": _cmd_curves,
-    "hopf": _cmd_hopf,
-    "orbit": _cmd_orbit,
-    "leaf": _cmd_leaf,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "hopf" and args.theta is None and not args.output:
         parser.error("hopf: sweeps need -o/--output for the CSV table")
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except (*_COMPUTE_ERRORS, OSError) as exc:
         print(f"qcdyn {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+__all__ = ["DomainError", "ResonanceError", "EigenvalueError", "NoConvergence", "ConvergenceWarning"]
+
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""

@@ -311,6 +311,18 @@ def _scalar_newton(p: MapParams, z: complex, steps: int, q: int = 1) -> tuple[li
     return None, True
 
 
+def _require_classifiable(alpha: float) -> None:
+    """DomainError from alpha = 2^53 on.  There the float spacing of alpha
+    passes 1, so a + 1 and a - 1 round to floats whose difference is no
+    longer 2; jacobian's two moduli lose that difference with them, and an
+    eigenvalue read off it (2 at z = 1, c = 0) becomes rounding noise."""
+    if alpha >= 2.0**53:
+        raise DomainError(
+            f"alpha = {alpha!r} is 2^53 or more: a + 1 and a - 1 are not both exact floats, "
+            "so eigenvalues and classes are meaningless"
+        )
+
+
 def _record(p: MapParams, z: complex) -> FixedPointRecord:
     jac = jacobian(p, z)
     return FixedPointRecord(
@@ -364,7 +376,9 @@ def find_fixed_points(p: MapParams) -> list[FixedPointRecord]:
     as exactly 0 in place of any root within _DEDUP of it, and classified
     from Df(0) = 0 (attracting: |f(z)| = |z|^{2a}).
     Emits ConvergenceWarning if some seeds stall without converging or
-    diverging.
+    diverging.  Raises DomainError where a root's eigenvalues overflow, and
+    else from alpha = 2^53 on, where no class is meaningful (see
+    _require_classifiable).
     """
     require_alpha(p.alpha, strict=True)
     lanes, converged, stalled = _newton_lanes(p, _census_seeds(p))
@@ -377,7 +391,9 @@ def find_fixed_points(p: MapParams) -> list[FixedPointRecord]:
             ConvergenceWarning,
         )
     roots.sort(key=lambda w: (w.real, w.imag))
-    return [_record(p, z) for z in roots]
+    records = [_record(p, z) for z in roots]
+    _require_classifiable(p.alpha)  # after the eigenvalues, whose overflow is named first
+    return records
 
 
 def _gamma_plus_sector(alpha: float) -> float:

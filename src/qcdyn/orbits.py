@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .fixed_points import Polyline, _chain, _scalar_newton, classify_eigenvalues
+from .fixed_points import Polyline, _chain, _require_classifiable, _scalar_newton, classify_eigenvalues
 
 # the census bench wraps orbits.apply_map and orbits.jacobian to count calls,
 # so both names stay bound here although the derivative chain is _chain's
@@ -85,7 +85,8 @@ def find_periodic_orbit(p: MapParams, q: int, seed: complex) -> PeriodicOrbit:
     |f^d(z) - z| < TOL_FP), with the eigenvalues of D f^period chained along
     it by the search's own fixed_points._chain.  Raises NoConvergence if the
     seed does not lead to a root: the steps run out, an iterate diverges or
-    its orbit overflows, or a step is singular.
+    its orbit overflows, or a step is singular, and DomainError where the
+    eigenvalues overflow or alpha >= 2^53 (see find_fixed_points).
     """
     if q < 1:
         raise DomainError("period must be >= 1")
@@ -100,6 +101,7 @@ def find_periodic_orbit(p: MapParams, q: int, seed: complex) -> PeriodicOrbit:
             period = d
             break
     eigs = _chain(p, cycle[:period]).eigenvalues
+    _require_classifiable(p.alpha)
     return PeriodicOrbit(tuple(cycle[:period]), period, eigs, classify_eigenvalues(eigs))
 
 

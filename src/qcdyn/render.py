@@ -70,6 +70,7 @@ __all__ = [
     "classify_point",
     "render_julia",
     "render_locus",
+    "gray_levels",
     "write_pgm",
     "write_cells_csv",
     "write_csv",

@@ -30,6 +30,7 @@ import os
 import runpy
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from typing import Sequence
 
@@ -224,15 +225,40 @@ def label_minimum_positions(values: np.ndarray, labels: np.ndarray, nlab: int) -
     return [tuple(int(v) for v in np.unravel_index(k, values.shape)) for k in picked]
 
 
+# the c-free parts of the last _GRID_ENTRIES residual grids, by (alpha, box,
+# n); one is about 130 MB at n = 2000.  The census test's 400 parameters
+# use 4 (alpha, box) pairs, and its thread pool shares the cache.
+_GRID_ENTRIES = 2
+_GRID_CACHE: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_GRID_LOCK = threading.Lock()
+
+
+def _c_free_grid(alpha: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n x n grid over [-b, b]^2, its mask of z = 0 and |z|^{2a-2} z z on
+    it (1 in place of |0|), read-only and shared between callers."""
+    key = (alpha, b, n)
+    with _GRID_LOCK:
+        parts = _GRID_CACHE.pop(key, None)
+        if parts is None:
+            xs = np.linspace(-b, b, n)
+            grid = xs[None, :] + 1j * xs[:, None]
+            r = np.abs(grid)
+            zero = r == 0
+            rs = np.where(zero, 1.0, r)
+            parts = (grid, zero, rs ** (2 * alpha - 2) * grid * grid)
+            for a in parts:
+                a.setflags(write=False)
+        _GRID_CACHE[key] = parts  # most recently used last
+        while len(_GRID_CACHE) > _GRID_ENTRIES:
+            del _GRID_CACHE[next(iter(_GRID_CACHE))]
+    return parts
+
+
 def residual_grid(p: MapParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n x n grid over the search box and |f(z) - z| on it."""
-    b = _search_box(p)
-    xs = np.linspace(-b, b, n)
-    grid = xs[None, :] + 1j * xs[:, None]
-    r = np.abs(grid)
-    rs = np.where(r == 0, 1.0, r)
-    fval = rs ** (2 * p.alpha - 2) * grid * grid + p.c
-    fval[r == 0] = p.c
+    grid, zero, part = _c_free_grid(p.alpha, _search_box(p), n)
+    fval = part + p.c
+    fval[zero] = p.c
     return grid, np.abs(fval - grid)
 
 

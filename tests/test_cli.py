@@ -141,6 +141,26 @@ class TestFixedPointsCommand:
         err = capsys.readouterr().err
         assert "overflow" in err and "Traceback" not in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("alpha", ["1e16", "9007199254740992"])
+    @pytest.mark.parametrize("command", [[], ["--periodic", "1", "--seed-point", "1"]], ids=["fixed-points", "orbit"])
+    def test_exponent_past_2_53_is_refused(self, capsys, alpha, command):
+        # from 2^53 on a + 1 and a - 1 are not both exact: z = 1 read as a
+        # saddle (1e16) or neutral (2^53), where its eigenvalues are 2a and 2
+        argv = ["orbit" if command else "fixed-points", "--alpha", alpha, "--c", "0", *command]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"qcdyn {argv[0]}: alpha = ") and "2^53" in err and len(err.splitlines()) == 1
+
+    def test_exponent_below_2_53_keeps_its_classes(self, capsys):
+        assert main(["fixed-points", "--alpha", "9007199254740991", "--c", "0"]) == 0
+        assert main(["orbit", "--alpha", "9007199254740991", "--c", "0", "--periodic", "1", "--seed-point", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"{0:22} {0:22} {'attracting':>11} {0:10} {0:10} {0:10} {0:10}",
+            f"{1:22} {0:22} {'repelling':>11} {'1.80144e+16':>10} {2:10} {'3.60288e+16':>10} {'1.80144e+16':>10}",
+            "period 1 (repelling); multipliers +1.80143985e+16+0i, +2+0i",
+        ]
+
 
 class TestCurvesCommand:
     def test_curves_with_cusps_and_probe(self, tmp_path, capsys):
@@ -577,7 +597,7 @@ def test_every_library_error_exits_1(monkeypatch, capsys, error):
     def fail(args):
         raise error("no such orbit")
 
-    monkeypatch.setitem(cli._DISPATCH, "orbit", fail)
+    monkeypatch.setattr(cli, "_cmd_orbit", fail)
     assert main(["orbit", "--alpha", "1", "--c", "0", "--critical", "3"]) == 1
     assert capsys.readouterr().err == "qcdyn orbit: no such orbit\n"
 

@@ -1,6 +1,8 @@
 import cmath
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from oracles import (
+    _search_box,
     bench_inputs,
     bits,
     brute_force_fixed_points,
@@ -186,10 +189,12 @@ class TestFindFixedPoints:
                   ("attracting", "repelling", "saddle")}
         assert counts == {"attracting": 1, "repelling": 2, "saddle": 1}
 
-    @pytest.mark.parametrize("alpha", [0.51, 0.6, 0.75, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("alpha", [0.51, 0.6, 0.75, 1.0, 1 + 2**-52, 1.5, 3.0, 2.0**53 - 1])
     def test_branch_point_at_c_zero(self, alpha):
         # Newton only comes within about 1e-13 of 0, and for alpha < 1 Df there
-        # is far from Df(0) = 0: at alpha = 0.51 it reads as a saddle
+        # is far from Df(0) = 0: at alpha = 0.51 it reads as a saddle.  Only
+        # alpha >= 2^53 is refused: at 1 + 2^-52, (a + 1) - (a - 1) is not 2,
+        # yet both classes are right
         recs = find_fixed_points(MapParams(alpha, 0))
         assert [r.cls for r in recs] == ["attracting", "repelling"]
         assert recs[0] == FixedPointRecord(0j, (0j, 0j), "attracting", 0.0, 0.0)
@@ -575,6 +580,34 @@ class TestLabelMinima:
         values = np.array([[3.0, 1.0, 9.0, 2.0], [1.0, 5.0, 9.0, 2.0]])
         labels, nlab = ndimage.label(values < 9.0)
         assert label_minimum_positions(values, labels, nlab) == [(0, 1), (0, 3)]
+
+
+def test_residual_grid_cache_under_threads():
+    # 8 threads on fewer cores, a short switch interval and more (alpha,
+    # box) keys than the oracle's cache keeps: every grid and residual has
+    # the bytes of the uncached expression
+    def uncached(p, n):
+        b = _search_box(p)
+        xs = np.linspace(-b, b, n)
+        grid = xs[None, :] + 1j * xs[:, None]
+        r = np.abs(grid)
+        rs = np.where(r == 0, 1.0, r)
+        fval = rs ** (2 * p.alpha - 2) * grid * grid + p.c
+        fval[r == 0] = p.c
+        return grid, np.abs(fval - grid)
+
+    params = [MapParams(a, c) for a in (0.75, 1.0, 2.0) for c in (0.3, -0.2 + 0.1j, 30.0)]
+    assert len({(p.alpha, _search_box(p)) for p in params}) == 7
+    want = [tuple(a.tobytes() for a in uncached(p, 65)) for p in params]
+    jobs = [k for _ in range(8) for k in range(len(params))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda k: tuple(a.tobytes() for a in residual_grid(params[k], 65)), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [g == want[k] for g, k in zip(got, jobs)] == [True] * len(jobs)
 
 
 class TestDataTypes:

@@ -1,43 +1,37 @@
-import ast
 import importlib
 import inspect
 import pkgutil
-from pathlib import Path
+
+from oracles import run_python
 
 import qcdyn
 
-# every submodule that declares __all__ (cli and errors declare none)
 _MODULES = {
-    info.name: module
-    for info in pkgutil.iter_modules(qcdyn.__path__)
-    if hasattr(module := importlib.import_module(f"qcdyn.{info.name}"), "__all__")
+    info.name: importlib.import_module(f"qcdyn.{info.name}") for info in pkgutil.iter_modules(qcdyn.__path__)
 }
 
 
-def _root_imports() -> list[tuple[str, str]]:
-    """(module, name) for every name qcdyn/__init__.py imports from a submodule."""
-    tree = ast.parse(Path(qcdyn.__file__).read_text())
+def _defined(module) -> list[str]:
+    """The public functions and classes a module defines itself."""
     return [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
     ]
 
 
-def test_all_lists_and_root_imports_agree():
-    # every name a module exports resolves, once; every name the package
-    # root imports from a module is one that module exports
-    assert {"maps", "render", "fixed_points", "jets", "orbits"} <= set(_MODULES)
+def test_modules_are_the_api():
+    # the package root binds no function or class; every module lists each
+    # public function or class it defines in __all__, once, and every name
+    # there resolves
+    assert {"maps", "render", "fixed_points", "jets", "orbits", "errors", "cli"} <= set(_MODULES)
+    assert [n for n, obj in vars(qcdyn).items() if inspect.isfunction(obj) or inspect.isclass(obj)] == []
     for name, module in _MODULES.items():
         assert len(module.__all__) == len(set(module.__all__)), name
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
-    unexported = [
-        (module, name)
-        for module, name in _root_imports()
-        if module not in _MODULES or name not in _MODULES[module].__all__
-    ]
-    assert unexported == []
+        assert [n for n in _defined(module) if n not in module.__all__] == [], name
 
 
 def test_no_public_alias():
@@ -46,3 +40,11 @@ def test_no_public_alias():
         objs = [getattr(module, n) for n in module.__all__]
         named = [obj for obj in objs if inspect.isfunction(obj) or inspect.isclass(obj)]
         assert len({id(obj) for obj in named}) == len(named), name
+
+
+def test_pure_python_modules_load_no_numpy():
+    # maps and errors are plain Python; importing them must not pull in
+    # numpy through the package root
+    proc = run_python(["-c", "import sys, qcdyn.maps, qcdyn.errors; print('numpy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
