@@ -12,6 +12,14 @@ and the stability boundaries pull back to explicit loci in z:
 
 Their images under p bound the parameter regions with different fixed-point
 inventories; p(gamma+) carries three cusps (one real) whenever alpha != 1.
+
+The fixed-point census (find_fixed_points) rests on f doubling the
+argument: off the real axis a fixed point has one real unknown,
+tau = cot(arg z), so the census scans one function of tau for sign changes
+and polishes each with the package's one Newton, _scalar_newton.  The
+scan rounds only in +, -, *, /, hypot and float_power on floats (besides
+comparisons and integer arithmetic on float bit patterns), whose results do
+not depend on the SIMD level numpy dispatches to.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 from .errors import ConvergenceWarning, DomainError, NoConvergence
 # apply_map and jacobian are called through this module's names, which the
 # census bench wraps to count the calls
-from .maps import MapParams, WirtingerPair, _radius_floor, apply_map, jacobian, require_alpha
+from .maps import MapParams, WirtingerPair, apply_map, jacobian, require_alpha
 
 __all__ = [
     "Polyline",
@@ -55,15 +63,21 @@ TOL_CLS = 1e-9
 _NEWTON_TOL = 1e-13
 _NEWTON_STEPS = 60
 NEWTON_BOUND = 1e6  # Newton iterates beyond this modulus count as diverged
-_SCALAR_LANES = 16  # _newton_lanes finishes on the scalar step once this few lanes are live
 MIN_SAMPLES = 16  # fewest samples trace_curve accepts
 _DEDUP = 1e-8
-# the census grid's 24 directions as (re, im) rows and its 24 rings as ring
-# numbers k + 1, shaped so that their product runs ring by ring
-_SEED_DIRECTIONS = np.array(
-    [cmath.exp(2j * math.pi * j / 24.0) for j in range(24)]
-).view(np.float64).reshape(24, 2)
-_SEED_RINGS = np.arange(1, 25).reshape(24, 1, 1)
+_SAME_ROOT = 1e-6  # see _census_roots
+# the census scan in tau = cot(arg z): a fixed grid symmetric about 0, steps of
+# 1/16 up to 1 and then ratio 2^(1/8) out to 2^64, and offsets from each
+# breakpoint b, fractions 2^1 ... 2^-340 of max(1, |b|) in ratio 4, both sides
+# (Python's ** and ldexp, not a numpy exp2 whose rounding may follow the SIMD level)
+_TAU_TAIL = np.array([2.0 ** (k / 8.0) for k in range(1, 513)])
+_TAU_GRID = np.concatenate((-_TAU_TAIL[::-1], np.arange(-16, 17) / 16.0, _TAU_TAIL))
+_BREAK_OFFSETS = np.ldexp(1.0, np.arange(1, -341, -2))
+_BREAK_OFFSETS = np.concatenate((-_BREAK_OFFSETS, _BREAK_OFFSETS))
+_ZOOM = np.arange(65) / 64.0  # the cuts of a grid cell beside a minimum of |g|
+_TAU_ROUNDS = 4  # 64-part sections of each sign change of the tau scan
+_EXACT = 11  # sections that reach adjacent floats
+_LATTICE = 8  # half-width, in ulps, of _least_residual's lattice
 
 
 @dataclass(frozen=True)
@@ -170,106 +184,180 @@ def classify_eigenvalues(eigs: tuple[complex, complex]) -> str:
     return "neutral"
 
 
-def _newton_lanes(p: MapParams, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Newton for f(z) = z from every seed at once, one numpy lane per seed.
+def _section(positive, lo: np.ndarray, hi: np.ndarray, rounds: int) -> np.ndarray:
+    """For brackets [lo, hi], each within one sign, across which positive (a
+    boolean of the point, array in and out) changes: after `rounds` rounds,
+    the end of each bracket where positive holds.
 
-    Each lane repeats the scalar iteration z <- z + (Df(z) - id)^{-1} (z - f(z))
-    of apply_map, jacobian and WirtingerPair.newton_step bit for bit in the
-    finite case: a step takes one power, s = np.float_power(|z|, a - 1)
-    (Python's **), which gives both apply_map's prefactor and jacobian's
-    r^{2a-1} = |z| s^2; two moduli, |z| and |f(z) - z|, as np.hypot (Python's
-    abs); det(Df - id) from products of parts, as newton_step takes it; and
-    complex products and quotients written out in real and imaginary parts
-    in CPython's order.  A lane stops as a root once |f(z) - z| < 1e-13 and
-    fails when |z| > NEWTON_BOUND or z is not finite.  A lane at the branch
-    point z = 0, or whose step overflows or is singular (|f(z) - z| or
-    det(Df - id) not finite, or |det(Df - id)| < 1e-300), finishes its
-    remaining steps on the scalar iteration itself (_scalar_newton), bit for
-    bit by construction; so do the live lanes once at most _SCALAR_LANES are
-    left, as a numpy step costs about the same whatever the lane count, some
-    30 scalar steps' worth.  A lane still live after 60 steps stalls.
-
-    Returns (roots, converged, stalled): the root of each converged seed
-    (nan elsewhere), the converged mask, and the number of stalled seeds.
+    The sections run on the bit patterns of |x|, which order the floats of
+    one sign the way their values do.  Each round cuts a bracket into 64
+    parts and keeps the first whose ends differ, so _EXACT = 11 rounds take
+    any bracket to two adjacent floats.
     """
-    seeds = np.asarray(seeds, dtype=np.complex128).ravel()
-    found = np.full((seeds.size, 2), np.nan)  # (re, im) rows, viewed as complex at the end
-    x, y = seeds.real.copy(), seeds.imag.copy()
-    idx = np.arange(seeds.size)
-    e_map = p.alpha - 1.0
-    k_z, k_zbar = p.alpha + 1.0, p.alpha - 1.0
+    side = np.where((lo < 0.0) | (hi < 0.0), -1.0, 1.0)
+    a, b = np.abs(lo).view(np.int64), np.abs(hi).view(np.int64)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    a_holds = positive(side * a.view(np.float64))
+    k = np.arange(65)
+    rows = np.arange(a.size)
+    for _ in range(rounds):
+        gap = (b - a)[:, None]
+        cuts = a[:, None] + (gap // 64) * k + (gap % 64) * k // 64
+        holds = positive(side[:, None] * cuts.view(np.float64))
+        j = np.argmax(holds != holds[:, :1], axis=1)
+        a, b = cuts[rows, j - 1], cuts[rows, j]
+    return side * np.where(a_holds, a, b).view(np.float64)
+
+
+def _tau_starts(p: MapParams, rounds: int) -> list[complex]:
+    """Newton starts for the fixed points at non-real c, all off the real
+    axis, in increasing tau = cot(arg z): one for each sign change of
+    g = |R|^{2a} - rho over the scan grid, sectioned `rounds` times.
+
+    R is taken in factored form (see find_fixed_points), with
+    q = c_i tau_+ and tau_- = -c_i / q, so that it does not cancel near its
+    zeros; rho = c_r - c_i tau.  Outside the domain rho > 0 the sign reads
+    positive (|R|^{2a} >= rho holds there), as G does at the domain's end,
+    so a root near that end brackets like any other.  Two roots in one
+    grid cell change no sign there; where |g| has a grid minimum inside the
+    domain without one, both cells beside it are cut into 64 and their
+    sign changes join the rest.
+    """
     cr, ci = p.c.real, p.c.imag
-    drop = np.zeros(seeds.size, dtype=bool)
-    handed = []  # (seed indices, x, y, steps left) of the lanes _scalar_newton finishes
-    stalled = 0
+    q = cr + math.copysign(math.hypot(cr, ci), cr)
+    tau_minus = -ci / q
+    two_a = 2.0 * p.alpha
+
+    def radius_rho(tau):
+        ci_tau = ci * tau
+        hyp = np.hypot(1.0, tau)
+        return (q - ci_tau) * ((tau - tau_minus) / hyp), hyp, cr - ci_tau
+
+    def power_rho(tau):
+        r, _, rho = radius_rho(tau)
+        return np.float_power(np.abs(r), two_a), rho
+
+    def positive(tau):
+        power, rho = power_rho(tau)
+        return power >= rho
+
     with np.errstate(all="ignore"):
-        for step in range(_NEWTON_STEPS):
-            r = np.hypot(x, y)
-            keep = ~drop & (r <= NEWTON_BOUND)  # False for nan and inf moduli
-            if np.count_nonzero(keep) < keep.size:
-                x, y, r, idx = x[keep], y[keep], r[keep], idx[keep]
-            if idx.size <= _SCALAR_LANES:
-                handed.append((idx, x, y, _NEWTON_STEPS - step))
-                break
-            # apply_map: u = |z|^(a-1) z (float times complex), f - z = u u + c - z
-            zx, zy = 0.0 * x, 0.0 * y  # the zero parts' products, kept for signed zeros
-            s = np.float_power(r, e_map)
-            ur = s * x - zy
-            ui = s * y + zx
-            fr = ur * ur - ui * ui + cr - x
-            fi = ur * ui + ui * ur + ci - y
-            fabs = np.hypot(fr, fi)
-            # jacobian: s2 = |z| s^2, v = z / |z| (Smith's quotient by |z| + 0j),
-            # fz = (a+1) s2 v, fzbar = (a-1) s2 v^3; newton_step takes a = fz - 1
-            s2 = r * (s * s)
-            vr = (x + zy) / r
-            vi = (y - zx) / r
-            sq_r = vr * vr - vi * vi
-            sq_i = vr * vi + vi * vr
-            cube_r = sq_r * vr - sq_i * vi
-            cube_i = sq_r * vi + sq_i * vr
-            k1, k2 = k_z * s2, k_zbar * s2
-            # fz.real is k1 vr - 0.0 vi; once 1 is subtracted the zero product
-            # cannot change the result, as vi is finite
-            ar = k1 * vr - 1.0
-            ai = k1 * vi + 0.0 * vr
-            br = k2 * cube_r - 0.0 * cube_i
-            bi = k2 * cube_i + 0.0 * cube_r
-            # newton_step: det = |a|^2 - |b|^2 as products of parts,
-            # v = (b conj(r) - conj(a) r) / (det + 0j)
-            det = (ar * ar + ai * ai) - (br * br + bi * bi)
-            hand = np.abs(det) < 1e-300
-            # the scalar step fails in one of two ways: apply_map's power
-            # raises OverflowError, where s is inf here and so fabs is inf or
-            # nan; or s^2 or a square in det overflows without raising, where
-            # det is inf or nan and newton_step raises NoConvergence.  z = 0,
-            # where v is 0/0, leaves det nan too
-            if not math.isfinite((fabs + det).sum()):
-                hand |= ~(np.isfinite(fabs) & np.isfinite(det))
-            conv = fabs < _NEWTON_TOL
-            if np.count_nonzero(hand):
-                handed.append((idx[hand], x[hand], y[hand], _NEWTON_STEPS - step))
-                conv &= ~hand
-            if np.count_nonzero(conv):
-                found[idx[conv], 0] = x[conv]
-                found[idx[conv], 1] = y[conv]
-            drop = conv | hand
-            # conj(r) and conj(a) negate exactly, so x - (-y) is x + y bit for bit;
-            # the quotient's denominator det + 0 * ratio is det itself
-            nr = (br * fr + bi * fi) - (ar * fr + ai * fi)
-            ni = (bi * fr - br * fi) - (ar * fi - ai * fr)
-            ratio = 0.0 / det
-            x = x + (nr + ni * ratio) / det
-            y = y + (ni - nr * ratio) / det
-        else:
-            stalled = int(np.count_nonzero(~drop))
-    for ids, xs, ys, steps in handed:
-        for k, zr, zi in zip(ids.tolist(), xs.tolist(), ys.tolist()):
-            orbit, stall = _scalar_newton(p, complex(zr, zi), steps)
-            if orbit is not None:
-                found[k] = orbit[0].real, orbit[0].imag
-            stalled += stall
-    return found.view(np.complex128).ravel(), ~np.isnan(found[:, 0]), stalled
+        breaks = np.array([cr / ci, q / ci, tau_minus])  # rho = 0, tau_+, tau_-
+        near = breaks[:, None] + np.maximum(1.0, np.abs(breaks))[:, None] * _BREAK_OFFSETS
+        tau = np.concatenate((_TAU_GRID, near[np.isfinite(near)]))
+        tau.sort()
+        power, rho = power_rho(tau)
+        pos = power >= rho
+        k = np.flatnonzero(pos[1:] != pos[:-1])
+        gap = np.abs(power - rho)
+        dip = (gap[1:-1] < gap[:-2]) & (gap[1:-1] <= gap[2:]) & (rho[1:-1] > 0.0)
+        dip = np.flatnonzero(dip & (pos[:-2] == pos[1:-1]) & (pos[2:] == pos[1:-1])) + 1
+        cells = np.concatenate((dip - 1, dip))
+        fine = tau[cells, None] + (tau[cells + 1] - tau[cells])[:, None] * _ZOOM
+        hold = positive(fine)
+        row, col = np.nonzero(hold[:, 1:] != hold[:, :-1])
+        lo = np.concatenate((tau[k], fine[row, col]))
+        hi = np.concatenate((tau[k + 1], fine[row, col + 1]))
+        order = np.argsort(lo)
+        root = _section(positive, lo[order], hi[order], rounds)
+        r, hyp, _ = radius_rho(root)
+        x, y = r * (root / hyp), r / hyp
+    return [complex(a, b) for a, b in zip(x.tolist(), y.tolist())]
+
+
+def _real_starts(p: MapParams) -> list[complex]:
+    """Newton starts for every fixed point at real c.
+
+    On the axis h(x) = x - |x|^{2a} - c_r increases on x < 0 and has its one
+    maximum at x* (saddle_node_parameter's), so the sign changes of h over
+    max(c_r, -NEWTON_BOUND) <= 0 <= x* <= NEWTON_BOUND bracket all its roots
+    within the bound.  An end where h is 0 (x* at the saddle-node, 0 at
+    c = 0) is a start; each bracket with a sign change gives the float next
+    to it where h >= 0, h being taken in apply_map's operations.  Off the
+    axis the pair r e^{+-it} with r^{2a} = c_r and cos t = r / (2 c_r) exists
+    where that cosine is below 1; its upper point is the last start.
+    """
+    cr, two_a = p.c.real, 2.0 * p.alpha
+    x_star = saddle_node_parameter(p.alpha)[0]
+
+    def sign(x):  # of h: u = |x|^{a-1} x and f = u^2 + c_r, as in apply_map
+        u = np.where(x == 0.0, 0.0, np.float_power(np.abs(x), p.alpha - 1.0) * x)
+        return np.sign(x - (u * u + cr))
+
+    with np.errstate(all="ignore"):
+        ends = np.array([max(min(cr, 0.0), -NEWTON_BOUND), 0.0, x_star, NEWTON_BOUND])
+        h = sign(ends)
+        k = np.flatnonzero(h[:-1] * h[1:] < 0)
+        roots = _section(lambda x: sign(x) >= 0, ends[k], ends[k + 1], _EXACT)
+    starts = [complex(x) for x in np.unique(ends[h == 0]).tolist() + roots.tolist()]
+    if cr > 0.0:
+        r = cr ** (1.0 / two_a)
+        cos_t = r / (2.0 * cr)
+        if cos_t < 1.0:
+            starts.append(r * complex(cos_t, math.sqrt((1.0 - cos_t) * (1.0 + cos_t))))
+    return starts
+
+
+def _census_starts(p: MapParams, rounds: int = _TAU_ROUNDS) -> list[complex]:
+    """The census's Newton starts: _real_starts' at real c; at non-real c
+    _tau_starts', then c and the two roots of z^2 - z + c."""
+    if p.c.imag == 0:
+        return _real_starts(p)
+    disc = cmath.sqrt(1.0 - 4.0 * p.c)
+    return _tau_starts(p, rounds) + [p.c, (1.0 + disc) / 2.0, (1.0 - disc) / 2.0]
+
+
+def _least_residual(p: MapParams, z: complex) -> complex:
+    """The float within _LATTICE ulps of Newton's limit from z, part by part,
+    where |f(w) - w| is least (the first in row order among equals); a part
+    that is 0 stays 0.  Three of _scalar_newton's steps from a float next to
+    a root reach the float where that Newton stalls, an ulp or so from the
+    root."""
+    try:
+        for _ in range(3):
+            z = z + jacobian(p, z).newton_step(apply_map(p, z) - z)
+        dx, dy = math.ulp(z.real), math.ulp(z.imag) if z.imag else 0.0
+        steps = range(-_LATTICE, _LATTICE + 1)
+        lattice = [complex(z.real + i * dx, z.imag + j * dy) for i in steps for j in steps]
+        return min(lattice, key=lambda w: abs(apply_map(p, w) - w))
+    except (NoConvergence, OverflowError):
+        return z
+
+
+def _census_roots(p: MapParams) -> tuple[list[complex], int]:
+    """Each census start polished by _scalar_newton: the roots in start
+    order, and the number of starts that stalled.
+
+    A start of _real_starts or _tau_starts lies next to a sign change, so
+    next to a root.  Where its polish fails within NEWTON_BOUND, the start
+    is taken to the float next to that sign change (_EXACT rounds), and the
+    polish starts over from _least_residual's float there: Newton stalls at
+    a root whose floats all leave |f(z) - z| >= _NEWTON_TOL but a few, and
+    from a start a few digits off it can leave a root where f is nearly
+    the identity.  The fixed starts serve the roots beyond the scan's reach
+    (near the real axis at tiny c_i, where tau overflows): a root of theirs
+    within _SAME_ROOT max(1, |z|) of one found before is that root.  At real
+    c each non-real root is followed by its conjugate, a root with the same
+    residual.
+    """
+    starts = _census_starts(p)
+    scanned = len(starts) - (3 if p.c.imag else 0)
+    exact = None
+    roots, stalled = [], 0
+    for k, z in enumerate(starts):
+        orbit, stall = _scalar_newton(p, z, _NEWTON_STEPS)
+        if k >= scanned:
+            if orbit and any(abs(orbit[0] - w) <= _SAME_ROOT * max(1.0, abs(w)) for w in roots):
+                orbit = None
+        elif orbit is None and abs(z) <= NEWTON_BOUND:
+            exact = exact or _census_starts(p, _EXACT)
+            orbit, stall = _scalar_newton(p, _least_residual(p, exact[k]), _NEWTON_STEPS)
+        stalled += stall
+        if orbit is not None:
+            roots.append(orbit[0])
+            if p.c.imag == 0 and orbit[0].imag != 0:
+                roots.append(orbit[0].conjugate())
+    return roots, stalled
 
 
 def _chain(p: MapParams, orbit: list[complex]) -> WirtingerPair:
@@ -282,18 +370,17 @@ def _chain(p: MapParams, orbit: list[complex]) -> WirtingerPair:
 
 def _scalar_newton(p: MapParams, z: complex, steps: int, q: int = 1) -> tuple[list[complex] | None, bool]:
     """At most `steps` undamped Newton steps for f^q(z) = z from z: the
-    package's one Newton, which finishes the census lanes (q = 1) and runs
+    package's one Newton, which polishes the census starts (q = 1) and runs
     orbits.find_periodic_orbit.
 
     A step gives up once |z| > NEWTON_BOUND or z is not finite, maps z
     forward q times, stops at a root once |f^q(z) - z| < _NEWTON_TOL, and
     else moves z by (D f^q(z) - id)^{-1} (z - f^q(z)), with D f^q chained
     along the orbit by _chain (Df(0) = 0, see maps.jacobian).  At q = 1
-    this is apply_map, the tolerance test, jacobian and newton_step, the
-    operations the lanes reproduce bit for bit.  Returns (orbit, False) on
-    convergence, orbit being the root's [z, f(z), ..., f^{q-1}(z)],
-    (None, True) when the steps run out, and (None, False) on divergence,
-    overflow or a singular step."""
+    this is apply_map, the tolerance test, jacobian and newton_step.
+    Returns (orbit, False) on convergence, orbit being the root's
+    [z, f(z), ..., f^{q-1}(z)], (None, True) when the steps run out, and
+    (None, False) on divergence, overflow or a singular step."""
     try:
         for _ in range(steps):
             if abs(z) > NEWTON_BOUND or not cmath.isfinite(z):
@@ -334,55 +421,56 @@ def _record(p: MapParams, z: complex) -> FixedPointRecord:
     )
 
 
-def _census_seeds(p: MapParams) -> np.ndarray:
-    """The census's Newton starts in order: the polar grid ring by ring, then
-    the two roots of z^2 - z + c.
+def _distinct_roots(found: np.ndarray) -> list[complex]:
+    """The roots in order, less each one within _DEDUP of a root kept before it.
 
-    Ring k + 1 has radius r = radius (k + 1) / 24, and its seeds are r times
-    each direction w, part by part.  That gives the bits of CPython's r * w,
-    whose products with the zero imaginary part of r add nothing, without a
-    numpy complex product, whose rounding depends on the SIMD level.
-    """
-    radius = min(_radius_floor(p.alpha), NEWTON_BOUND)
-    grid = (radius * _SEED_RINGS / 24.0 * _SEED_DIRECTIONS).view(np.complex128).ravel()
-    disc = cmath.sqrt(1.0 - 4.0 * p.c)
-    tail = np.array([(1.0 + disc) / 2.0, (1.0 - disc) / 2.0], dtype=np.complex128)
-    return np.concatenate((grid, tail))
-
-
-def _distinct_roots(lanes: np.ndarray) -> list[complex]:
-    """The lanes in order, less each one within _DEDUP of a lane kept before it.
-
-    Root by root: keep the first lane left and drop every lane within _DEDUP
-    of it, itself included.  A lane left over is farther than _DEDUP from
-    every kept root, so this keeps what the seed-order rule keeps.
+    Root by root: keep the first root left and drop every root within _DEDUP
+    of it, itself included.  A root left over is farther than _DEDUP from
+    every kept root, so this keeps what the start-order rule keeps.
     """
     roots = []
-    while lanes.size:
-        root = lanes[0]
+    while found.size:
+        root = found[0]
         roots.append(complex(root))
-        d = lanes - root
-        lanes = lanes[np.hypot(d.real, d.imag) > _DEDUP]
+        d = found - root
+        found = found[np.hypot(d.real, d.imag) > _DEDUP]
     return roots
 
 
 def find_fixed_points(p: MapParams) -> list[FixedPointRecord]:
-    """All fixed points found by multi-start Newton (every seed at once, see
-    _newton_lanes), deduplicated in seed order and classified.
+    """All fixed points within NEWTON_BOUND, from a scan in one real unknown
+    polished by _scalar_newton, deduplicated in start order and classified.
 
-    Seeds: a 24x24 polar grid over the disk |z| <= 2^{1/(2a-1)} (which contains
-    every fixed point of locus parameters) capped at NEWTON_BOUND and the two
-    quadratic-case roots of z^2 - z + c.  At c = 0 the branch point is listed
-    as exactly 0 in place of any root within _DEDUP of it, and classified
-    from Df(0) = 0 (attracting: |f(z)| = |z|^{2a}).
-    Emits ConvergenceWarning if some seeds stall without converging or
-    diverging.  Raises DomainError where a root's eigenvalues overflow, and
-    else from alpha = 2^53 on, where no class is meaningful (see
-    _require_classifiable).
+    f doubles the argument, so a fixed point z = r e^{it} off the real axis
+    has one unknown, tau = cot t:
+
+        z = R (tau + i) / sqrt(1 + tau^2),  R = N / sqrt(1 + tau^2),
+        N = 2 c_r tau - c_i tau^2 + c_i = -c_i (tau - tau_+)(tau - tau_-),
+
+    where |R|^{2a} = rho = c_r - c_i tau > 0 (r = |R|, and tau_+ tau_- = -1).
+    G = 2a log|R| - log rho tends to +inf where rho -> 0 and at the open end
+    of its half-line, and to -inf at the zeros of R.  At non-real c every
+    fixed point is off the axis: _tau_starts brackets the sign changes of
+    |R|^{2a} - rho over a fixed grid and points geometric in distance from
+    those breakpoints, and c and the roots of z^2 - z + c follow as fallback
+    starts.  At real c, h(x) = x - |x|^{2a} - c_r has at most three roots on
+    the axis, bracketed between -|c|, 0, saddle_node_parameter's x* and
+    NEWTON_BOUND, and the pair off it is closed form (_real_starts); a
+    non-real root is listed with its exact conjugate.  A bracket misses two
+    roots inside one grid cell where |R|^{2a} - rho has no grid minimum
+    beside them, and a root beyond the grid's reach in tau, near the real
+    axis at tiny c_i, is found only from a fallback start.
+
+    At c = 0 the branch point is listed as exactly 0 in place of any root
+    within _DEDUP of it, and classified from Df(0) = 0 (attracting:
+    |f(z)| = |z|^{2a}).  Emits ConvergenceWarning if some polish starts stall
+    without converging or diverging.  Raises DomainError where a root's
+    eigenvalues overflow, and else from alpha = 2^53 on, where no class is
+    meaningful (see _require_classifiable).
     """
     require_alpha(p.alpha, strict=True)
-    lanes, converged, stalled = _newton_lanes(p, _census_seeds(p))
-    roots = _distinct_roots(lanes[converged])
+    found, stalled = _census_roots(p)
+    roots = _distinct_roots(np.array(found, dtype=np.complex128))
     if p.c == 0:  # the branch point is fixed exactly; Newton only comes near it
         roots = [0j] + [z for z in roots if abs(z) > _DEDUP]
     if stalled:

@@ -11,14 +11,16 @@ homological conjugation.  coord_change1's binomial sum is checked against
 the jet composition it replaced, kept here verbatim, and normal_form3's b2
 against the full homological mismatch rjet o L1 - L1 o N it was read off,
 also kept here verbatim, at the intermediate values normal_form3_parts
-recomputes.  The census's lane-parallel Newton is checked bit for bit
-against the scalar per-seed loop it replaced, kept here over the scalar
-apply_map, jacobian and WirtingerPair.newton_step.
+recomputes.  The census's scan in tau = cot(arg z) is checked root set by
+root set against the 578-seed Newton census it replaced, kept here over the
+scalar apply_map, jacobian and WirtingerPair.newton_step, and its polish
+start by start against that scalar Newton.
 The raster's attractor period search and its cell CSV writer are checked
 against the versions they replaced, kept here verbatim.
 The small helpers at the end (the real 2x2 matrix of a Wirtinger pair, jet
 evaluation, polyline diameter, pixel diagonal, one raster cell, the
-benchmark's inputs, a child Python process, the bytes of a complex) serve
+benchmark's inputs, criterion 3's real parameters, a child Python process,
+the bytes of a complex) serve
 only the tests, so they live here rather than in the library.
 """
 
@@ -48,6 +50,8 @@ from qcdyn.fixed_points import (
     NEWTON_BOUND,
     _gamma_plus_loop,
     _record,
+    delta_circle,
+    gamma_plus,
     param_for_fixed_point,
 )
 from qcdyn.jets import Jet3, _check_nonresonant, compose_jets, coord_change1
@@ -165,9 +169,10 @@ def scalar_newton_fixed_point(p: MapParams, z0: complex) -> tuple[complex | None
     return None, True
 
 
-def scalar_census_seeds(p: MapParams, extra_seeds=()) -> list[complex]:
-    """The census's Newton starts, built one Python complex at a time, then
-    extra_seeds (the tests add these to the library's seeds as well)."""
+def scalar_census_seeds(p: MapParams) -> list[complex]:
+    """The 578 Newton starts of the census before its tau scan, built one
+    Python complex at a time: a 24x24 polar grid over the disk of radius
+    2^{1/(2a-1)} capped at NEWTON_BOUND, then the two roots of z^2 - z + c."""
     radius = min(_radius_floor(p.alpha), NEWTON_BOUND)
     seeds: list[complex] = []
     for k in range(24):
@@ -176,7 +181,6 @@ def scalar_census_seeds(p: MapParams, extra_seeds=()) -> list[complex]:
             seeds.append(r * cmath.exp(2j * math.pi * j / 24.0))
     disc = cmath.sqrt(1.0 - 4.0 * p.c)
     seeds.extend([(1.0 + disc) / 2.0, (1.0 - disc) / 2.0])
-    seeds.extend(extra_seeds)
     return seeds
 
 
@@ -190,21 +194,19 @@ def distinct_roots_in_seed_order(zs) -> list[complex]:
     return roots
 
 
-def scalar_census(p: MapParams, extra_seeds=()):
-    """find_fixed_points over scalar_newton_fixed_point: (records, stalled count)."""
+def scalar_census(p: MapParams):
+    """The records of the 578-seed census over scalar_newton_fixed_point, as
+    find_fixed_points gave them before its tau scan."""
     converged: list[complex] = []
-    stalled = 0
-    for seed in scalar_census_seeds(p, extra_seeds):
-        z, stall = scalar_newton_fixed_point(p, seed)
-        if z is None:
-            stalled += stall
-            continue
-        converged.append(z)
+    for seed in scalar_census_seeds(p):
+        z, _ = scalar_newton_fixed_point(p, seed)
+        if z is not None:
+            converged.append(z)
     roots = distinct_roots_in_seed_order(converged)
     if p.c == 0:  # the branch point, exactly, in place of the roots near it
         roots = [0j] + [z for z in roots if abs(z) > _DEDUP]
     roots.sort(key=lambda w: (w.real, w.imag))
-    return [_record(p, z) for z in roots], stalled
+    return [_record(p, z) for z in roots]
 
 
 def label_minimum_positions(values: np.ndarray, labels: np.ndarray, nlab: int) -> list[tuple[int, ...]]:
@@ -673,6 +675,27 @@ def bench_inputs(kind: str, seed: int):
     built by perfbench/inputs.py, which imports no qcdyn code."""
     namespace = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"))
     return namespace[f"{kind}_inputs"](seed)
+
+
+def real_region_samples(alpha: float, n: int) -> list[float]:
+    """About n real parameters spanning every region the real axis crosses:
+    the fixed-point census samples of acceptance criterion 3."""
+    rd = delta_circle(alpha)
+    bounds = {rd - rd ** (2 * alpha), -rd - rd ** (2 * alpha)}
+    for r in gamma_plus(alpha, 0.0):
+        bounds.add(r - r ** (2 * alpha))
+        bounds.add(-r - r ** (2 * alpha))
+    bounds = sorted(bounds)
+    intervals = [(bounds[0] - 0.4, bounds[0])]
+    intervals += list(zip(bounds, bounds[1:]))
+    intervals.append((bounds[-1], bounds[-1] + 0.3))
+    total = sum(b - a for a, b in intervals)
+    samples: list[float] = []
+    for a, b in intervals:
+        k = max(4, round(n * (b - a) / total))
+        width = b - a
+        samples.extend(a + width * (0.05 + 0.9 * (i + 0.5) / k) for i in range(k))
+    return samples[:n] if len(samples) > n else samples
 
 
 def run_python(args: Sequence[str], env: dict | None = None, **kwargs) -> subprocess.CompletedProcess:

@@ -12,16 +12,22 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from oracles import brute_force_fixed_points, census_signature, fd_jacobian, fd_jet, pixel_diag, real_matrix
+from oracles import (
+    brute_force_fixed_points,
+    census_signature,
+    fd_jacobian,
+    fd_jet,
+    pixel_diag,
+    real_matrix,
+    real_region_samples,
+)
 from qcdyn.errors import EigenvalueError, ResonanceError
 from qcdyn.fixed_points import (
     DELTA,
     GAMMA_MINUS,
     GAMMA_PLUS,
-    delta_circle,
     detect_cusps,
     find_fixed_points,
-    gamma_plus,
     trace_curve,
     trace_curve_image,
 )
@@ -121,26 +127,6 @@ def test_criterion_2_jet_and_jacobian_oracles():
     _report(2, "500-sample finite-difference and determinant oracles", failures)
 
 
-def _region_samples(alpha: float, n: int) -> list[float]:
-    """Real parameters spanning every region the real axis crosses."""
-    rd = delta_circle(alpha)
-    bounds = {rd - rd ** (2 * alpha), -rd - rd ** (2 * alpha)}
-    for r in gamma_plus(alpha, 0.0):
-        bounds.add(r - r ** (2 * alpha))
-        bounds.add(-r - r ** (2 * alpha))
-    bounds = sorted(bounds)
-    intervals = [(bounds[0] - 0.4, bounds[0])]
-    intervals += list(zip(bounds, bounds[1:]))
-    intervals.append((bounds[-1], bounds[-1] + 0.3))
-    total = sum(b - a for a, b in intervals)
-    samples: list[float] = []
-    for a, b in intervals:
-        k = max(4, round(n * (b - a) / total))
-        width = b - a
-        samples.extend(a + width * (0.05 + 0.9 * (i + 0.5) / k) for i in range(k))
-    return samples[:n] if len(samples) > n else samples
-
-
 def test_criterion_3_fixed_point_census():
     failures = []
     need = {
@@ -148,7 +134,7 @@ def test_criterion_3_fixed_point_census():
         2.0: {"attracting": 1, "repelling": 2, "saddle": 1},
     }
     for alpha in (0.75, 2.0):
-        cs = _region_samples(alpha, 200)
+        cs = real_region_samples(alpha, 200)
         assert len(cs) >= 200
         found_region = False
 

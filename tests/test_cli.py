@@ -123,6 +123,12 @@ class TestFixedPointsCommand:
         assert len(rows) == 4
         assert sorted(r["class"] for r in rows).count("attracting") == 2
 
+    def test_parabolic_root_listed_once(self, capsys):
+        # at c = 1/4 the fixed point 1/2 is double, and both its eigenvalues are 1
+        assert main(["fixed-points", "--alpha", "1", "--c", "0.25"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[:5] for row in rows] == [["0.5", "0", "neutral", "1", "1"]]
+
     @pytest.mark.parametrize("alpha", ["0.5000001", "0.5001"])
     def test_alpha_just_above_half(self, capsys, alpha):
         # 2^{1/(2a-1)} overflows (or exceeds the Newton bound) at these exponents
@@ -351,13 +357,13 @@ class TestTableBytes:
         "argv,digest",
         [
             (["fixed-points", "--alpha", "0.75", "--c", "0.135"],
-             "f00a971630abd4629bfba2a8b214e8a97f8f755b28773c9189753c5d9849efde"),
+             "0602f6c39cabb39b3daf364535bb3ee2012039db3a8ed06412fd6ca1b7b9125b"),
             (["fixed-points", "--alpha", "1", "--c", "0"],
              "6584e26789ab57d927bcaa9ea583e88b68a57c6f31de659ffe047f097a4b2149"),
             (["fixed-points", "--alpha", "2", "--c=-0.5,0.3"],
-             "f804d3ad854a05507bb9432d8dd505f3da59538029035d5d1f536f9bf12d5941"),
+             "3513ed0ea79767b7357c12a6873d82fe789eed37b3d197ec9d6e3904728bc4eb"),
             (["fixed-points", "--alpha", "0.6", "--c=-0.3,0.2"],
-             "26311c3837180fa0c39c7b4f24d04d30460528287004fe989a5401ed0a29f80f"),
+             "f56bd2e8ff45a8686eece613591b8038f6893e06debab2caf98c99bc45629683"),
             (["curves", "--alpha", "0.8", "--n", "16"],
              "8a000ed287d2890cbde18f61038547ab82da1274312a7465860076b88e573d4b"),
             (["curves", "--alpha", "0.8", "--n", "64", "--cusps"],

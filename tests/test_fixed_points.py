@@ -22,9 +22,9 @@ from oracles import (
     label_minimum_positions,
     polyline_diameter,
     real_matrix,
+    real_region_samples,
     residual_grid,
     scalar_census,
-    scalar_census_seeds,
     scalar_newton_fixed_point,
 )
 from qcdyn import fixed_points
@@ -47,7 +47,7 @@ from qcdyn.fixed_points import (
     trace_curve,
     trace_curve_image,
 )
-from qcdyn.fixed_points import _census_seeds, _distinct_roots, _dp_norm, _newton_lanes
+from qcdyn.fixed_points import _distinct_roots, _dp_norm
 from qcdyn.maps import MapParams, apply_map, jacobian
 
 RNG = np.random.default_rng(11)
@@ -210,6 +210,30 @@ class TestFindFixedPoints:
                 recs = find_fixed_points(p)
             assert recs
             assert all(abs(apply_map(p, r.z) - r.z) < 1e-10 for r in recs)
+
+    def test_flat_root_listed_once(self):
+        # at alpha = 0.5000001 Df - id is about 2e-7 at z = 1, so
+        # |f(z) - z| < 1e-13 holds on an interval of floats there; the census
+        # takes one of them, from its one real-axis bracket
+        recs = find_fixed_points(MapParams(0.5000001, 0))
+        assert [r.cls for r in recs] == ["attracting", "repelling"] and recs[0].z == 0
+        assert abs(recs[1].z - 1.0) < 1e-8
+
+    @pytest.mark.parametrize(
+        "alpha,cs",
+        [(0.75, real_region_samples(0.75, 200)), (2.0, real_region_samples(2.0, 200)),
+         (0.6, [0.0, complex(-0.3, -0.0)]), (3.0, [0.0, complex(0.4, -0.0)])],
+        ids=["0.75-criterion-3", "2-criterion-3", "0.6", "3"],
+    )
+    def test_real_parameters_give_real_or_conjugate_roots(self, alpha, cs):
+        # each root is exactly real, or sits next to its exact conjugate in
+        # the (re, im) order
+        for c in cs:
+            zs = [r.z for r in find_fixed_points(MapParams(alpha, c))]
+            for k, z in enumerate(zs):
+                if z.imag != 0.0:
+                    partner = zs[k + 1] if z.imag < 0 else zs[k - 1]
+                    assert bits(partner) == bits(z.conjugate()), (c, zs)
 
     def test_matches_brute_force_scan(self):
         for alpha, c in [(0.75, -0.6), (0.75, 0.135), (2.0, 0.43), (2.0, -1.0)]:
@@ -389,27 +413,31 @@ _LANE_CASES += [(a, c) for a in _LANE_ALPHAS for c in (2.1 - 2.1j, -3.0, 0.3 - 0
 # start stalls)
 _LANE_CASES += [(30.0, 0.5), (60.0, -0.3 + 0.1j), (2.0, 1e308 + 1e308j), (0.75, -1e308)]
 _LANE_CASES += [(14.0, 4.63e5 - apply_map(MapParams(14.0, 0), 4.63e5))]
-# signed zeros on both axes, the branch point, beyond the bound, and nan
+# signed zeros on both axes, the branch point, beyond the bound, and nan: starts
+# the census never makes, run through its Newton all the same
 _EXTRA_SEEDS = (0, complex(0.9, -0.0), complex(-0.8, -0.0), complex(-0.0, 0.7), 4.63e5, 1e7, complex("nan"))
 
 
-def _seeds_with_extras(p: MapParams) -> np.ndarray:
-    """The census's seeds, then _EXTRA_SEEDS."""
-    return np.concatenate((_census_seeds(p), np.array(_EXTRA_SEEDS, dtype=np.complex128)))
-
-
-def _assert_census_matches_scalar(p: MapParams, extra_seeds=()) -> None:
-    """find_fixed_points gives the scalar census's records and stall warning;
-    extra_seeds are the seeds a test has appended to fixed_points._census_seeds."""
+def _assert_census_matches_scalar(p: MapParams, tol: float) -> None:
+    """Each root of the 578-seed scalar census, after merging the roots
+    within 1e-6 max(1, |z|) of one kept before, lies within tol max(1, |z|)
+    of exactly one record of find_fixed_points, and of the same class; the
+    census emits no RuntimeWarning, and a ConvergenceWarning exactly when
+    some of its starts stall."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         records = find_fixed_points(p)
-    want, stalled = scalar_census(p, extra_seeds)
-    assert records == want
-    stall_msgs = [str(w.message) for w in caught if w.category is ConvergenceWarning]
-    assert stall_msgs == ([f"{stalled} Newton starts stalled without converging or diverging"]
-                          if stalled else [])
     assert not [w for w in caught if w.category is RuntimeWarning]
+    stalled = fixed_points._census_roots(p)[1]
+    assert [str(w.message) for w in caught if w.category is ConvergenceWarning] == (
+        [f"{stalled} Newton starts stalled without converging or diverging"] if stalled else [])
+    merged = []
+    for r in scalar_census(p):
+        if all(abs(r.z - z) > 1e-6 * max(1.0, abs(r.z)) for z, _ in merged):
+            merged.append((r.z, r.cls))
+    for z, cls in merged:
+        near = [r.cls for r in records if abs(r.z - z) <= tol * max(1.0, abs(z))]
+        assert near == [cls], (z, cls, records)
 
 
 # (alpha, c): |c| <= 1e3, and 1e3 <= |c| <= 1e300 in about a quarter of the
@@ -424,117 +452,63 @@ _CENSUS_PARAMS = st.builds(
 
 
 class TestLaneNewton:
-    """The census's lane Newton against the scalar per-seed loop it replaced."""
+    """The census's Newton starts, each polished by the scalar Newton,
+    against the scalar references in oracles.py."""
 
     @pytest.mark.parametrize("alpha,c", _LANE_CASES)
-    def test_seed_by_seed_identity(self, alpha, c):
+    def test_seed_by_seed_identity(self, alpha, c, monkeypatch):
+        # each start, and each extra seed, gives the root bits and stall flag
+        # of the scalar reference Newton from it; so the census run on that
+        # reference lists the same roots and stalls
         p = MapParams(alpha, c)
-        assert _census_seeds(p).tobytes() == np.array(scalar_census_seeds(p), dtype=np.complex128).tobytes()
-        seeds = _seeds_with_extras(p)
-        roots, converged, stalled = _newton_lanes(p, seeds)
-        ref = [scalar_newton_fixed_point(p, s) for s in seeds.tolist()]
-        for k, (z, _) in enumerate(ref):
-            assert converged[k] == (z is not None), (k, seeds[k])
-            if z is not None:
-                assert bits(roots[k]) == bits(z), (k, seeds[k], roots[k], z)
-        # lanes are independent, so a subset run gives each seed's own stall flag
-        stalled_ref = np.array([st for _, st in ref])
-        assert stalled == np.count_nonzero(stalled_ref)
-        if stalled:
-            assert _newton_lanes(p, seeds[stalled_ref])[2] == stalled
-        failed = ~converged & ~stalled_ref
-        assert _newton_lanes(p, seeds[failed])[2] == 0
+        for seed in fixed_points._census_starts(p) + list(_EXTRA_SEEDS):
+            orbit, stall = fixed_points._scalar_newton(p, seed, fixed_points._NEWTON_STEPS)
+            z, stall_ref = scalar_newton_fixed_point(p, seed)
+            assert stall == stall_ref and (orbit is None) == (z is None), seed
+            assert z is None or bits(orbit[0]) == bits(z), seed
+        roots, stalled = fixed_points._census_roots(p)
+
+        def reference(p, z, steps):
+            assert steps == fixed_points._NEWTON_STEPS
+            root, stall = scalar_newton_fixed_point(p, z)
+            return (None if root is None else [root]), stall
+
+        monkeypatch.setattr(fixed_points, "_scalar_newton", reference)
+        want, stalled_ref = fixed_points._census_roots(p)
+        assert [bits(z) for z in roots] == [bits(z) for z in want] and stalled == stalled_ref
 
     @pytest.mark.parametrize("alpha,c", _LANE_CASES[::3])
-    def test_records_match_scalar_census(self, alpha, c, monkeypatch):
-        monkeypatch.setattr(fixed_points, "_census_seeds", _seeds_with_extras)
-        _assert_census_matches_scalar(MapParams(alpha, c), _EXTRA_SEEDS)
+    def test_records_match_scalar_census(self, alpha, c):
+        _assert_census_matches_scalar(MapParams(alpha, c), 1e-9)
 
     @pytest.mark.parametrize("seed", [3, 5, 7, 11])
     def test_dedup_matches_seed_order_loop(self, seed):
+        # the census's roots, then copies of them moved by less and by more
+        # than _DEDUP, some closer to another copy than to their root
         for alpha, c in bench_inputs("census", seed).fixed_points:  # 120 (alpha, c)
-            p = MapParams(alpha, c)
-            lanes, converged, _ = _newton_lanes(p, _census_seeds(p))
-            got = _distinct_roots(lanes[converged])
-            want = distinct_roots_in_seed_order(lanes[converged].tolist())
+            found = fixed_points._census_roots(MapParams(alpha, c))[0]
+            lanes = np.array([z + d for d in (0, 6e-9, -1.5e-8j, 9e-9j, -2e-8, 1.2e-8 + 1e-8j) for z in found])
+            got = _distinct_roots(lanes)
+            want = distinct_roots_in_seed_order(lanes.tolist())
             assert [bits(z) for z in got] == [bits(z) for z in want], (alpha, c)
+            assert len(found) < len(got) < lanes.size
 
     @given(_CENSUS_PARAMS)
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_census_property_matches_scalar_census(self, params):
-        _assert_census_matches_scalar(MapParams(*params))
+        _assert_census_matches_scalar(MapParams(*params), 1e-6)
 
     @pytest.mark.parametrize("alpha,c", _LANE_CASES)
-    def test_scalar_finish_changes_no_bit(self, alpha, c, monkeypatch):
-        # no scalar finish (only the exceptional lanes reach the scalar step),
-        # the shipped handover, and the scalar step only
+    def test_scalar_finish_changes_no_bit(self, alpha, c):
+        # the census lists only points the scalar Newton accepts as they
+        # stand (|f(z) - z| < 1e-13), so polishing one again returns its
+        # bits; and no two lie within _DEDUP of each other
         p = MapParams(alpha, c)
-        seeds = _seeds_with_extras(p)
-        runs = []
-        for lanes in (0, fixed_points._SCALAR_LANES, seeds.size):
-            monkeypatch.setattr(fixed_points, "_SCALAR_LANES", lanes)
-            roots, converged, stalled = _newton_lanes(p, seeds)
-            runs.append((roots.tobytes(), converged.tobytes(), stalled))
-        assert runs[1] == runs[0] and runs[2] == runs[0]
-
-    def test_handover_at_exactly_the_threshold(self, monkeypatch):
-        # 1e7 leaves at the first bound check and the fixed point 1 converges
-        # at step 0, so T + 1 lanes take step 0 as numpy and T lanes, started
-        # around that fixed point, finish the other 59 steps on the scalar step
-        p = MapParams(2.0, 0)
-        lanes = fixed_points._SCALAR_LANES
-        around_one = [1.0 + 0.1 * cmath.exp(2j * math.pi * k / lanes) for k in range(lanes)]
-        seeds = np.array([1e7, 1.0] + around_one)
-        handed = []
-        scalar_newton = fixed_points._scalar_newton
-
-        def spy(p, z, steps):
-            handed.append(steps)
-            return scalar_newton(p, z, steps)
-
-        monkeypatch.setattr(fixed_points, "_scalar_newton", spy)
-        roots, converged, stalled = _newton_lanes(p, seeds)
-        assert handed == [fixed_points._NEWTON_STEPS - 1] * lanes
-        assert converged.tolist() == [False] + [True] * (lanes + 1) and stalled == 0
-        for k, seed in enumerate(seeds.tolist()):
-            z, _ = scalar_newton_fixed_point(p, seed)
-            assert z is None if k == 0 else bits(roots[k]) == bits(z)
-
-    # (alpha, c, seed, steps the numpy lanes take first): the branch point,
-    # Df - id exactly 0 at 0.5, |f_z - 1|^2 overflowing at 4.63e5, and an
-    # overflow one step after a census grid seed
-    _EXCEPTIONAL_LANES = [
-        (0.75, 0.3 - 0.2j, 0j, 0),
-        (1.0, 0j, 0.5, 0),
-        _LANE_CASES[-1] + (4.63e5, 0),
-        (60.0, -0.3 + 0.1j, 0.681602634383267 + 0.6816026343832668j, 1),
-    ]
-
-    @pytest.mark.parametrize("alpha,c,seed,numpy_steps", _EXCEPTIONAL_LANES)
-    def test_exceptional_lanes_finish_on_the_scalar_step(self, alpha, c, seed, numpy_steps, monkeypatch):
-        p = MapParams(alpha, c)
-        z = complex(seed)
-        for _ in range(numpy_steps):
-            z = z + jacobian(p, z).newton_step(apply_map(p, z) - z)
-        handed = []
-        scalar_newton = fixed_points._scalar_newton
-
-        def spy(p, z, steps):
-            handed.append((bits(z), steps))
-            return scalar_newton(p, z, steps)
-
-        monkeypatch.setattr(fixed_points, "_SCALAR_LANES", 0)
-        monkeypatch.setattr(fixed_points, "_scalar_newton", spy)
-        roots, converged, stalled = _newton_lanes(p, np.array([seed], dtype=np.complex128))
-        assert handed == [(bits(z), fixed_points._NEWTON_STEPS - numpy_steps)]
-        want, stall = scalar_newton_fixed_point(p, seed)
-        assert converged[0] == (want is not None) and stalled == stall
-        if want is not None:
-            assert bits(roots[0]) == bits(want)
-
-    def test_no_seeds(self):
-        roots, converged, stalled = _newton_lanes(MapParams(1.0, 0.1), np.array([], dtype=complex))
-        assert roots.size == 0 and converged.size == 0 and stalled == 0
+        roots = _distinct_roots(np.array(fixed_points._census_roots(p)[0]))
+        for z in roots:
+            orbit, stall = fixed_points._scalar_newton(p, z, 1)
+            assert orbit is not None and bits(orbit[0]) == bits(z) and not stall
+        assert all(abs(z - w) > fixed_points._DEDUP for k, z in enumerate(roots) for w in roots[:k])
 
 
 class TestParamJacobianNorm:
