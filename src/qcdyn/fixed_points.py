@@ -61,6 +61,7 @@ GAMMA_MINUS = "gamma-"
 
 TOL_CLS = 1e-9
 _NEWTON_TOL = 1e-13
+_ROUNDING = 16 * 2.0**-52  # times the largest modulus in f^q(z) - z: its rounding floor
 _NEWTON_STEPS = 60
 NEWTON_BOUND = 1e6  # Newton iterates beyond this modulus count as diverged
 MIN_SAMPLES = 16  # fewest samples trace_curve accepts
@@ -77,7 +78,6 @@ _BREAK_OFFSETS = np.concatenate((-_BREAK_OFFSETS, _BREAK_OFFSETS))
 _ZOOM = np.arange(65) / 64.0  # the cuts of a grid cell beside a minimum of |g|
 _TAU_ROUNDS = 4  # 64-part sections of each sign change of the tau scan
 _EXACT = 11  # sections that reach adjacent floats
-_LATTICE = 8  # half-width, in ulps, of _least_residual's lattice
 
 
 @dataclass(frozen=True)
@@ -209,10 +209,10 @@ def _section(positive, lo: np.ndarray, hi: np.ndarray, rounds: int) -> np.ndarra
     return side * np.where(a_holds, a, b).view(np.float64)
 
 
-def _tau_starts(p: MapParams, rounds: int) -> list[complex]:
+def _tau_starts(p: MapParams) -> list[complex]:
     """Newton starts for the fixed points at non-real c, all off the real
     axis, in increasing tau = cot(arg z): one for each sign change of
-    g = |R|^{2a} - rho over the scan grid, sectioned `rounds` times.
+    g = |R|^{2a} - rho over the scan grid, sectioned _TAU_ROUNDS times.
 
     R is taken in factored form (see find_fixed_points), with
     q = c_i tau_+ and tau_- = -c_i / q, so that it does not cancel near its
@@ -259,7 +259,7 @@ def _tau_starts(p: MapParams, rounds: int) -> list[complex]:
         lo = np.concatenate((tau[k], fine[row, col]))
         hi = np.concatenate((tau[k + 1], fine[row, col + 1]))
         order = np.argsort(lo)
-        root = _section(positive, lo[order], hi[order], rounds)
+        root = _section(positive, lo[order], hi[order], _TAU_ROUNDS)
         r, hyp, _ = radius_rho(root)
         x, y = r * (root / hyp), r / hyp
     return [complex(a, b) for a, b in zip(x.tolist(), y.tolist())]
@@ -298,30 +298,13 @@ def _real_starts(p: MapParams) -> list[complex]:
     return starts
 
 
-def _census_starts(p: MapParams, rounds: int = _TAU_ROUNDS) -> list[complex]:
+def _census_starts(p: MapParams) -> list[complex]:
     """The census's Newton starts: _real_starts' at real c; at non-real c
     _tau_starts', then c and the two roots of z^2 - z + c."""
     if p.c.imag == 0:
         return _real_starts(p)
     disc = cmath.sqrt(1.0 - 4.0 * p.c)
-    return _tau_starts(p, rounds) + [p.c, (1.0 + disc) / 2.0, (1.0 - disc) / 2.0]
-
-
-def _least_residual(p: MapParams, z: complex) -> complex:
-    """The float within _LATTICE ulps of Newton's limit from z, part by part,
-    where |f(w) - w| is least (the first in row order among equals); a part
-    that is 0 stays 0.  Three of _scalar_newton's steps from a float next to
-    a root reach the float where that Newton stalls, an ulp or so from the
-    root."""
-    try:
-        for _ in range(3):
-            z = z + jacobian(p, z).newton_step(apply_map(p, z) - z)
-        dx, dy = math.ulp(z.real), math.ulp(z.imag) if z.imag else 0.0
-        steps = range(-_LATTICE, _LATTICE + 1)
-        lattice = [complex(z.real + i * dx, z.imag + j * dy) for i in steps for j in steps]
-        return min(lattice, key=lambda w: abs(apply_map(p, w) - w))
-    except (NoConvergence, OverflowError):
-        return z
+    return _tau_starts(p) + [p.c, (1.0 + disc) / 2.0, (1.0 - disc) / 2.0]
 
 
 def _census_roots(p: MapParams) -> tuple[list[complex], int]:
@@ -329,34 +312,25 @@ def _census_roots(p: MapParams) -> tuple[list[complex], int]:
     order, and the number of starts that stalled.
 
     A start of _real_starts or _tau_starts lies next to a sign change, so
-    next to a root.  Where its polish fails within NEWTON_BOUND, the start
-    is taken to the float next to that sign change (_EXACT rounds), and the
-    polish starts over from _least_residual's float there: Newton stalls at
-    a root whose floats all leave |f(z) - z| >= _NEWTON_TOL but a few, and
-    from a start a few digits off it can leave a root where f is nearly
-    the identity.  The fixed starts serve the roots beyond the scan's reach
-    (near the real axis at tiny c_i, where tau overflows): a root of theirs
-    within _SAME_ROOT max(1, |z|) of one found before is that root.  At real
-    c each non-real root is followed by its conjugate, a root with the same
-    residual.
+    next to a root.  The fixed starts serve the roots beyond the scan's
+    reach (near the real axis at tiny c_i, where tau overflows): a root of
+    theirs within _SAME_ROOT max(1, |z|) of one found before is that root.
+    At real c each non-real root is followed by its conjugate, a root with
+    the same residual.
     """
     starts = _census_starts(p)
     scanned = len(starts) - (3 if p.c.imag else 0)
-    exact = None
     roots, stalled = [], 0
     for k, z in enumerate(starts):
         orbit, stall = _scalar_newton(p, z, _NEWTON_STEPS)
-        if k >= scanned:
-            if orbit and any(abs(orbit[0] - w) <= _SAME_ROOT * max(1.0, abs(w)) for w in roots):
-                orbit = None
-        elif orbit is None and abs(z) <= NEWTON_BOUND:
-            exact = exact or _census_starts(p, _EXACT)
-            orbit, stall = _scalar_newton(p, _least_residual(p, exact[k]), _NEWTON_STEPS)
         stalled += stall
-        if orbit is not None:
-            roots.append(orbit[0])
-            if p.c.imag == 0 and orbit[0].imag != 0:
-                roots.append(orbit[0].conjugate())
+        if orbit is None:
+            continue
+        if k >= scanned and any(abs(orbit[0] - w) <= _SAME_ROOT * max(1.0, abs(w)) for w in roots):
+            continue
+        roots.append(orbit[0])
+        if p.c.imag == 0 and orbit[0].imag != 0:
+            roots.append(orbit[0].conjugate())
     return roots, stalled
 
 
@@ -374,10 +348,18 @@ def _scalar_newton(p: MapParams, z: complex, steps: int, q: int = 1) -> tuple[li
     orbits.find_periodic_orbit.
 
     A step gives up once |z| > NEWTON_BOUND or z is not finite, maps z
-    forward q times, stops at a root once |f^q(z) - z| < _NEWTON_TOL, and
-    else moves z by (D f^q(z) - id)^{-1} (z - f^q(z)), with D f^q chained
-    along the orbit by _chain (Df(0) = 0, see maps.jacobian).  At q = 1
-    this is apply_map, the tolerance test, jacobian and newton_step.
+    forward q times, stops at a root once
+
+        |f^q(z) - z| < max(_NEWTON_TOL, 16 eps max(|z|, |f^q(z)|, |c|)),  eps = 2^-52,
+
+    and else moves z by (D f^q(z) - id)^{-1} (z - f^q(z)), with D f^q
+    chained along the orbit by _chain (Df(0) = 0, see maps.jacobian).  The
+    second bound is the rounding floor of the residual: f(z) - z =
+    c + u^2 - z rounds at the ulp of its largest term, so past |c| or |z|
+    of about 10 a root may have no float whose residual is below 1e-13.
+    It is a max, not a sum, which would overflow near |c| = 1e308.  At
+    q = 1 a step is apply_map, the tolerance test, jacobian and
+    newton_step.
     Returns (orbit, False) on convergence, orbit being the root's
     [z, f(z), ..., f^{q-1}(z)], (None, True) when the steps run out, and
     (None, False) on divergence, overflow or a singular step."""
@@ -390,7 +372,7 @@ def _scalar_newton(p: MapParams, z: complex, steps: int, q: int = 1) -> tuple[li
                 orbit.append(w)
                 w = apply_map(p, w)
             fval = w - z
-            if abs(fval) < _NEWTON_TOL:
+            if abs(fval) < max(_NEWTON_TOL, _ROUNDING * max(abs(z), abs(w), abs(p.c))):
                 return orbit, False
             z = z + _chain(p, orbit).newton_step(fval)
     except (NoConvergence, OverflowError):
@@ -421,25 +403,20 @@ def _record(p: MapParams, z: complex) -> FixedPointRecord:
     )
 
 
-def _distinct_roots(found: np.ndarray) -> list[complex]:
-    """The roots in order, less each one within _DEDUP of a root kept before it.
-
-    Root by root: keep the first root left and drop every root within _DEDUP
-    of it, itself included.  A root left over is farther than _DEDUP from
-    every kept root, so this keeps what the start-order rule keeps.
-    """
+def _distinct_roots(found: list[complex]) -> list[complex]:
+    """The roots in order, less each one within _DEDUP of a root kept before it."""
     roots = []
-    while found.size:
-        root = found[0]
-        roots.append(complex(root))
-        d = found - root
-        found = found[np.hypot(d.real, d.imag) > _DEDUP]
+    for z in found:
+        if all(abs(z - w) > _DEDUP for w in roots):
+            roots.append(z)
     return roots
 
 
 def find_fixed_points(p: MapParams) -> list[FixedPointRecord]:
     """All fixed points within NEWTON_BOUND, from a scan in one real unknown
     polished by _scalar_newton, deduplicated in start order and classified.
+    A root is listed once its residual |f(z) - z| is below 1e-13 or below
+    its rounding floor, 16 eps max(|z|, |f(z)|, |c|) (see _scalar_newton).
 
     f doubles the argument, so a fixed point z = r e^{it} off the real axis
     has one unknown, tau = cot t:
@@ -470,7 +447,7 @@ def find_fixed_points(p: MapParams) -> list[FixedPointRecord]:
     """
     require_alpha(p.alpha, strict=True)
     found, stalled = _census_roots(p)
-    roots = _distinct_roots(np.array(found, dtype=np.complex128))
+    roots = _distinct_roots(found)
     if p.c == 0:  # the branch point is fixed exactly; Newton only comes near it
         roots = [0j] + [z for z in roots if abs(z) > _DEDUP]
     if stalled:

@@ -79,7 +79,8 @@ def find_periodic_orbit(p: MapParams, q: int, seed: complex) -> PeriodicOrbit:
 
     The search is the fixed-point census's own undamped step
     (fixed_points._scalar_newton) for at most 100 steps, so it stops at the
-    same roots under the same rules: |f^q(z) - z| < 1e-13, divergence past
+    same roots under the same rules: |f^q(z) - z| below 1e-13 or below its
+    rounding floor 16 eps max(|z|, |f^q(z)|, |c|), divergence past
     NEWTON_BOUND, Df(0) = 0.  The returned orbit is the cycle that search
     converged on, cut to its minimal period (the least divisor d of q with
     |f^d(z) - z| < TOL_FP), with the eigenvalues of D f^period chained along

@@ -148,7 +148,9 @@ def matrix_newton_fixed_point(p: MapParams, z0: complex) -> tuple[complex | None
 
 
 def scalar_newton_fixed_point(p: MapParams, z0: complex) -> tuple[complex | None, bool]:
-    """Newton for f(z) = z from one seed.
+    """Newton for f(z) = z from one seed, accepting z once |f(z) - z| is
+    below 1e-13 or below 16 ulps of 1 times the largest of |z|, |f(z)| and
+    |c|, the rounding floor of f(z) - z.
 
     Returns (root, stalled): root is None on failure; stalled distinguishes
     running out of steps from diverging, overflowing or a singular step.
@@ -158,8 +160,9 @@ def scalar_newton_fixed_point(p: MapParams, z0: complex) -> tuple[complex | None
         for _ in range(_NEWTON_STEPS):
             if abs(z) > NEWTON_BOUND or not cmath.isfinite(z):
                 return None, False
-            fval = apply_map(p, z) - z
-            if abs(fval) < _NEWTON_TOL:
+            w = apply_map(p, z)
+            fval = w - z
+            if abs(fval) < max(_NEWTON_TOL, 16 * 2.0**-52 * max(abs(z), abs(w), abs(p.c))):
                 return z, False
             # Df(0) = 0 spelled out here, not taken from the jacobian under test
             df = jacobian(p, z) if z != 0 else WirtingerPair(0j, 0j)

@@ -386,6 +386,19 @@ class TestTableBytes:
             b"1.0,0.0,repelling,2.0,0.0,2.0,0.0,4.0,4.0\r\n"
         )
 
+    def test_fixed_points_rows_at_large_parameter(self, tmp_path):
+        # the two roots (1 +- sqrt(1 - 4c))/2 of z^2 - z + c, which no float
+        # leaves with |f(z) - z| < 1e-13 at |c| = 5000
+        out = tmp_path / "fp.csv"
+        assert main(["fixed-points", "--alpha", "1", "--c=5000,300", "-o", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"re,im,class,eig1_re,eig1_im,eig2_re,eig2_im,det,trace\r\n"
+            b"-1.6204201657090465,70.74069678536641,repelling,-3.240840331418093,141.48139357073282,"
+            b"-3.240840331418093,-141.48139357073282,20027.487772770342,-6.481680662836186\r\n"
+            b"2.620420165709047,-70.7406967853664,repelling,5.240840331418094,141.4813935707328,"
+            b"5.240840331418094,-141.4813935707328,20044.451134096005,10.481680662836188\r\n"
+        )
+
     def test_hopf_sweep_excluded_rows(self, tmp_path):
         out = tmp_path / "h.csv"
         assert main(["hopf", "--alpha", "1.5", "--theta-grid", "2", "-o", str(out)]) == 0

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -235,6 +235,43 @@ class TestFindFixedPoints:
                     partner = zs[k + 1] if z.imag < 0 else zs[k - 1]
                     assert bits(partner) == bits(z.conjugate()), (c, zs)
 
+    @given(st.floats(0.0, 1e5), st.floats(-math.pi, math.pi))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_quadratic_roots_at_any_modulus(self, modulus, angle):
+        # at alpha = 1 the fixed points are the roots of z^2 - z + c; past
+        # |c| = 10 no float of them need have |f(z) - z| < 1e-13, so only the
+        # rounding floor of the residual lets the census accept them.  Near
+        # c = 1/4 the two roots merge and each is only as good as sqrt(1e-13).
+        # A ConvergenceWarning may still come with a complete census: just
+        # off the real axis past c = 1/4 the fallback start c lies on the
+        # bisector of the two roots, where Newton wanders for 60 steps
+        c = cmath.rect(modulus, angle)
+        disc = cmath.sqrt(1.0 - 4.0 * c)
+        assume(abs(disc) >= 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            zs = [r.z for r in find_fixed_points(MapParams(1.0, c))]
+        want = [(1.0 + disc) / 2.0, (1.0 - disc) / 2.0]
+        assert len(zs) == 2, (c, zs)
+        for w in want:
+            assert sum(abs(z - w) <= 1e-12 * max(1.0, abs(w)) for z in zs) == 1, (c, zs)
+
+    @given(st.floats(0.55, 8.0), st.floats(0.0, 1e3), st.floats(-math.pi, math.pi))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_fixed_point_indices_sum_to_two(self, alpha, modulus, angle):
+        # z - f(z) has degree 2 on a large circle (it is -z^{a+1} zbar^{a-1}
+        # there), so the indices sign det(I - Df) = sign(|1 - f_z|^2 - |f_zbar|^2)
+        # of its zeros sum to 2 (Milnor): a missed root leaves another sum
+        p = MapParams(alpha, cmath.rect(modulus, angle))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            records = find_fixed_points(p)
+        signs = []
+        for r in records:
+            jac = jacobian(p, r.z)
+            signs.append(np.sign(abs(1.0 - jac.fz) ** 2 - abs(jac.fzbar) ** 2))
+        assert sum(signs) == 2, (p, [r.z for r in records])
+
     def test_matches_brute_force_scan(self):
         for alpha, c in [(0.75, -0.6), (0.75, 0.135), (2.0, 0.43), (2.0, -1.0)]:
             p = MapParams(alpha, c)
@@ -401,18 +438,18 @@ def _fold_c(alpha: float) -> complex:
     return 1.04 * trace_curve_image(alpha, GAMMA_PLUS, 64).points[5]
 
 
-_LANE_ALPHAS = [0.5000001, 0.5001, 0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 6.0]
-_LANE_CASES = [(a, 0j) for a in _LANE_ALPHAS]  # c = 0: the seed (1 - disc)/2 is the branch point
-_LANE_CASES += [(a, _fold_c(a)) for a in _LANE_ALPHAS if a >= 0.6]
-_LANE_CASES += [(a, c) for a in _LANE_ALPHAS for c in (2.1 - 2.1j, -3.0, 0.3 - 0.2j, complex(-0.5, -0.0))]
+_CENSUS_ALPHAS = [0.5000001, 0.5001, 0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 6.0]
+_CENSUS_CASES = [(a, 0j) for a in _CENSUS_ALPHAS]  # c = 0: the seed (1 - disc)/2 is the branch point
+_CENSUS_CASES += [(a, _fold_c(a)) for a in _CENSUS_ALPHAS if a >= 0.6]
+_CENSUS_CASES += [(a, c) for a in _CENSUS_ALPHAS for c in (2.1 - 2.1j, -3.0, 0.3 - 0.2j, complex(-0.5, -0.0))]
 # overflowing powers and squares: where apply_map's power overflows, the scalar
 # loop raises OverflowError; where a square overflows, it turns inf without
 # raising.  At alpha 14 this c makes the extra seed 4.63e5 a Newton start whose
 # (Re f_z - 1)^2 overflows while f(z) - z stays finite: det(Df - id) is inf, so
 # newton_step raises NoConvergence (without that check the step is 0 and the
 # start stalls)
-_LANE_CASES += [(30.0, 0.5), (60.0, -0.3 + 0.1j), (2.0, 1e308 + 1e308j), (0.75, -1e308)]
-_LANE_CASES += [(14.0, 4.63e5 - apply_map(MapParams(14.0, 0), 4.63e5))]
+_CENSUS_CASES += [(30.0, 0.5), (60.0, -0.3 + 0.1j), (2.0, 1e308 + 1e308j), (0.75, -1e308)]
+_CENSUS_CASES += [(14.0, 4.63e5 - apply_map(MapParams(14.0, 0), 4.63e5))]
 # signed zeros on both axes, the branch point, beyond the bound, and nan: starts
 # the census never makes, run through its Newton all the same
 _EXTRA_SEEDS = (0, complex(0.9, -0.0), complex(-0.8, -0.0), complex(-0.0, 0.7), 4.63e5, 1e7, complex("nan"))
@@ -455,7 +492,7 @@ class TestLaneNewton:
     """The census's Newton starts, each polished by the scalar Newton,
     against the scalar references in oracles.py."""
 
-    @pytest.mark.parametrize("alpha,c", _LANE_CASES)
+    @pytest.mark.parametrize("alpha,c", _CENSUS_CASES)
     def test_seed_by_seed_identity(self, alpha, c, monkeypatch):
         # each start, and each extra seed, gives the root bits and stall flag
         # of the scalar reference Newton from it; so the census run on that
@@ -477,7 +514,7 @@ class TestLaneNewton:
         want, stalled_ref = fixed_points._census_roots(p)
         assert [bits(z) for z in roots] == [bits(z) for z in want] and stalled == stalled_ref
 
-    @pytest.mark.parametrize("alpha,c", _LANE_CASES[::3])
+    @pytest.mark.parametrize("alpha,c", _CENSUS_CASES[::3])
     def test_records_match_scalar_census(self, alpha, c):
         _assert_census_matches_scalar(MapParams(alpha, c), 1e-9)
 
@@ -487,24 +524,25 @@ class TestLaneNewton:
         # than _DEDUP, some closer to another copy than to their root
         for alpha, c in bench_inputs("census", seed).fixed_points:  # 120 (alpha, c)
             found = fixed_points._census_roots(MapParams(alpha, c))[0]
-            lanes = np.array([z + d for d in (0, 6e-9, -1.5e-8j, 9e-9j, -2e-8, 1.2e-8 + 1e-8j) for z in found])
-            got = _distinct_roots(lanes)
-            want = distinct_roots_in_seed_order(lanes.tolist())
+            moved = [z + d for d in (0, 6e-9, -1.5e-8j, 9e-9j, -2e-8, 1.2e-8 + 1e-8j) for z in found]
+            got = _distinct_roots(moved)
+            want = distinct_roots_in_seed_order(moved)
             assert [bits(z) for z in got] == [bits(z) for z in want], (alpha, c)
-            assert len(found) < len(got) < lanes.size
+            assert len(found) < len(got) < len(moved)
 
     @given(_CENSUS_PARAMS)
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_census_property_matches_scalar_census(self, params):
         _assert_census_matches_scalar(MapParams(*params), 1e-6)
 
-    @pytest.mark.parametrize("alpha,c", _LANE_CASES)
+    @pytest.mark.parametrize("alpha,c", _CENSUS_CASES)
     def test_scalar_finish_changes_no_bit(self, alpha, c):
         # the census lists only points the scalar Newton accepts as they
-        # stand (|f(z) - z| < 1e-13), so polishing one again returns its
-        # bits; and no two lie within _DEDUP of each other
+        # stand (|f(z) - z| below 1e-13 or its rounding floor, see
+        # _scalar_newton), so polishing one again returns its bits; and no
+        # two lie within _DEDUP of each other
         p = MapParams(alpha, c)
-        roots = _distinct_roots(np.array(fixed_points._census_roots(p)[0]))
+        roots = _distinct_roots(fixed_points._census_roots(p)[0])
         for z in roots:
             orbit, stall = fixed_points._scalar_newton(p, z, 1)
             assert orbit is not None and bits(orbit[0]) == bits(z) and not stall
