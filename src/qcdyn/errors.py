@@ -20,4 +20,4 @@ class NoConvergence(RuntimeError):
 
 
 class ConvergenceWarning(UserWarning):
-    """Some Newton starts stalled without converging or diverging."""
+    """The census's fixed-point indices do not sum to 2: it missed a root."""

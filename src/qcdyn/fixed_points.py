@@ -16,7 +16,8 @@ inventories; p(gamma+) carries three cusps (one real) whenever alpha != 1.
 The fixed-point census (find_fixed_points) rests on f doubling the
 argument: off the real axis a fixed point has one real unknown,
 tau = cot(arg z), so the census scans one function of tau for sign changes
-and polishes each with the package's one Newton, _scalar_newton.  The
+and polishes each with the package's one Newton, _scalar_newton; the
+fixed-point indices, which sum to 2, check that none was missed.  The
 scan rounds only in +, -, *, /, hypot and float_power on floats (besides
 comparisons and integer arithmetic on float bit patterns), whose results do
 not depend on the SIMD level numpy dispatches to.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,15 +67,24 @@ _NEWTON_STEPS = 60
 NEWTON_BOUND = 1e6  # Newton iterates beyond this modulus count as diverged
 MIN_SAMPLES = 16  # fewest samples trace_curve accepts
 _DEDUP = 1e-8
-_SAME_ROOT = 1e-6  # see _census_roots
 # the census scan in tau = cot(arg z): a fixed grid symmetric about 0, steps of
 # 1/16 up to 1 and then ratio 2^(1/8) out to 2^64, and offsets from each
-# breakpoint b, fractions 2^1 ... 2^-340 of max(1, |b|) in ratio 4, both sides
+# breakpoint b, fractions 2^1 ... 2^-339 of max(1, |b|) in ratio 4, both sides
 # (Python's ** and ldexp, not a numpy exp2 whose rounding may follow the SIMD level)
 _TAU_TAIL = np.array([2.0 ** (k / 8.0) for k in range(1, 513)])
 _TAU_GRID = np.concatenate((-_TAU_TAIL[::-1], np.arange(-16, 17) / 16.0, _TAU_TAIL))
-_BREAK_OFFSETS = np.ldexp(1.0, np.arange(1, -341, -2))
-_BREAK_OFFSETS = np.concatenate((-_BREAK_OFFSETS, _BREAK_OFFSETS))
+_OFFSETS = np.ldexp(1.0, np.arange(1, -341, -2))
+_BREAK_OFFSETS = np.concatenate((-_OFFSETS, _OFFSETS))
+_FAR = 2.0**64  # the grid's reach
+_FLOAT_MAX = np.finfo(np.float64).max
+# offsets up to _NEAR max(1, |b|) round onto the few floats next to a
+# breakpoint b; where the sign changes between b -+ that and b, the scan is
+# taken again relative to b over |x - b| <= _SPAN max(1, |b|) (see _row_starts)
+_NEAR = 2.0**-51
+_PROBES = np.array([-_NEAR, _NEAR])
+_SPAN = 2.0**-31
+_REL_OFFSETS = _OFFSETS[_OFFSETS <= _NEAR]
+_REL_OFFSETS = np.concatenate((-_REL_OFFSETS, [0.0], _REL_OFFSETS[::-1]))
 _ZOOM = np.arange(65) / 64.0  # the cuts of a grid cell beside a minimum of |g|
 _TAU_ROUNDS = 4  # 64-part sections of each sign change of the tau scan
 _EXACT = 11  # sections that reach adjacent floats
@@ -209,60 +219,150 @@ def _section(positive, lo: np.ndarray, hi: np.ndarray, rounds: int) -> np.ndarra
     return side * np.where(a_holds, a, b).view(np.float64)
 
 
-def _tau_starts(p: MapParams) -> list[complex]:
-    """Newton starts for the fixed points at non-real c, all off the real
-    axis, in increasing tau = cot(arg z): one for each sign change of
-    g = |R|^{2a} - rho over the scan grid, sectioned _TAU_ROUNDS times.
+@dataclass(frozen=True)
+class _ScanRow:
+    """One row of the census scan: the sign of g = |R|^{2a} - rho in
+    delta = x - b, x being tau (p = c_i, d = 1) or u = c_i tau (p = 1,
+    d = c_i), with
 
-    R is taken in factored form (see find_fixed_points), with
-    q = c_i tau_+ and tau_- = -c_i / q, so that it does not cancel near its
-    zeros; rho = c_r - c_i tau.  Outside the domain rho > 0 the sign reads
-    positive (|R|^{2a} >= rho holds there), as G does at the domain's end,
-    so a root near that end brackets like any other.  Two roots in one
-    grid cell change no sign there; where |g| has a grid minimum inside the
-    domain without one, both cells beside it are cut into 64 and their
-    sign changes join the rest.
+        R = (P0 - p delta)(M0 + delta) / hypot(d, b + delta),  rho = R0 - p delta,
+
+    where P0 - p delta = q - c_i tau, M0 + delta = x - x(tau_-) and
+    R0 - p delta = c_r - c_i tau (see find_fixed_points), and the fixed point
+    at a root is z = R (b + delta + i d) / hypot(d, b + delta).  The row of
+    the whole line has b = 0; in a row relative to a breakpoint b (see at)
+    the factor vanishing at b is exactly -p delta or delta, so delta
+    resolves roots closer to b than the floats of x do.  Outside the domain
+    rho > 0 the sign reads positive (|R|^{2a} >= rho holds there), as G does
+    at the domain's end, so a root near that end brackets like any other.
     """
-    cr, ci = p.c.real, p.c.imag
-    q = cr + math.copysign(math.hypot(cr, ci), cr)
-    tau_minus = -ci / q
-    two_a = 2.0 * p.alpha
 
-    def radius_rho(tau):
-        ci_tau = ci * tau
-        hyp = np.hypot(1.0, tau)
-        return (q - ci_tau) * ((tau - tau_minus) / hyp), hyp, cr - ci_tau
+    two_a: float
+    b: float
+    p: float
+    d: float
+    P0: float
+    M0: float
+    R0: float
 
-    def power_rho(tau):
-        r, _, rho = radius_rho(tau)
-        return np.float_power(np.abs(r), two_a), rho
+    def radius_rho(self, delta):
+        s, p_delta = (self.b + delta if self.b else delta), self.p * delta  # b = 0: the tau row's own floats
+        hyp = np.hypot(self.d, s)
+        return (self.P0 - p_delta) * ((self.M0 + delta) / hyp), hyp, self.R0 - p_delta, s
 
-    def positive(tau):
-        power, rho = power_rho(tau)
+    def power_rho(self, delta):
+        r, _, rho, _ = self.radius_rho(delta)
+        return np.float_power(np.abs(r), self.two_a), rho
+
+    def positive(self, delta):
+        power, rho = self.power_rho(delta)
         return power >= rho
 
-    with np.errstate(all="ignore"):
-        breaks = np.array([cr / ci, q / ci, tau_minus])  # rho = 0, tau_+, tau_-
-        near = breaks[:, None] + np.maximum(1.0, np.abs(breaks))[:, None] * _BREAK_OFFSETS
-        tau = np.concatenate((_TAU_GRID, near[np.isfinite(near)]))
-        tau.sort()
-        power, rho = power_rho(tau)
+    def at(self, b: float, own: int) -> _ScanRow:
+        """The row relative to its breakpoint b, where factor `own` (0: rho,
+        1: P, 2: M) vanishes."""
+        factors = [self.R0 - self.p * b, self.P0 - self.p * b, self.M0 + b]
+        factors[own] = 0.0
+        return replace(self, b=b, R0=factors[0], P0=factors[1], M0=factors[2])
+
+    def brackets(self, x: np.ndarray, power: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cells of the sorted samples x, where |R|^{2a} and rho are power
+        and rho, across which g changes sign, and the sign changes found by
+        cutting into 64 both cells beside each minimum of |g| inside the
+        domain that changes no sign there (two roots in one cell), as
+        (lo, hi) in increasing lo."""
         pos = power >= rho
         k = np.flatnonzero(pos[1:] != pos[:-1])
         gap = np.abs(power - rho)
         dip = (gap[1:-1] < gap[:-2]) & (gap[1:-1] <= gap[2:]) & (rho[1:-1] > 0.0)
         dip = np.flatnonzero(dip & (pos[:-2] == pos[1:-1]) & (pos[2:] == pos[1:-1])) + 1
         cells = np.concatenate((dip - 1, dip))
-        fine = tau[cells, None] + (tau[cells + 1] - tau[cells])[:, None] * _ZOOM
-        hold = positive(fine)
+        fine = x[cells, None] + (x[cells + 1] - x[cells])[:, None] * _ZOOM
+        hold = self.positive(fine)
         row, col = np.nonzero(hold[:, 1:] != hold[:, :-1])
-        lo = np.concatenate((tau[k], fine[row, col]))
-        hi = np.concatenate((tau[k + 1], fine[row, col + 1]))
+        lo = np.concatenate((x[k], fine[row, col]))
         order = np.argsort(lo)
-        root = _section(positive, lo[order], hi[order], _TAU_ROUNDS)
-        r, hyp, _ = radius_rho(root)
-        x, y = r * (root / hyp), r / hyp
-    return [complex(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        return lo[order], np.concatenate((x[k + 1], fine[row, col + 1]))[order]
+
+    def starts(self, lo: np.ndarray, hi: np.ndarray, rounds: int) -> list[complex]:
+        """The fixed point at each bracket, sectioned `rounds` times."""
+        root = _section(self.positive, lo, hi, rounds)
+        r, hyp, _, s = self.radius_rho(root)
+        x, y = r * (s / hyp), (r * self.d) / hyp
+        return [complex(a, b) for a, b in zip(x.tolist(), y.tolist())]
+
+
+def _row_starts(row: _ScanRow, breaks: tuple[float, float, float], rounds: int,
+                inner: float = 0.0, outer: float = _FLOAT_MAX) -> list[complex]:
+    """The Newton starts of one row of the scan: x runs over the grid and
+    the offsets from each breakpoint (rho = 0, P = 0, M = 0), and each sign
+    change is sectioned `rounds` times, in increasing x; then the starts of
+    its relative rows, sectioned to adjacent floats.
+
+    A root within a few floats of a breakpoint b shares its bracket with
+    another or brackets nowhere.  It shows as a sign change between b - w,
+    b and b + w (w = _NEAR max(1, |b|); at b, g is -rho or |R|^{2a}), as no
+    other breakpoint of tau lies within max(1, |b|) of b
+    (|tau_+- - c_r/c_i| = |c| / |c_i|).  Only there is
+    |x - b| <= _SPAN max(1, |b|) scanned again relative to b, over the
+    row's samples there and the offsets up to w; at 2^-31 the row is
+    accurate again.  A root that both find is listed once, from the row's
+    start, which comes first (see _distinct_roots).  inner <= |b| <= outer
+    keeps the relative rows to finite b on the line the row covers.  At
+    inner > 0 (the u row, whose gap |x| < inner the tau row covers) only
+    |x| >= inner is sampled, and no bracket crosses the gap.
+    """
+    breaks = np.array(breaks)
+    scale = np.maximum(1.0, np.abs(breaks))
+    near = breaks[:, None] + scale[:, None] * _BREAK_OFFSETS
+    x = np.concatenate((_TAU_GRID, near[np.isfinite(near)]))
+    if inner:
+        x = np.concatenate((x[np.abs(x) >= inner], [-inner, inner]))
+    x.sort()
+    n = x.size
+    power, rho = row.power_rho(np.concatenate((x, (breaks[:, None] + scale[:, None] * _PROBES).ravel())))
+    lo, hi = row.brackets(x, power[:n], rho[:n])
+    keep = (hi <= -inner) | (lo >= inner) if inner else slice(None)  # not across the gap
+    starts = row.starts(lo[keep], hi[keep], rounds)
+    ends = (power[n:] >= rho[n:]).reshape(3, 2).tolist()
+    for own, (b, (below, above)) in enumerate(zip(breaks.tolist(), ends)):
+        # at b itself R = 0 or rho = 0 exactly, so g >= 0 there iff rho(b) <= 0
+        at_b = own == 0 or row.R0 - row.p * b <= 0.0
+        if not inner <= abs(b) <= outer or below == at_b == above:
+            continue
+        span = scale[own] * _SPAN
+        rel = row.at(b, own)
+        delta = np.concatenate((x[(x >= b - span) & (x <= b + span)] - b, scale[own] * _REL_OFFSETS))
+        delta.sort()
+        starts += rel.starts(*rel.brackets(delta, *rel.power_rho(delta)), _EXACT)
+    return starts
+
+
+def _tau_starts(p: MapParams) -> list[complex]:
+    """Newton starts for the fixed points at non-real c, all off the real
+    axis: one for each sign change of g = |R|^{2a} - rho (see
+    find_fixed_points and _ScanRow), scanned in tau over the grid's reach
+    |tau| <= 2^64 and the offsets from the breakpoints.  A root has
+    |c_i tau| = |c_r - rho| <= 2|c| + NEWTON_BOUND (rho = |z - c|), so where
+    |c_i| <= 2^-63 (3 NEWTON_BOUND + 2|c|) one may lie beyond the grid;
+    there the scan goes on in u = c_i tau, which never overflows, over
+    |u| >= |c_i| 2^64 with the same grid and the breakpoints in u.
+
+    R is taken in factored form, with q = c_i tau_+ and tau_- = -c_i / q, so
+    that it does not cancel near its zeros.
+    """
+    cr, ci = p.c.real, p.c.imag
+    modulus = math.hypot(cr, ci)  # inf, not OverflowError like abs(c), past the float range
+    q = cr + math.copysign(modulus, cr)
+    tau_minus = -ci / q
+    tau_row = _ScanRow(two_a=2.0 * p.alpha, b=0.0, p=ci, d=1.0, P0=q, M0=-tau_minus, R0=cr)
+    with np.errstate(all="ignore"):
+        tau_breaks = (cr / ci, q / ci, tau_minus)
+        if abs(ci) > 2.0**-63 * (3.0 * NEWTON_BOUND + 2.0 * modulus):
+            return _row_starts(tau_row, tau_breaks, _TAU_ROUNDS)
+        u_row = replace(tau_row, p=1.0, d=ci, M0=-ci * tau_minus)
+        return (_row_starts(tau_row, tau_breaks, _TAU_ROUNDS, outer=_FAR)
+                + _row_starts(u_row, (cr, q, ci * tau_minus), _EXACT, inner=abs(ci) * _FAR))
 
 
 def _real_starts(p: MapParams) -> list[complex]:
@@ -299,39 +399,25 @@ def _real_starts(p: MapParams) -> list[complex]:
 
 
 def _census_starts(p: MapParams) -> list[complex]:
-    """The census's Newton starts: _real_starts' at real c; at non-real c
-    _tau_starts', then c and the two roots of z^2 - z + c."""
-    if p.c.imag == 0:
-        return _real_starts(p)
-    disc = cmath.sqrt(1.0 - 4.0 * p.c)
-    return _tau_starts(p) + [p.c, (1.0 + disc) / 2.0, (1.0 - disc) / 2.0]
+    """The census's Newton starts: _real_starts' at real c, _tau_starts' at
+    non-real c."""
+    return _real_starts(p) if p.c.imag == 0 else _tau_starts(p)
 
 
-def _census_roots(p: MapParams) -> tuple[list[complex], int]:
+def _census_roots(p: MapParams) -> list[complex]:
     """Each census start polished by _scalar_newton: the roots in start
-    order, and the number of starts that stalled.
-
-    A start of _real_starts or _tau_starts lies next to a sign change, so
-    next to a root.  The fixed starts serve the roots beyond the scan's
-    reach (near the real axis at tiny c_i, where tau overflows): a root of
-    theirs within _SAME_ROOT max(1, |z|) of one found before is that root.
-    At real c each non-real root is followed by its conjugate, a root with
-    the same residual.
+    order.  A start lies next to a sign change, so next to a root.  At real
+    c each non-real root is followed by its conjugate, a root with the same
+    residual.
     """
-    starts = _census_starts(p)
-    scanned = len(starts) - (3 if p.c.imag else 0)
-    roots, stalled = [], 0
-    for k, z in enumerate(starts):
-        orbit, stall = _scalar_newton(p, z, _NEWTON_STEPS)
-        stalled += stall
-        if orbit is None:
-            continue
-        if k >= scanned and any(abs(orbit[0] - w) <= _SAME_ROOT * max(1.0, abs(w)) for w in roots):
-            continue
-        roots.append(orbit[0])
-        if p.c.imag == 0 and orbit[0].imag != 0:
-            roots.append(orbit[0].conjugate())
-    return roots, stalled
+    roots = []
+    for z in _census_starts(p):
+        orbit = _scalar_newton(p, z, _NEWTON_STEPS)[0]
+        if orbit is not None:
+            roots.append(orbit[0])
+            if p.c.imag == 0 and orbit[0].imag != 0:
+                roots.append(orbit[0].conjugate())
+    return roots
 
 
 def _chain(p: MapParams, orbit: list[complex]) -> WirtingerPair:
@@ -427,37 +513,46 @@ def find_fixed_points(p: MapParams) -> list[FixedPointRecord]:
     where |R|^{2a} = rho = c_r - c_i tau > 0 (r = |R|, and tau_+ tau_- = -1).
     G = 2a log|R| - log rho tends to +inf where rho -> 0 and at the open end
     of its half-line, and to -inf at the zeros of R.  At non-real c every
-    fixed point is off the axis: _tau_starts brackets the sign changes of
-    |R|^{2a} - rho over a fixed grid and points geometric in distance from
-    those breakpoints, and c and the roots of z^2 - z + c follow as fallback
-    starts.  At real c, h(x) = x - |x|^{2a} - c_r has at most three roots on
-    the axis, bracketed between -|c|, 0, saddle_node_parameter's x* and
-    NEWTON_BOUND, and the pair off it is closed form (_real_starts); a
-    non-real root is listed with its exact conjugate.  A bracket misses two
-    roots inside one grid cell where |R|^{2a} - rho has no grid minimum
-    beside them, and a root beyond the grid's reach in tau, near the real
-    axis at tiny c_i, is found only from a fallback start.
+    fixed point is off the axis, and each is one sign change of
+    |R|^{2a} - rho, which _tau_starts brackets: over a fixed grid and points
+    geometric in distance from the breakpoints rho = 0, tau_+ and tau_-,
+    relative to a breakpoint where a root lies within a few floats of it,
+    and in u = c_i tau where a root may lie past the grid's reach in tau
+    (near the real axis at tiny c_i).  At real c, h(x) = x - |x|^{2a} - c_r
+    has at most three roots on the axis, bracketed between -|c|, 0,
+    saddle_node_parameter's x* and NEWTON_BOUND, and the pair off it is
+    closed form (_real_starts); a non-real root is listed with its exact
+    conjugate.  What a bracket can miss: two roots inside one cell where
+    |R|^{2a} - rho has no sampled minimum beside them.
+
+    Where NEWTON_BOUND^{2a} > |c| + NEWTON_BOUND, f - id has degree 2 on
+    |z| = NEWTON_BOUND (Rouche) and every fixed point lies inside, so the
+    indices sign det(I - Df) = sign(1 - trace + det) of the records sum to 2
+    (Milnor).  There, unless some record has 1 - trace + det = 0, a sum
+    other than 2 means a root was missed (or a Newton start ran out before
+    accepting it), and ConvergenceWarning says so; the census gives no
+    other warning.
 
     At c = 0 the branch point is listed as exactly 0 in place of any root
     within _DEDUP of it, and classified from Df(0) = 0 (attracting:
-    |f(z)| = |z|^{2a}).  Emits ConvergenceWarning if some polish starts stall
-    without converging or diverging.  Raises DomainError where a root's
-    eigenvalues overflow, and else from alpha = 2^53 on, where no class is
-    meaningful (see _require_classifiable).
+    |f(z)| = |z|^{2a}).  Raises DomainError where a root's eigenvalues
+    overflow, and else from alpha = 2^53 on, where no class is meaningful
+    (see _require_classifiable).
     """
     require_alpha(p.alpha, strict=True)
-    found, stalled = _census_roots(p)
-    roots = _distinct_roots(found)
+    roots = _distinct_roots(_census_roots(p))
     if p.c == 0:  # the branch point is fixed exactly; Newton only comes near it
         roots = [0j] + [z for z in roots if abs(z) > _DEDUP]
-    if stalled:
-        warnings.warn(
-            f"{stalled} Newton starts stalled without converging or diverging",
-            ConvergenceWarning,
-        )
     roots.sort(key=lambda w: (w.real, w.imag))
     records = [_record(p, z) for z in roots]
     _require_classifiable(p.alpha)  # after the eigenvalues, whose overflow is named first
+    dets = [1.0 - r.trace + r.det for r in records]  # det(I - Df)
+    indices = [(s > 0.0) - (s < 0.0) for s in dets]
+    modulus = math.hypot(p.c.real, p.c.imag)
+    degree_two = 2.0 * p.alpha * math.log(NEWTON_BOUND) > math.log(modulus + NEWTON_BOUND)
+    if degree_two and 0 not in indices and sum(indices) != 2:
+        warnings.warn(f"the fixed-point indices sum to {sum(indices)}, not 2: the census missed a root",
+                      ConvergenceWarning)
     return records
 
 

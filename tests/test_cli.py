@@ -129,6 +129,41 @@ class TestFixedPointsCommand:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [row.split()[:5] for row in rows] == [["0.5", "0", "neutral", "1", "1"]]
 
+    @staticmethod
+    def _clean_rows(capsys, argv: list[str]) -> list[list[str]]:
+        """The table rows of a fixed-points run that exits 0 with nothing on
+        stderr and no warning (which a shell run would print to stderr)."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fixed-points", *argv])
+        out, err = capsys.readouterr()
+        assert (code, err, [str(w.message) for w in caught]) == (0, "", [])
+        return [row.split() for row in out.splitlines()[1:]]
+
+    def test_near_real_parameter_past_quarter(self, capsys):
+        # both roots of z^2 - z + c are listed, and no warning comes with them
+        rows = self._clean_rows(capsys, ["--alpha", "1", "--c=1,2.76e-124"])
+        assert [complex(float(re), float(im)) for re, im, *_ in rows] == pytest.approx(
+            [complex(0.5, -math.sqrt(0.75)), complex(0.5, math.sqrt(0.75))], abs=1e-12)
+
+    def test_subnormal_imaginary_part_keeps_the_real_saddle(self, capsys):
+        # c_i = 5e-324: the two roots next to the real axis and the pair off
+        # it, whose indices sign(1 - trace + det) sum to 2
+        rows = self._clean_rows(capsys, ["--alpha", "3", "--c=0.5,5e-324"])
+        assert [row[2] for row in rows] == ["attracting", "repelling", "repelling", "saddle"]
+        assert float(rows[3][0]) == pytest.approx(0.8322182906, abs=1e-9)
+        assert sum(math.copysign(1.0, 1.0 - float(row[6]) + float(row[5])) for row in rows) == 2
+
+    def test_root_within_an_ulp_of_a_breakpoint(self, capsys):
+        # at |c| = 7.2e25 the roots' tau lies about 2e-22 from tau_-
+        rows = self._clean_rows(capsys, ["--alpha", "2.857", "--c=5.87e25,4.25e25"])
+        assert [complex(float(re), float(im)) for re, im, *_ in rows] == pytest.approx(
+            [complex(-10342.62, 31921.04), complex(10342.62, -31921.04)], abs=0.01)
+
+    def test_modulus_past_the_float_range(self, capsys):
+        # |c| overflows (abs(c) would raise); the roots lie past NEWTON_BOUND
+        assert self._clean_rows(capsys, ["--alpha", "2", "--c=1.7e308,1.7e308"]) == []
+
     @pytest.mark.parametrize("alpha", ["0.5000001", "0.5001"])
     def test_alpha_just_above_half(self, capsys, alpha):
         # 2^{1/(2a-1)} overflows (or exceeds the Newton bound) at these exponents
