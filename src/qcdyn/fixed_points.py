@@ -62,7 +62,8 @@ GAMMA_MINUS = "gamma-"
 
 TOL_CLS = 1e-9
 _NEWTON_TOL = 1e-13
-_ROUNDING = 16 * 2.0**-52  # times the largest modulus in f^q(z) - z: its rounding floor
+_EPS = 2.0**-52
+_ROUNDING = 16 * _EPS  # times the largest modulus in f^q(z) - z: its rounding floor
 _NEWTON_STEPS = 60
 NEWTON_BOUND = 1e6  # Newton iterates beyond this modulus count as diverged
 MIN_SAMPLES = 16  # fewest samples trace_curve accepts
@@ -436,20 +437,31 @@ def _scalar_newton(p: MapParams, z: complex, steps: int, q: int = 1) -> tuple[li
     A step gives up once |z| > NEWTON_BOUND or z is not finite, maps z
     forward q times, stops at a root once
 
-        |f^q(z) - z| < max(_NEWTON_TOL, 16 eps max(|z|, |f^q(z)|, |c|)),  eps = 2^-52,
+        |f^q(z) - z| < max(_NEWTON_TOL, 16 eps max(|z|, |f^q(z)|, |c|), eps G),  eps = 2^-52,
 
     and else moves z by (D f^q(z) - id)^{-1} (z - f^q(z)), with D f^q
     chained along the orbit by _chain (Df(0) = 0, see maps.jacobian).  The
     second bound is the rounding floor of the residual: f(z) - z =
     c + u^2 - z rounds at the ulp of its largest term, so past |c| or |z|
     of about 10 a root may have no float whose residual is below 1e-13.
-    It is a max, not a sum, which would overflow near |c| = 1e308.  At
-    q = 1 a step is apply_map, the tolerance test, jacobian and
+    And moving z by its ulp moves f(z) by up to ||Df(z)|| eps |z|, so
+    where that gain is large no float near the root has a smaller
+    residual: at q = 1, G = 2 max(a, 1) |f(z) - c| is ||Df(z)|| |z| in
+    closed form, as ||Df(z)|| = |f_z| + |f_zbar| = 2 max(a, 1) |z|^{2a-1}
+    and |z|^{2a} = |f(z) - c| (one abs).  Its factor is eps, not 16 eps,
+    which would accept roots (at alpha = 60, |z| near 1) that the steps
+    polish further.  At q > 1, G = 0: the product of these norms along
+    the orbit overstates ||D f^q|| and would accept period-4 orbits at
+    residual 1e-13 that the steps polish to 4e-15.  The bound is a max,
+    not a sum, which would overflow near |c| = 1e308.
+    At q = 1 a step is apply_map, the tolerance test, jacobian and
     newton_step.
     Returns (orbit, False) on convergence, orbit being the root's
     [z, f(z), ..., f^{q-1}(z)], (None, True) when the steps run out, and
     (None, False) on divergence, overflow or a singular step."""
     try:
+        # eps G = slope |f(z) - c|; |c| is taken once
+        slope, absc = (2.0 * max(p.alpha, 1.0) * _EPS if q == 1 else 0.0), abs(p.c)
         for _ in range(steps):
             if abs(z) > NEWTON_BOUND or not cmath.isfinite(z):
                 return None, False
@@ -458,7 +470,7 @@ def _scalar_newton(p: MapParams, z: complex, steps: int, q: int = 1) -> tuple[li
                 orbit.append(w)
                 w = apply_map(p, w)
             fval = w - z
-            if abs(fval) < max(_NEWTON_TOL, _ROUNDING * max(abs(z), abs(w), abs(p.c))):
+            if abs(fval) < max(_NEWTON_TOL, _ROUNDING * max(abs(z), abs(w), absc), slope * abs(w - p.c)):
                 return orbit, False
             z = z + _chain(p, orbit).newton_step(fval)
     except (NoConvergence, OverflowError):
@@ -502,7 +514,8 @@ def find_fixed_points(p: MapParams) -> list[FixedPointRecord]:
     """All fixed points within NEWTON_BOUND, from a scan in one real unknown
     polished by _scalar_newton, deduplicated in start order and classified.
     A root is listed once its residual |f(z) - z| is below 1e-13 or below
-    its rounding floor, 16 eps max(|z|, |f(z)|, |c|) (see _scalar_newton).
+    its rounding floor, the larger of 16 eps max(|z|, |f(z)|, |c|) and
+    eps 2 max(a, 1) |f(z) - c| (see _scalar_newton).
 
     f doubles the argument, so a fixed point z = r e^{it} off the real axis
     has one unknown, tau = cot t:

@@ -15,9 +15,23 @@ after LOCK_EVERY steps is retired the same way: its orbit is an exact
 floating-point cycle, so it can never escape.  Escape mode retires such
 lanes at any checkpoint; attractor mode retires them before the window's
 first step, with the period the search finds on LOCK_EVERY replayed cycle
-states.  None of this changes a live lane's arithmetic, so a cell's result
-is the same in any block, at any thread count and as if every lane ran to
-the end.  A cell's result is its status (1 byte) and value (4 bytes).
+states.  Escape-mode Julia sets retire a third kind of lane: one inside a
+proved trap of an attracting cycle.  After POOL_STEP the orbit of one live
+lane is followed with maps.apply_map; if it nearly repeats with a period
+q <= LOCK_EVERY, its q-cycle is polished by fixed_points._scalar_newton,
+and _trap_bound proves in closed form that discs about the cycle's points
+map into each other under the kernel's float step, rounding included, and
+stay inside the escape radius.  A lane found in a disc can then never
+escape, so it is BOUNDED with value 0.  None of this changes a live lane's
+arithmetic, so a cell's result is the same in any block, at any thread
+count and as if every lane ran to the end.  A cell's result is its status
+(1 byte) and value (4 bytes).
+
+Traps are left out of loci, which have a c per cell, and of attractor mode,
+where a trapped lane would need a period.  A disc is not always a trap: at
+alpha = 0.75, c = -0.78 the attracting 2-cycle has spectral radius 0.984
+but ||D f^2|| > 1 at its points, so no disc about them maps into itself,
+and that Julia set retires nothing this way.
 
 Every render runs on one schedule.  The lanes of all cells are built once,
 before step 0, as one lane record.  The steps run in epochs that end at step
@@ -57,7 +71,8 @@ from typing import IO, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .maps import MapParams, _radius_floor
+from .fixed_points import _NEWTON_STEPS, _scalar_newton
+from .maps import MapParams, _radius_floor, apply_map
 
 __all__ = [
     "ESCAPE_ONLY",
@@ -98,6 +113,18 @@ WINDOW_LANES = 16384
 # 16384 the same)
 POOL_STEP = 32
 POOL_MIN_LANES = 8192
+# cycle traps of escape-mode Julia sets: after POOL_STEP one lane is followed
+# TRAP_STEPS steps; if it nearly repeats with a period q <= LOCK_EVERY its
+# q-cycle is polished and the trap radii are tried, largest first
+TRAP_STEPS = 96
+TRAP_RADII = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+# the trap proof's allowances: _STEP_ROUNDING (1 + |a - 1|) (|u|^2 + |c|) +
+# _UNDERFLOW bounds the rounding of one kernel step or apply_map, and
+# _SLACK (a relative 2^-40) inflates the float disc test's radius and every
+# rounded quantity of the proof
+_STEP_ROUNDING = 2.0**-46
+_UNDERFLOW = 2.0**-1000
+_SLACK = 1.0 + 2.0**-40
 
 ESCAPE_ONLY = "escape"
 ATTRACTOR_DETECT = "attractor"
@@ -259,6 +286,7 @@ def _iterate(
     out: tuple[np.ndarray, np.ndarray],
     n: int = 0,
     stop: int | None = None,
+    trap: tuple[np.ndarray, float] | None = None,
 ) -> _Lanes | None:
     """Iterate lanes, which hold the state after n steps, up to step stop
     (default: the last step) and classify them.
@@ -303,6 +331,14 @@ def _iterate(
     nonzero part; and NaN, of parked lanes or of alpha = 1/2 overflow, never
     compares equal.  The cost is one compare and one copy of z per
     LOCK_EVERY steps.  Lanes that first repeat inside the window stay in it.
+
+    In escape mode a trap (centres, r) proved by _trap_bound retires lanes
+    too: at each checkpoint, a lane with |z - centre| < r (np.abs) for some
+    centre is parked with BOUNDED and value 0.  The proof shows that its
+    float orbit, under this very step, stays within the escape radius for
+    ever, so running it to the end gives the same.  NaN (parked lanes) and
+    inf are never inside.  The cost is q subtractions, moduli and compares
+    per LOCK_EVERY steps.
 
     Overflow raises no warning, in the steps or in the period search: an
     orbit that overflows is on its way out, and a lane at |z| = inf exceeds
@@ -375,6 +411,15 @@ def _iterate(
                         z[same] = np.nan
                         gone |= same
                         parked += np.count_nonzero(same)
+                if trap is not None:
+                    centres, r = trap
+                    held = np.abs(z - centres[0]) < r
+                    for w in centres[1:]:
+                        held |= np.abs(z - w) < r
+                    if held.any():
+                        z[held] = np.nan
+                        gone |= held
+                        parked += np.count_nonzero(held)
                 ref = z.copy()
             if detect and n == start:
                 window = np.empty((WINDOW_ROWS, idx.size), dtype=np.complex128)
@@ -473,6 +518,94 @@ def _periods(window: np.ndarray, lanes: np.ndarray, rows: np.ndarray | range = r
     return qfound
 
 
+def _trap_bound(p: MapParams, cycle: list[complex], r: float, radius: float) -> float | None:
+    """kappa, the largest over the cycle's points z_j of the contraction
+    bound prod L_k of the discs below, when the discs of radius r about
+    the points of cycle trap the kernel's float orbits; else None.
+
+    Started from D(z_j, r_0), r_0 = r: for k = j, ..., j + q - 1 (indices
+    mod q) the disc D(z_k, r_k) has ||Df|| <= L_k = 2 max(a, 1)
+    (|z_k| + r_k)^{2a-1} on it (||Df|| = |f_z| + |f_zbar| = (a + 1 +
+    |a - 1|) |z|^{2a-1}, growing in |z| as 2a - 1 >= 0), so f maps it
+    into D(z_{k+1}, L_k r_k + delta_k), delta_k = |f(z_k) - z_{k+1}| the
+    cycle's residual, and a kernel step lands in D(z_{k+1}, r_{k+1}),
+
+        r_{k+1} = L_k r_k + delta_k + 2 eta_k,
+        eta_k = _STEP_ROUNDING (1 + |a - 1|) ((|z_k| + r_k)^{2a} + |c|) + _UNDERFLOW,
+
+    eta_k bounding the rounding of one step, the kernel's (its np.abs, **
+    and complex product, SIMD or not, each within a few ulps) or
+    apply_map's, whose value gives delta_k: with mod and |z|^(a-1) within
+    4 ulps, u = |z|^(a-1) z is within (4|a - 1| + 6) eps |u|, its square
+    within (8|a - 1| + 16) eps |u|^2 and the sum with c adds eps |f(z)|,
+    at most a quarter of eta_k.  Every r_k is inflated by _SLACK, which
+    also covers the float test |z - z_j| < r (a subtraction and an np.abs)
+    and the rounding of this proof's own arithmetic.  The trap holds when
+    for every j each (|z_k| + r_k) _SLACK < radius, so no state in the
+    discs tests as escaped, and r_q < r: by induction a lane found in
+    D(z_j, r) is in D(z_{j+k}, r_k) k steps later, for ever.
+    """
+    a, q = p.alpha, len(cycle)
+    lip, err, absc = 2.0 * max(a, 1.0), _STEP_ROUNDING * (1.0 + abs(a - 1.0)), abs(p.c)
+    delta = [abs(apply_map(p, cycle[k]) - cycle[(k + 1) % q]) for k in range(q)]
+    kappa = 0.0
+    try:
+        for j in range(q):
+            rk, prod = r * _SLACK, 1.0
+            for k in range(j, j + q):
+                big = abs(cycle[k % q]) + rk
+                if not big * _SLACK < radius:
+                    return None
+                lk = lip * big ** (2.0 * a - 1.0)
+                eta = err * (big ** (2.0 * a) + absc) + _UNDERFLOW
+                rk = (lk * rk + delta[k % q] + 2.0 * eta) * _SLACK
+                prod *= lk
+            if not rk < r:
+                return None
+            kappa = max(kappa, prod)
+    except OverflowError:
+        return None
+    return kappa
+
+
+def _find_trap(p: MapParams, live: _Lanes) -> tuple[np.ndarray, float] | None:
+    """A proved trap (centres, r) for the live lanes of a Julia set, or None.
+
+    The cycle search follows the live lane of median cell index (the same
+    lane at any thread count) TRAP_STEPS steps with apply_map; the orbit
+    must stay within the escape radius.  Its last point z_N must come
+    within TRAP_RADII[0] of z_{N-q} for some q <= LOCK_EVERY, and the
+    smallest such q is polished by fixed_points._scalar_newton.  The cycle
+    is not known to attract: the trap radii are tried on it largest first
+    (_trap_bound).  Which trap is found changes no byte, since every lane
+    it retires is BOUNDED with value 0 anyway.
+    """
+    k = live.idx.size // 2
+    cell = np.partition(live.idx, k)[k]
+    z = complex(live.z[np.flatnonzero(live.idx == cell)[0]])
+    orbit = [z]
+    try:
+        for _ in range(TRAP_STEPS):
+            z = apply_map(p, z)
+            if not abs(z) <= live.radius:
+                return None
+            orbit.append(z)
+    except OverflowError:
+        return None
+    for q in range(1, LOCK_EVERY + 1):
+        if abs(z - orbit[-1 - q]) < TRAP_RADII[0]:
+            break
+    else:
+        return None
+    cycle = _scalar_newton(p, z, _NEWTON_STEPS, q)[0]
+    if cycle is None:
+        return None
+    for r in TRAP_RADII:
+        if _trap_bound(p, cycle, r, live.radius) is not None:
+            return np.array(cycle), r
+    return None
+
+
 def _deal(size: int, workers: int, cap: int) -> list[tuple[int, int]]:
     """Bounds of the blocks that size pooled lanes are dealt into: one per
     worker when each worker gets at least POOL_MIN_LANES lanes, else one
@@ -552,9 +685,10 @@ def _render(
     live = _start_lanes(alpha, c, z0, size)
     cap = BLOCK_LANES
     n = 0
+    trap = None
 
     def run(blocks, n, stop):
-        return [_iterate(alpha, block, max_iter, mode, out, n, stop) for block in blocks]
+        return [_iterate(alpha, block, max_iter, mode, out, n, stop, trap) for block in blocks]
 
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         for stop in stops:
@@ -570,6 +704,8 @@ def _render(
             live = _Lanes.pool(left)
             cap = WINDOW_LANES if stop == start else BLOCK_LANES
             n = stop
+            if stop == POOL_STEP and mode == ESCAPE_ONLY and not isinstance(live.c, np.ndarray):
+                trap = _find_trap(MapParams(alpha, live.c), live)
     status, value = (a.reshape(grid.ny, grid.nx) for a in out)
     return Raster(grid, status, value, max_iter)
 

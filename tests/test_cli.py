@@ -160,6 +160,16 @@ class TestFixedPointsCommand:
         assert [complex(float(re), float(im)) for re, im, *_ in rows] == pytest.approx(
             [complex(-10342.62, 31921.04), complex(10342.62, -31921.04)], abs=0.01)
 
+    def test_roots_where_the_derivative_outgrows_the_floor(self, capsys):
+        # |Df| = 120 |z|^119 is about 1e18 at the roots +-1.4125i, so an ulp
+        # of z moves f(z) by about 1e2 and no float near them has a residual
+        # below 16 eps max(|z|, |f(z)|, |c|); the floor's ||Df|| |z| term
+        # accepts them
+        rows = self._clean_rows(capsys, ["--alpha", "60", "--c=1e18,1000"])
+        assert [complex(float(re), float(im)) for re, im, *_ in rows] == pytest.approx(
+            [1.41253754462275j, -1.41253754462275j], abs=1e-13)
+        assert [row[2] for row in rows] == ["repelling", "repelling"]
+
     def test_modulus_past_the_float_range(self, capsys):
         # |c| overflows (abs(c) would raise); the roots lie past NEWTON_BOUND
         assert self._clean_rows(capsys, ["--alpha", "2", "--c=1.7e308,1.7e308"]) == []

@@ -19,6 +19,7 @@ from qcdyn import render
 from qcdyn.errors import DomainError
 from qcdyn.fixed_points import saddle_node_parameter
 from qcdyn.maps import MapParams, apply_map, lambda_min, tip_parameter
+from qcdyn.orbits import find_periodic_orbit
 from qcdyn.render import (
     ATTRACTOR_DETECT,
     CYCLE_RUNS,
@@ -406,10 +407,10 @@ class TestPooledLanes:
         iterate, start = render._iterate, 200 + CYCLE_WINDOW - WINDOW_ROWS
         sizes = []
 
-        def spy(alpha, lanes, max_iter, mode, out, n=0, stop=None):
+        def spy(alpha, lanes, max_iter, mode, out, n=0, stop=None, trap=None):
             if n == start:
                 sizes.append(lanes.idx.size)
-            return iterate(alpha, lanes, max_iter, mode, out, n, stop)
+            return iterate(alpha, lanes, max_iter, mode, out, n, stop, trap)
 
         monkeypatch.setattr(render, "_iterate", spy)
         grid = GridSpec(-0.7, 0.08, 0.08, 160, 160) if c is None else GridSpec(0, 0.8, 0.8, 160, 160)
@@ -546,6 +547,113 @@ class TestLockedAttractorLanes:
         grid = GridSpec(6.5 * np.exp(0.3j), 1.0, 1.0, 127, 131)
         status, _ = check_first_kernel(0.5, grid, 100, ATTRACTOR_DETECT)
         assert (status == PointClass.BOUNDED).all() and sum(retired) == 0
+
+
+class TestTrapRetirement:
+    """Escape-mode Julia sets retire the lanes that enter a proved trap
+    around an attracting cycle (render._find_trap, _trap_bound), with the
+    bytes of running them to the end.
+
+    Every test runs with warnings raised as errors.  Renders are compared
+    with the verbatim first kernel, which retires no lane, at threads 1, 2
+    and 3; the grids hold just over 65536 cells, so each render starts on
+    two blocks.
+    """
+
+    TWO_CYCLE = [(-1 + math.sqrt(0.12)) / 2, (-1 - math.sqrt(0.12)) / 2]  # z^2 - 0.78
+
+    @pytest.fixture(autouse=True)
+    def _warnings_as_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize(
+        "alpha, c, trapped",
+        [
+            (1.0, -0.78, True),
+            (1.0, -0.78 + 5e-4j, True),
+            (1.5, -0.8 + 2e-4j, True),
+            (1.5, -0.8 - 2e-4j, True),
+            (0.75, -0.78, False),  # an attracting 2-cycle, but no disc is a trap
+            (1.2, tip_parameter(1.2), False),  # no attracting cycle
+            (1.0, 0.3, False),  # outside the locus
+        ],
+    )
+    def test_matches_first_kernel(self, monkeypatch, alpha, c, trapped):
+        found = []
+        find_trap = render._find_trap
+
+        def spy(p, live):
+            found.append(find_trap(p, live))
+            return found[-1]
+
+        monkeypatch.setattr(render, "_find_trap", spy)
+        # the tip grid's middle row is the real axis, which holds the interval
+        # Julia set, so lanes are live at POOL_STEP
+        width = 2.2 * abs(c) if c == tip_parameter(alpha) else 3.2
+        status, _ = check_first_kernel(alpha, GridSpec(0, width, width, 511, 131), 400, ESCAPE_ONLY, c=c)
+        assert len(found) == 3 and all((trap is not None) == trapped for trap in found)
+        if trapped:
+            assert (status == PointClass.BOUNDED).sum() > 5000
+
+    def test_contraction_bound(self):
+        # kappa bounds the 2-cycle's multiplier 4(1 + c) from above
+        p = MapParams(1.0, -0.78)
+        kappa = render._trap_bound(p, self.TWO_CYCLE, render.TRAP_RADII[0], escape_radius(p))
+        assert abs(4 * (1 + p.c)) <= kappa < 1
+
+    def test_no_trap_at_alpha_three_quarters(self):
+        # the 2-cycle off the real axis attracts (spectral radius about
+        # 0.984), but ||D f^2|| > 1 at its points, so no disc about them maps
+        # into itself (the real 2-cycle, where the critical orbit goes, is a
+        # saddle)
+        p = MapParams(0.75, -0.78)
+        z = 0.3 + 0.2j
+        for _ in range(3000):
+            z = apply_map(p, z)
+        orbit = find_periodic_orbit(p, 2, z)
+        assert orbit.cls == "attracting"
+        for r in render.TRAP_RADII:
+            assert render._trap_bound(p, list(orbit.points), r, escape_radius(p)) is None
+
+    def test_discs_reaching_the_escape_radius_are_refused(self):
+        p = MapParams(1.0, -0.78)
+        r = render.TRAP_RADII[-1]
+        reach = abs(self.TWO_CYCLE[1]) + r
+        assert render._trap_bound(p, self.TWO_CYCLE, r, 2 * reach) is not None
+        assert render._trap_bound(p, self.TWO_CYCLE, r, reach) is None
+
+    def test_discs_within_the_rounding_allowance_are_refused(self):
+        # at r = 1e-14 the contraction gains less than the rounding of a step
+        p = MapParams(1.0, -0.78)
+        assert render._trap_bound(p, self.TWO_CYCLE, 1e-14, escape_radius(p)) is None
+
+    @pytest.mark.parametrize("alpha, c", [(0.75, -0.78), (1.0, -0.78), (1.5, -0.8), (3.0, 0.2 + 0.3j)])
+    def test_rounding_allowance_bounds_the_kernel_step(self, alpha, c):
+        # the kernel's step against f at 40 digits, on points of modulus
+        # 1e-3 to 2: the error is nonzero and within the allowance
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        z = 10.0 ** rng.uniform(-3, 0.3, 2000) * np.exp(2j * np.pi * rng.random(2000))
+        mod = np.abs(z)
+        got, _ = render._step(z.copy(), np.empty_like(z), mod, alpha - 1.0, c)
+        err = np.empty(z.size)
+        with mpmath.workdps(40):
+            for k, w in enumerate(z.tolist()):
+                m = mpmath.mpc(w)
+                err[k] = float(abs(abs(m) ** (2 * alpha - 2) * m * m + c - mpmath.mpc(got[k])))
+        eta = render._STEP_ROUNDING * (1 + abs(alpha - 1)) * (np.abs(z) ** (2 * alpha) + abs(c)) + render._UNDERFLOW
+        assert err.max() > 0 and (err <= eta / 4).all()
+
+    def test_kernel_retires_lanes_strictly_inside(self):
+        # an unproved disc D(0.5, 0.25) handed to the kernel: the lane at
+        # distance exactly 0.25 runs on and escapes at step 4, the one just
+        # inside is parked at the checkpoint n = 0 as BOUNDED
+        lanes = render._start_lanes(1.0, 0.3, np.array([0.75, np.nextafter(0.75, 0)]), 2)
+        out = (np.zeros(2, dtype=np.int8), np.zeros(2, dtype=np.int32))
+        render._iterate(1.0, lanes, 2 * LOCK_EVERY, ESCAPE_ONLY, out, trap=(np.array([0.5]), 0.25))
+        assert out[0].tolist() == [PointClass.ESCAPED, PointClass.BOUNDED] and out[1].tolist() == [4, 0]
 
 
 class TestPeriodSearch:
